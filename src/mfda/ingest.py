@@ -10,8 +10,10 @@ formatting, LF newlines, sorted JSON keys.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Union
 
@@ -60,142 +62,216 @@ class IngestReport:
     dropped_points: tuple[float, ...] = ()
 
 
+_CHUNK_ROWS = 10_000  # data rows whose label strings are held at once
+
+
+def _load_columns(src, columns: list[int], dtype, skiprows: int, max_rows=None) -> np.ndarray:
+    """Parse the given columns of the next data rows in one C-level pass."""
+    with warnings.catch_warnings():
+        # blank lines and a file without data rows are both fine here
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            src, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            usecols=columns, skiprows=skiprows, ndmin=2, max_rows=max_rows,
+        )
+
+
+def _coded_labels(lines, columns: list[int], channel: str):
+    """Codes of the subject, measure and replicate labels on the channel's
+    rows, each column's labels by code, and which rows are the channel's.
+
+    Reads _CHUNK_ROWS rows at a time from one line iterator and codes them at
+    once, so memory does not grow with label length.
+    """
+    tables: list[dict[str, int]] = [{}, {}, {}]
+    codes, ours = [], []
+    while True:
+        chunk = _load_columns(lines, columns, str, 0, _CHUNK_ROWS)
+        if (chunk == "").any():
+            raise ValueError("incomplete row")
+        ours.append(chunk[:, 3] == channel)
+        coded = []
+        for table, col in zip(tables, chunk[ours[-1], :3].T):
+            unique, inverse = np.unique(col, return_inverse=True)
+            known = [table.setdefault(x, len(table)) for x in unique.tolist()]
+            coded.append(np.array(known, dtype=np.int64)[inverse])
+        codes.append(np.stack(coded, axis=1))
+        if len(chunk) < _CHUNK_ROWS:
+            return np.concatenate(codes), [list(t) for t in tables], np.concatenate(ours)
+
+
+def _ranked(codes: np.ndarray, labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """The labels in `_label_key` order, and the rank of each coded label."""
+    order = sorted(range(len(labels)), key=lambda i: _label_key(labels[i]))
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[order] = np.arange(len(labels))
+    return [labels[i] for i in order], rank[codes]
+
+
+def _to_float(text: str) -> float:
+    """float() as strict as the bulk parser: ASCII digits, no '_' grouping."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
+    """Raise the error of the first data row that breaks a row rule.
+
+    Runs only after the bulk parse has found a fault. It walks the file with
+    csv.reader, so the cited line is the physical one past blank lines and
+    quoted newlines.
+    """
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for record in filter(None, reader):
+            line = reader.line_num
+            row = {c: record[i] if i < len(record) else "" for c, i in columns.items()}
+            if "" in row.values():
+                raise ParseError(f"{path}:{line}: incomplete row")
+            ours = row["channel"] == channel
+            try:
+                replicate = int(row["replicate"]) if ours else None
+                t, value = _to_float(row["t"]), _to_float(row["value"])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{line}: {exc}") from None
+            if not ours:
+                continue
+            if not (np.isfinite(t) and np.isfinite(value)):
+                raise ParseError(f"{path}:{line}: non-finite t or value")
+            key = (row["subject"], row["measure"], replicate, t)
+            if key in seen:
+                raise DuplicateKeyError(
+                    f"{path}:{line}: duplicate record for subject="
+                    f"{key[0]!r} measure={key[1]!r} replicate={key[2]} t={t!r}"
+                )
+            seen.add(key)
+
+
 def read_long_csv(
     path: Union[str, Path], channel: str, grid_policy: str = "strict"
 ) -> tuple[CurveSet, IngestReport]:
     """Group long-format records of one channel into a CurveSet.
 
     'strict' rejects any grid mismatch between curves; 'intersect' restricts
-    every curve to the common grid and reports the dropped points.
+    every curve to the common grid and reports the dropped points. Every data
+    row must be complete and have a numeric t and value, whatever its channel.
     """
     if grid_policy not in GRID_POLICIES:
         raise InvalidParameterError(f"grid_policy must be one of {GRID_POLICIES}")
     path = Path(path)
-    groups: dict[tuple[str, str, int], dict[float, float]] = {}
-    n_rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != set(LONG_COLUMNS):
+        header = next(csv.reader(fh), None)
+        if header is None or set(header) != set(LONG_COLUMNS):
             raise ParseError(
                 f"{path}: header must contain exactly the columns "
                 f"{', '.join(LONG_COLUMNS)}"
             )
-        for record in reader:
-            line = reader.line_num
-            if any(record.get(c) in (None, "") for c in LONG_COLUMNS):
-                raise ParseError(f"{path}:{line}: incomplete row")
-            if record["channel"] != channel:
-                continue
-            try:
-                replicate = int(record["replicate"])
-                t = float(record["t"])
-                value = float(record["value"])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: {exc}") from None
-            if not (np.isfinite(t) and np.isfinite(value)):
-                raise ParseError(f"{path}:{line}: non-finite t or value")
-            key = (record["subject"], record["measure"], replicate)
-            curve = groups.setdefault(key, {})
-            if t in curve:
-                raise DuplicateKeyError(
-                    f"{path}:{line}: duplicate record for subject="
-                    f"{key[0]!r} measure={key[1]!r} replicate={key[2]} t={t!r}"
-                )
-            curve[t] = value
-            n_rows += 1
-    if not groups:
+        columns = {name: i for i, name in enumerate(header)}
+        try:
+            codes, tables, ours = _coded_labels(
+                fh, [columns[c] for c in ("subject", "measure", "replicate", "channel")], channel
+            )
+            subjects, s = _ranked(codes[:, 0], tables[0])
+            measures, m = _ranked(codes[:, 1], tables[1])
+            rep_ints = np.array([int(x) for x in tables[2]], dtype=object)
+            replicates, r = np.unique(rep_ints, return_inverse=True)
+            r = r[codes[:, 2]]
+            del codes
+            fh.seek(0)
+            tv = _load_columns(fh, [columns["t"], columns["value"]], float, 1)[ours]
+            if not np.isfinite(tv).all():
+                raise ValueError("non-finite t or value")
+            points, tc = np.unique(tv[:, 0], return_inverse=True)
+            order = np.lexsort((tc, r, m, s))
+            s, m, r, tc = s[order], m[order], r[order], tc[order]
+            new = np.ones(order.size, dtype=bool)
+            new[1:] = (s[1:] != s[:-1]) | (m[1:] != m[:-1]) | (r[1:] != r[:-1])
+            if (~new[1:] & (tc[1:] == tc[:-1])).any():
+                raise ValueError("duplicate record")
+        except ValueError as exc:
+            _raise_row_error(path, columns, channel)
+            raise ParseError(f"{path}: {exc}") from None
+    if not order.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 
-    grids = {key: tuple(sorted(ts)) for key, ts in groups.items()}
-    first_key = next(iter(grids))
-    shared = grids[first_key]
-    dropped: tuple[float, ...] = ()
+    starts = np.flatnonzero(new)
+    curve = np.cumsum(new) - 1
+    sub = [subjects[i] for i in s[starts]]
+    meas = [measures[j] for j in m[starts]]
+    rep = replicates[r[starts]].tolist()
+    # curves in the order of their first row in the file
+    appearance = np.argsort(np.minimum.reduceat(order, starts))
     if grid_policy == "strict":
-        for key, g in grids.items():
-            if g != shared:
-                raise IncompleteCurveError(
-                    f"subject={key[0]!r} measure={key[1]!r} replicate={key[2]} "
-                    f"does not cover the shared grid"
-                )
+        first = appearance[0]
+        keep = np.zeros(points.size, dtype=bool)
+        keep[tc[curve == first]] = True
+        per_curve = np.bincount(curve)
+        off = (per_curve != per_curve[first]) | (np.bincount(curve, ~keep[tc]) > 0)
+        if off.any():
+            c = appearance[off[appearance]][0]
+            raise IncompleteCurveError(
+                f"subject={sub[c]!r} measure={meas[c]!r} replicate={rep[c]} "
+                f"does not cover the shared grid"
+            )
     else:
-        common = set(shared)
-        for g in grids.values():
-            common &= set(g)
-        if len(common) < 2:
+        keep = np.bincount(tc, minlength=points.size) == starts.size
+        if keep.sum() < 2:
             raise IncompleteCurveError(
                 "grid intersection across curves has fewer than two points"
             )
-        union = set()
-        for g in grids.values():
-            union |= set(g)
-        shared = tuple(sorted(common))
-        dropped = tuple(sorted(union - common))
 
-    grid = Grid.from_points(np.asarray(shared))
-    subjects = sorted({k[0] for k in groups}, key=_label_key)
-    measures = sorted({k[1] for k in groups}, key=_label_key)
-    subject_of = {s: i + 1 for i, s in enumerate(subjects)}
-    measure_of = {mlab: j + 1 for j, mlab in enumerate(measures)}
-
-    single_replicate = all(
-        key[2] == 1 for key in groups
-    ) and len({(k[0], k[1]) for k in groups}) == len(groups)
-
-    index = []
-    values = np.empty((len(groups), grid.size))
-    for row, key in enumerate(sorted(groups, key=lambda k: (
-        subject_of[k[0]], measure_of[k[1]], k[2]
-    ))):
-        curve = groups[key]
-        try:
-            values[row] = [curve[t] for t in shared]
-        except KeyError:
-            raise IncompleteCurveError(
-                f"subject={key[0]!r} measure={key[1]!r} replicate={key[2]} "
-                f"does not cover the shared grid"
-            ) from None
-        index.append(
-            NestedIndex(
-                subject_of[key[0]],
-                measure_of[key[1]],
-                None if single_replicate else key[2],
-            )
-        )
-
-    curves = CurveSet(
-        grid, tuple(index), values, tuple(subjects), tuple(measures)
+    grid = Grid.from_points(points[keep])
+    values = tv[order, 1][keep[tc]].reshape(starts.size, grid.size)
+    single_replicate = replicates.tolist() == [1]
+    index = tuple(
+        NestedIndex(int(a) + 1, int(b) + 1, None if single_replicate else k)
+        for a, b, k in zip(s[starts], m[starts], rep)
     )
+    curves = CurveSet(grid, index, values, tuple(subjects), tuple(measures))
     counts: dict[str, dict[str, int]] = {}
-    for key in groups:
-        counts.setdefault(key[0], {}).setdefault(key[1], 0)
-        counts[key[0]][key[1]] += 1
+    for c in appearance:
+        per = counts.setdefault(sub[c], {})
+        per[meas[c]] = per.get(meas[c], 0) + 1
     report = IngestReport(
-        n_rows=n_rows,
-        n_curves=len(groups),
+        n_rows=int(order.size),
+        n_curves=int(starts.size),
         subjects=tuple(subjects),
         measures=tuple(measures),
         counts=counts,
         balanced=curves.is_balanced(),
-        dropped_points=dropped,
+        dropped_points=tuple(points[~keep].tolist()),
     )
     return curves, report
+
+
+def _csv_fields(*fields) -> str:
+    """The fields joined and quoted as csv.writer writes them, no line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
 
 
 def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
     """Write a CurveSet as long-format CSV (rows sorted canonically)."""
     path = Path(path)
     ordered = X.sorted()
+    points = [_fmt(t) for t in ordered.grid.points]
+    tail = _csv_fields("", channel) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LONG_COLUMNS)
+        fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
         for ix, row in ordered:
-            subject = ordered.subject_labels[ix.subject - 1]
-            measure = ordered.measure_labels[ix.measure - 1]
-            replicate = 1 if ix.replicate is None else ix.replicate
-            for t, v in zip(ordered.grid.points, row):
-                writer.writerow(
-                    [subject, measure, replicate, _fmt(t), _fmt(v), channel]
-                )
+            head = _csv_fields(
+                ordered.subject_labels[ix.subject - 1],
+                ordered.measure_labels[ix.measure - 1],
+                1 if ix.replicate is None else ix.replicate,
+                "",
+            )
+            fh.write("".join(
+                f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
+            ))
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:
@@ -234,37 +310,46 @@ def write_fit(
 ) -> Path:
     """Write a fit as a directory of CSV files plus manifest.json.
 
-    Files: mean.csv (t, value, w), measure_means.csv, one
-    eigenfunctions_level{l}.csv per level (header only when that level kept
-    zero components), eigenvalues.csv, one scores_level{l}.csv per level,
-    noise.json, manifest.json.
+    Files: mean.csv (t, value, w), measure_means.csv (multilevel fits only),
+    one eigenfunctions_level{l}.csv per level (header only when that level
+    kept zero components), eigenvalues.csv, one scores_level{l}.csv per
+    level, noise.json, manifest.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = {"format_version": FORMAT_VERSION, "library_version": __version__}
     if isinstance(fit, FpcaFit):
-        return _write_fpca_fit(fit, out, extra_manifest)
+        mean, eigs, scores = fit.mean, (fit.eig,), (fit.scores,)
+        subjects = [str(i + 1) for i in range(len(fit.scores))]
+        units, measures = (tuple((i + 1,) for i in range(len(fit.scores))),), ()
+        manifest["levels"] = 1
+    else:
+        mean, eigs, scores = fit.global_mean, fit.level_eig, fit.scores
+        units, subjects, measures = fit.units, fit.subject_labels, fit.measure_labels
+        manifest["levels"] = fit.levels
+        manifest["config"] = asdict(fit.config)
+        header = ["t"] + [f"m_{lab}" for lab in fit.measure_labels[: len(fit.measure_effects)]]
+        effect_cols = [eff.values for eff in fit.measure_effects]
+        _write_table(
+            out / "measure_means.csv",
+            header,
+            (
+                [_fmt(t)] + [_fmt(col[s]) for col in effect_cols]
+                for s, t in enumerate(mean.grid.points)
+            ),
+        )
 
-    grid = fit.grid
+    grid = mean.grid
     _write_table(
         out / "mean.csv",
         ["t", "value", "w"],
         (
             [_fmt(t), _fmt(v), _fmt(w)]
-            for t, v, w in zip(grid.points, fit.global_mean.values, grid.weights)
-        ),
-    )
-    header = ["t"] + [f"m_{lab}" for lab in fit.measure_labels[: len(fit.measure_effects)]]
-    effect_cols = [eff.values for eff in fit.measure_effects]
-    _write_table(
-        out / "measure_means.csv",
-        header,
-        (
-            [_fmt(t)] + [_fmt(col[s]) for col in effect_cols]
-            for s, t in enumerate(grid.points)
+            for t, v, w in zip(grid.points, mean.values, grid.weights)
         ),
     )
     eigen_rows = []
-    for level, eig in enumerate(fit.level_eig, start=1):
+    for level, eig in enumerate(eigs, start=1):
         eigen_rows.extend(_eigen_rows(level, eig))
         k = eig.n_components
         ef_header = ["t"] + [f"ef_{a}" for a in range(1, k + 1)]
@@ -279,81 +364,20 @@ def write_fit(
         _write_table(out / f"eigenfunctions_level{level}.csv", ef_header, rows)
     _write_table(out / "eigenvalues.csv", ["level", "component", "eigenvalue"], eigen_rows)
 
-    for level, (scores, units) in enumerate(zip(fit.scores, fit.units), start=1):
+    for level, (level_units, mat) in enumerate(zip(units, scores), start=1):
         rows = []
-        for unit, score_row in zip(units, scores):
-            key = [fit.subject_labels[unit[0] - 1]]
+        for unit, score_row in zip(level_units, mat):
+            key = [subjects[unit[0] - 1]]
             if level >= 2:
-                key.append(fit.measure_labels[unit[1] - 1])
+                key.append(measures[unit[1] - 1])
             if level == 3:
                 key.append(unit[2])
             rows.append(key + [_fmt(v) for v in score_row])
         _write_table(
-            out / f"scores_level{level}.csv",
-            _score_header(level, scores.shape[1]),
-            rows,
+            out / f"scores_level{level}.csv", _score_header(level, mat.shape[1]), rows
         )
 
     write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "library_version": __version__,
-        "levels": fit.levels,
-        "config": {
-            "levels": fit.config.levels,
-            "pve": fit.config.pve,
-            "smooth": fit.config.smooth,
-            "bandwidth": fit.config.bandwidth,
-            "noise_bandwidth": fit.config.noise_bandwidth,
-            "center_measures": fit.config.center_measures,
-        },
-    }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    write_json(out / "manifest.json", manifest)
-    return out
-
-
-def _write_fpca_fit(fit: FpcaFit, out: Path, extra_manifest: dict | None) -> Path:
-    grid = fit.mean.grid
-    _write_table(
-        out / "mean.csv",
-        ["t", "value", "w"],
-        (
-            [_fmt(t), _fmt(v), _fmt(w)]
-            for t, v, w in zip(grid.points, fit.mean.values, grid.weights)
-        ),
-    )
-    k = fit.eig.n_components
-    ef_header = ["t"] + [f"ef_{a}" for a in range(1, k + 1)]
-    rows = (
-        (
-            [_fmt(t)] + [_fmt(fit.eig.functions[s, a]) for a in range(k)]
-            for s, t in enumerate(grid.points)
-        )
-        if k
-        else ()
-    )
-    _write_table(out / "eigenfunctions_level1.csv", ef_header, rows)
-    _write_table(
-        out / "eigenvalues.csv",
-        ["level", "component", "eigenvalue"],
-        _eigen_rows(1, fit.eig),
-    )
-    _write_table(
-        out / "scores_level1.csv",
-        _score_header(1, k),
-        (
-            [str(i + 1)] + [_fmt(v) for v in row]
-            for i, row in enumerate(fit.scores)
-        ),
-    )
-    write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "library_version": __version__,
-        "levels": 1,
-    }
     if extra_manifest:
         manifest.update(extra_manifest)
     write_json(out / "manifest.json", manifest)
@@ -420,73 +444,45 @@ def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
         pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
         level_eigs.append(EigenSystem(grid, lam, funcs, pve))
 
-    if levels == 1:
-        s_header, s_rows = _read_table(d / "scores_level1.csv")
-        scores = np.array(
-            [[float(v) for v in row[1:]] for row in s_rows], dtype=float
-        ).reshape(len(s_rows), -1)
-        return FpcaFit(
-            mean=Curve(grid, mean_values),
-            eig=level_eigs[0],
-            scores=scores,
-            noise_variance=noise,
-        )
-
-    mm_header, mm_rows = _read_table(d / "measure_means.csv")
-    measure_labels_mm = tuple(h[2:] for h in mm_header[1:])
-    effects = tuple(
-        Curve(grid, np.array([float(row[1 + j]) for row in mm_rows]))
-        for j in range(len(measure_labels_mm))
-    )
-
     scores = []
     units = []
     subject_labels: list[str] = []
     measure_labels: list[str] = []
     for level in range(1, levels + 1):
         s_header, s_rows = _read_table(d / f"scores_level{level}.csv")
-        n_keys = level
         mat = np.array(
-            [[float(v) for v in row[n_keys:]] for row in s_rows], dtype=float
+            [[float(v) for v in row[level:]] for row in s_rows], dtype=float
         ).reshape(len(s_rows), -1)
         scores.append(mat)
         if level == 1:
             subject_labels = [row[0] for row in s_rows]
             units.append(tuple((i + 1,) for i in range(len(s_rows))))
-        else:
-            sub_of = {lab: i + 1 for i, lab in enumerate(subject_labels)}
-            if level == 2:
-                seen: list[str] = []
-                for row in s_rows:
-                    if row[1] not in seen:
-                        seen.append(row[1])
-                measure_labels = seen
-            meas_of = {lab: j + 1 for j, lab in enumerate(measure_labels)}
-            if level == 2:
-                units.append(
-                    tuple((sub_of[r[0]], meas_of[r[1]]) for r in s_rows)
-                )
-            else:
-                units.append(
-                    tuple(
-                        (sub_of[r[0]], meas_of[r[1]], int(r[2])) for r in s_rows
-                    )
-                )
+            continue
+        if level == 2:
+            measure_labels = list(dict.fromkeys(row[1] for row in s_rows))
+        sub_of = {lab: i + 1 for i, lab in enumerate(subject_labels)}
+        meas_of = {lab: j + 1 for j, lab in enumerate(measure_labels)}
+        units.append(tuple(
+            (sub_of[r[0]], meas_of[r[1]]) if level == 2
+            else (sub_of[r[0]], meas_of[r[1]], int(r[2]))
+            for r in s_rows
+        ))
+    if levels == 1:
+        return FpcaFit(
+            mean=Curve(grid, mean_values),
+            eig=level_eigs[0],
+            scores=scores[0],
+            noise_variance=noise,
+        )
 
-    config_data = manifest.get("config", {})
-    defaults = FitConfig()
-    config = FitConfig(
-        levels=int(config_data.get("levels", levels)),
-        pve=float(config_data.get("pve", defaults.pve)),
-        smooth=bool(config_data.get("smooth", defaults.smooth)),
-        bandwidth=float(config_data.get("bandwidth", defaults.bandwidth)),
-        noise_bandwidth=float(
-            config_data.get("noise_bandwidth", defaults.noise_bandwidth)
-        ),
-        center_measures=bool(
-            config_data.get("center_measures", defaults.center_measures)
-        ),
+    mm_header, mm_rows = _read_table(d / "measure_means.csv")
+    effects = tuple(
+        Curve(grid, np.array([float(row[j]) for row in mm_rows]))
+        for j in range(1, len(mm_header))
     )
+    defaults = asdict(FitConfig(levels=levels))
+    stored = {**defaults, **manifest.get("config", {})}
+    config = FitConfig(**{key: type(v)(stored[key]) for key, v in defaults.items()})
     return MultilevelFit(
         grid=grid,
         levels=levels,

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
-from scipy.special import kolmogorov as _ks_asymptotic_sf
 
 from .errors import (
     ComponentMismatchError,
@@ -294,8 +292,10 @@ def two_sample_score_test(
                 degenerate[k] = True
                 raw[k] = 1.0
             else:
+                from scipy.special import kolmogorov
+
                 en = a.size * b.size / (a.size + b.size)
-                raw[k] = float(_ks_asymptotic_sf(statistics[k] * np.sqrt(en)))
+                raw[k] = float(kolmogorov(statistics[k] * np.sqrt(en)))
         elif paired:
             statistics[k] = _STATISTIC_FNS[method](a, b)
             result = _paired_permutation_pvalue(
@@ -382,6 +382,8 @@ def score_covariate_correlation(
         )
     if np.ptp(covariate) == 0.0:
         raise UndefinedCorrelationError("covariate has zero variance")
+    from scipy import stats
+
     out = []
     for k in range(scores.shape[1]):
         col = scores[:, k]
@@ -389,6 +391,6 @@ def score_covariate_correlation(
             raise UndefinedCorrelationError(
                 f"score component {k + 1} has zero variance"
             )
-        rho, pvalue = _scipy_stats.spearmanr(col, covariate)
+        rho, pvalue = stats.spearmanr(col, covariate)
         out.append(ScoreCorrelation(k + 1, float(rho), float(pvalue)))
     return tuple(out)

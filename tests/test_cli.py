@@ -1,12 +1,16 @@
 """Command-line workflows: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mfda
 from mfda.cli import main
 from mfda.core import Curve
 from mfda.fpca import EigenSystem
@@ -397,6 +401,25 @@ class TestMultiChannel:
             assert main(["icc", str(fit_dir)]) == 0
             iccs[channel] = capsys.readouterr().out.strip().splitlines()[-1]
         assert iccs["knee_x"] != iccs["knee_y"]  # different draws, different fits
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_and_special_unloaded(self):
+        # Every command pays the import; only correlate and the asymptotic
+        # KS p-value need scipy.stats / scipy.special.
+        src = str(Path(mfda.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        code = (
+            "import sys, mfda.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestThreadCap:
