@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -84,23 +83,6 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
 SIMULATED_CHANNEL = "sim"
-
-
-def _apply_thread_cap() -> None:
-    """Honor MFDA_THREADS by capping BLAS thread pools when possible."""
-    cap = os.environ.get("MFDA_THREADS")
-    if not cap:
-        return
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        pass
 
 
 def _fmt(x: float) -> str:
@@ -399,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,21 +1,22 @@
 """Nested multilevel functional model fitting (two- and three-level).
 
-Moment estimators for the per-level covariance surfaces, the sandwich-form
-total covariance, diagonal-gap noise estimation, per-level eigensystems, and
-BLUP score prediction, orchestrated by fit_nested.
+fit_nested validates the balanced design once, reshapes it into one
+canonical (n, J, K_rep, m) tensor and centres it by broadcasting. A single
+moment kernel then forms the nested sums of the centred rows r: the rows
+themselves, the unit sums over replicates, and the subject sums. Each depth
+gives one cross-product surface H, shallowest first:
 
-Covariance identities used throughout (balanced designs, centered rows r):
+* H_deepest: same-row products / (n J K_rep).
+* every shallower H: products of rows in the same unit but in distinct
+  child units, through the sum identity
+  sum_{a != b} r_a r_b^T = S S^T - sum_a r_a r_a^T.
 
-* total: sum of same-row products / (n J) or (n J K).
-* between subjects: cross-products of distinct measures within a subject,
-  computed via the subject-sum identity
-  sum_{j != j'} r_ij r_ij'^T = S_i S_i^T - sum_j r_ij r_ij^T.
-* within (subject, measure): cross-products of distinct replicates,
-  via the same identity one level down.
-
-Same-row products put the white-noise nugget on the diagonal, so the deepest
-level's surface gets its diagonal replaced by the smoothed off-diagonal
-extension before eigendecomposition, and the gap estimates the noise.
+A two-level design is the case K_rep = 1, whose replicate depth is skipped,
+so H1 is the between-subject surface and H2 the total. The level surfaces
+are K_l = H_l - H_{l-1}. Same-row products put the white-noise nugget on the
+diagonal of the deepest K only, so that surface takes its diagonal from a
+narrow off-diagonal smooth, and the diagonal gap estimates the noise. The
+eigensystem of every K feeds one BLUP solve for all subjects' scores.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CenteringMeans, Curve, CurveSet, Grid, center_rows
+from .core import CenteringMeans, Curve, CurveSet, Grid, same_grid
 from .errors import (
     DimensionError,
     EmptyDataError,
+    GridMismatchError,
     InsufficientDataError,
+    MissingMeanError,
     SingularSystemError,
     UnbalancedDesignError,
 )
@@ -56,9 +59,10 @@ NOISE_BANDWIDTH = 0.015
 class FitConfig:
     """Knobs for fit_nested.
 
-    smooth applies kernel smoothing (at `bandwidth`) to every level surface
-    before eigendecomposition. The diagonal correction and noise estimation
-    run regardless of `smooth`, always at `noise_bandwidth`.
+    smooth applies kernel smoothing at `bandwidth` to every level surface K_l
+    before eigendecomposition; the deepest level then takes its diagonal from
+    the narrow NOISE_BANDWIDTH smooth of its raw surface, which also gives the
+    noise estimate, with or without `smooth`.
     center_measures=False skips the per-measure means (one-way layout).
     """
 
@@ -66,30 +70,26 @@ class FitConfig:
     pve: float = 0.99
     smooth: bool = False
     bandwidth: float = DEFAULT_BANDWIDTH
-    noise_bandwidth: float = NOISE_BANDWIDTH
     center_measures: bool = True
 
 
 @dataclass(frozen=True, eq=False)
 class LevelCovariances:
-    """Moment-estimated covariance surfaces for one nested fit.
+    """Moment-estimated surfaces of one nested fit, one entry per level.
 
-    Two-level fits populate sigma_T / sigma_B / sigma_W; three-level fits
-    populate the cross-product surfaces h1 / h2 / h3 and the per-level
-    surfaces k1 / k2 / k3 (k3 diagonal already replaced by the smoothed
-    extension).
+    h holds the cross-product surfaces H_l and k the level surfaces
+    K_l = H_l - H_{l-1}, both shallowest first (two-level: H1 between
+    subjects, H2 total). The deepest K has its diagonal replaced by the
+    narrow smooth, and every K is smoothed at the fit bandwidth when asked.
     """
 
+    h: tuple[np.ndarray, ...]
+    k: tuple[np.ndarray, ...]
     noise_variance: float
-    sigma_T: Optional[np.ndarray] = None
-    sigma_B: Optional[np.ndarray] = None
-    sigma_W: Optional[np.ndarray] = None
-    h1: Optional[np.ndarray] = None
-    h2: Optional[np.ndarray] = None
-    h3: Optional[np.ndarray] = None
-    k1: Optional[np.ndarray] = None
-    k2: Optional[np.ndarray] = None
-    k3: Optional[np.ndarray] = None
+
+    h1 = property(lambda self: self.h[0])
+    h2 = property(lambda self: self.h[1])
+    h3 = property(lambda self: self.h[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,14 +218,77 @@ def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, in
     return values, n, J, K_rep
 
 
+def _centre(rv: np.ndarray, grid: Grid, means: CenteringMeans) -> np.ndarray:
+    """Subtract the global mean, then each measure's effect, in place."""
+    curves = [means.global_mean, *means.measure_effects.values()]
+    if not all(same_grid(c.grid, grid) for c in curves):
+        raise GridMismatchError("means live on a different grid")
+    rv -= means.global_mean.values
+    if means.measure_effects:
+        J = rv.shape[1]
+        missing = set(range(1, J + 1)) - set(means.measure_effects)
+        if missing:
+            raise MissingMeanError(f"no mean supplied for measure {min(missing)}")
+        effects = [means.measure_effects[j].values for j in range(1, J + 1)]
+        rv -= np.asarray(effects)[:, None, :]
+    return rv
+
+
+def _centred_design(X: CurveSet, means: CenteringMeans, levels: int) -> np.ndarray:
+    return _centre(canonical_design(X, levels)[0], X.grid, means)
+
+
+def _moment_surfaces(rv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cross-product surfaces H of a centred (n, J, K_rep, m) tensor.
+
+    Sums the rows over replicates (skipped when K_rep = 1), then over
+    measures; the Gram of each partial sum minus the Gram one depth down
+    counts the products across distinct child units. Returned shallowest
+    first.
+    """
+    m = rv.shape[-1]
+    part = rv[:, :, 0] if rv.shape[2] == 1 else rv
+    rows = part.reshape(-1, m)
+    gram = rows.T @ rows
+    h = [gram / rows.shape[0]]
+    rows_per_child = 1
+    for _ in range(part.ndim - 2):
+        c = part.shape[-2]
+        part = part.sum(axis=-2)
+        sums = part.reshape(-1, m)
+        coarser = sums.T @ sums
+        pairs = sums.shape[0] * c * (c - 1) * rows_per_child**2
+        h.append((coarser - gram) / pairs)
+        gram, rows_per_child = coarser, rows_per_child * c
+    return tuple(0.5 * (s + s.T) for s in reversed(h))
+
+
+def _replace_diagonal(surface: np.ndarray, smoothed: np.ndarray) -> np.ndarray:
+    out = surface.copy()
+    np.fill_diagonal(out, np.diag(smoothed))
+    return out
+
+
+def _level_covariances(
+    rv: np.ndarray,
+    grid: Grid,
+    noise_bandwidth: float = NOISE_BANDWIDTH,
+    bandwidth: Optional[float] = None,
+) -> LevelCovariances:
+    """H and K surfaces plus the noise gap; smooths every K at `bandwidth`."""
+    h = _moment_surfaces(rv)
+    k = (h[0],) + tuple(deep - shallow for shallow, deep in zip(h, h[1:]))
+    narrow = smooth_covariance(k[-1], grid, noise_bandwidth)
+    sigma2 = estimate_noise(k[-1], narrow, grid)
+    if bandwidth is not None:
+        k = tuple(smooth_covariance(s, grid, bandwidth) for s in k)
+    k = k[:-1] + (_replace_diagonal(k[-1], narrow),)
+    return LevelCovariances(h=h, k=k, noise_variance=sigma2)
+
+
 def sigma_T_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
     """Total covariance surface of centered rows with 1/(nJ) normalization."""
-    r = center_rows(X, means)
-    canonical_design(X, levels=2)
-    if len(r) < 2:
-        raise InsufficientDataError("total covariance needs at least two rows")
-    S = (r.values.T @ r.values) / len(r)
-    return 0.5 * (S + S.T)
+    return _moment_surfaces(_centred_design(X, means, levels=2))[1]
 
 
 def sigma_B_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
@@ -234,14 +297,7 @@ def sigma_B_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
     The U-statistic with 1/(nJ(J-1)) normalization, computed through the
     subject-sum identity; unbiased for the subject-level surface.
     """
-    r = center_rows(X, means)
-    rv, n, J, _ = canonical_design(r, levels=2)
-    rows = rv[:, :, 0, :]  # (n, J, m)
-    subject_sums = rows.sum(axis=1)  # (n, m)
-    cross = subject_sums.T @ subject_sums
-    same = np.einsum("ijs,ijt->st", rows, rows)
-    S = (cross - same) / (n * J * (J - 1))
-    return 0.5 * (S + S.T)
+    return _moment_surfaces(_centred_design(X, means, levels=2))[0]
 
 
 def sigma_W_hat(sigma_T: np.ndarray, sigma_B: np.ndarray) -> np.ndarray:
@@ -284,24 +340,12 @@ def estimate_noise(
     return estimate_noise_gap(raw_within, smoothed_within)
 
 
-def _replace_diagonal(surface: np.ndarray, smoothed: np.ndarray) -> np.ndarray:
-    out = surface.copy()
-    np.fill_diagonal(out, np.diag(smoothed))
-    return out
-
-
 def two_level_covariances(
     X: CurveSet, means: CenteringMeans, noise_bandwidth: float = NOISE_BANDWIDTH
 ) -> LevelCovariances:
-    """Sigma_T, Sigma_B, Sigma_W plus the diagonal-gap noise estimate."""
-    s_T = sigma_T_hat(X, means)
-    s_B = sigma_B_hat(X, means)
-    s_W = sigma_W_hat(s_T, s_B)
-    smoothed_W = smooth_covariance(s_W, X.grid, noise_bandwidth)
-    sigma2 = estimate_noise(s_W, smoothed_W, X.grid)
-    return LevelCovariances(
-        noise_variance=sigma2, sigma_T=s_T, sigma_B=s_B, sigma_W=s_W
-    )
+    """H1 = Sigma_B, H2 = Sigma_T, K2 = Sigma_W plus the diagonal-gap noise."""
+    rv = _centred_design(X, means, levels=2)
+    return _level_covariances(rv, X.grid, noise_bandwidth)
 
 
 def three_level_covariances(
@@ -315,31 +359,51 @@ def three_level_covariances(
     replaced by the smoothed off-diagonal extension; the diagonal gap gives
     the noise variance.
     """
-    r = center_rows(X, means)
-    rv, n, J, K_rep = canonical_design(r, levels=3)
-    m = X.grid.size
-    flat = rv.reshape(-1, m)
-    same = flat.T @ flat  # sum of same-row products
-    unit_sums = rv.sum(axis=2)  # (n, J, m)
-    unit_flat = unit_sums.reshape(-1, m)
-    within_unit = unit_flat.T @ unit_flat  # includes same-row terms
-    subject_sums = unit_sums.sum(axis=1)  # (n, m)
-    across = subject_sums.T @ subject_sums
+    rv = _centred_design(X, means, levels=3)
+    return _level_covariances(rv, X.grid, noise_bandwidth)
 
-    h3 = same / (n * J * K_rep)
-    h2 = (within_unit - same) / (n * J * K_rep * (K_rep - 1))
-    h1 = (across - within_unit) / (n * J * (J - 1) * K_rep**2)
-    h1, h2, h3 = (0.5 * (h + h.T) for h in (h1, h2, h3))
 
-    k1 = h1
-    k2 = h2 - h1
-    raw3 = h3 - h2
-    smoothed3 = smooth_covariance(raw3, X.grid, noise_bandwidth)
-    sigma2 = estimate_noise(raw3, smoothed3, X.grid)
-    k3 = _replace_diagonal(raw3, smoothed3)
-    return LevelCovariances(
-        noise_variance=sigma2, h1=h1, h2=h2, h3=h3, k1=k1, k2=k2, k3=k3
+def _blup(
+    rv: np.ndarray, level_eig: tuple[EigenSystem, ...], noise_variance: float
+) -> tuple[np.ndarray, ...]:
+    n, J, K_rep, _ = rv.shape
+    units = (1, J, J * K_rep)[: len(level_eig)]
+    lam = np.concatenate(
+        [np.tile(eig.eigenvalues, u) for u, eig in zip(units, level_eig)]
     )
+    B = np.hstack(
+        [
+            np.kron(np.eye(u), np.tile(eig.functions, (J * K_rep // u, 1)))
+            for u, eig in zip(units, level_eig)
+        ]
+    )
+    positive = lam > 0
+    sqrt_lam = np.sqrt(lam[positive])
+    A = B[:, positive] * sqrt_lam
+    q = A.shape[1]
+
+    s = np.zeros((n, lam.size))
+    if q:
+        Y = rv.reshape(n, -1).T  # one column per subject
+        if noise_variance > 0:
+            gram = A.T @ A + noise_variance * np.eye(q)
+            coef = np.linalg.solve(gram, A.T @ Y)
+        else:
+            if np.linalg.matrix_rank(A) < q:
+                raise SingularSystemError(
+                    "zero noise variance with a collinear score basis; the "
+                    "design is shared, so every subject's system is singular"
+                )
+            coef = np.linalg.pinv(A) @ Y
+        s[:, positive] = (sqrt_lam[:, None] * coef).T
+
+    out = []
+    start = 0
+    for u, eig in zip(units, level_eig):
+        stop = start + u * eig.n_components
+        out.append(s[:, start:stop].reshape(n * u, eig.n_components))
+        start = stop
+    return tuple(out)
 
 
 def blup_scores(
@@ -350,73 +414,17 @@ def blup_scores(
 ) -> tuple[np.ndarray, ...]:
     """Best linear unbiased predictions of the per-level scores.
 
-    For each subject, the centered rows are stacked into one long vector y
-    and regressed on the joint basis whose columns hold the level-1
+    Each subject's centered rows, stacked into one long vector y, are
+    regressed on the joint basis B whose columns hold the level-1
     eigenfunctions (shared by all of the subject's rows) and the level-2/3
     eigenfunctions (placed per measure / per row). With score covariance
     L = diag(eigenvalues), the predictor L B^T (B L B^T + s2 I)^{-1} y is
     evaluated through its low-dimensional form; s2 = 0 takes the
-    pseudo-inverse limit. One solve per subject.
+    pseudo-inverse limit. The design is shared, so one solve serves every
+    subject, each as one right-hand side.
     """
-    levels = len(level_eig)
-    r = center_rows(X, means)
-    rv, n, J, K_rep = canonical_design(r, levels=2 if levels == 2 else 3)
-    m = X.grid.size
-    rows_per_subject = J * K_rep
-
-    k_per_level = [eig.n_components for eig in level_eig]
-    units_per_level = [1, J, J * K_rep][:levels]
-    lam = np.concatenate(
-        [
-            np.tile(level_eig[l].eigenvalues, units_per_level[l])
-            for l in range(levels)
-        ]
-    ) if sum(k_per_level) else np.zeros(0)
-
-    blocks = [np.tile(level_eig[0].functions, (rows_per_subject, 1))]
-    if levels >= 2:
-        blocks.append(
-            np.kron(np.eye(J), np.tile(level_eig[1].functions, (K_rep, 1)))
-        )
-    if levels == 3:
-        blocks.append(np.kron(np.eye(J * K_rep), level_eig[2].functions))
-    B = np.hstack(blocks)
-
-    positive = lam > 0
-    A = B[:, positive] * np.sqrt(lam[positive])
-    q = int(positive.sum())
-
-    out = [np.zeros((n * units_per_level[l], k_per_level[l])) for l in range(levels)]
-    if q == 0:
-        return tuple(out)
-
-    if noise_variance > 0:
-        gram = A.T @ A + noise_variance * np.eye(q)
-    else:
-        if np.linalg.matrix_rank(A) < q:
-            raise SingularSystemError(
-                "zero noise variance with a collinear score basis; the "
-                "design is shared, so every subject's system is singular"
-            )
-        pinv_A = np.linalg.pinv(A)
-
-    offsets = np.concatenate(
-        [[0], np.cumsum([k_per_level[l] * units_per_level[l] for l in range(levels)])]
-    )
-    for i in range(n):
-        y = rv[i].reshape(-1)
-        if noise_variance > 0:
-            coef = np.linalg.solve(gram, A.T @ y)
-        else:
-            coef = pinv_A @ y
-        s = np.zeros(lam.size)
-        s[positive] = np.sqrt(lam[positive]) * coef
-        for l in range(levels):
-            block = s[offsets[l] : offsets[l + 1]]
-            out[l][
-                i * units_per_level[l] : (i + 1) * units_per_level[l]
-            ] = block.reshape(units_per_level[l], k_per_level[l])
-    return tuple(out)
+    levels = 2 if len(level_eig) == 2 else 3
+    return _blup(_centred_design(X, means, levels), level_eig, noise_variance)
 
 
 def _level_units(n: int, J: int, K_rep: int, levels: int):
@@ -435,36 +443,15 @@ def _level_units(n: int, J: int, K_rep: int, levels: int):
 
 def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     """Full nested fit: means, level surfaces, eigensystems, noise, scores."""
-    _, n, J, K_rep = canonical_design(X, levels=config.levels)
+    rv, n, J, K_rep = canonical_design(X, levels=config.levels)
     means = measure_means(X, center_measures=config.center_measures)
+    rv = _centre(rv, X.grid, means)
 
-    if config.levels == 2:
-        cov = two_level_covariances(X, means, config.noise_bandwidth)
-        narrow_smooth = smooth_covariance(
-            cov.sigma_W, X.grid, config.noise_bandwidth
-        )
-        surfaces = [
-            cov.sigma_B,
-            _replace_diagonal(cov.sigma_W, narrow_smooth),
-        ]
-        if config.smooth:
-            smoothed_W = smooth_covariance(cov.sigma_W, X.grid, config.bandwidth)
-            surfaces = [
-                smooth_covariance(cov.sigma_B, X.grid, config.bandwidth),
-                _replace_diagonal(smoothed_W, narrow_smooth),
-            ]
-    else:
-        cov = three_level_covariances(X, means, config.noise_bandwidth)
-        surfaces = [cov.k1, cov.k2, cov.k3]
-        if config.smooth:
-            surfaces = [
-                smooth_covariance(cov.k1, X.grid, config.bandwidth),
-                smooth_covariance(cov.k2, X.grid, config.bandwidth),
-                cov.k3,  # diagonal already narrow-smoothed; off-diagonal raw
-            ]
+    bandwidth = config.bandwidth if config.smooth else None
+    cov = _level_covariances(rv, X.grid, bandwidth=bandwidth)
     sigma2 = cov.noise_variance
 
-    full_eigs = [eigendecompose(surface, X.grid) for surface in surfaces]
+    full_eigs = [eigendecompose(surface, X.grid) for surface in cov.k]
     scale = sum(eig.eigenvalues.sum() for eig in full_eigs) + sigma2
     level_eigs = []
     for eig in full_eigs:
@@ -474,7 +461,7 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
             level_eigs.append(eig.truncated(select_k(eig, config.pve)))
     level_eigs = tuple(level_eigs)
 
-    scores = blup_scores(X, means, level_eigs, sigma2)
+    scores = _blup(rv, level_eigs, sigma2)
 
     measures = sorted(means.measure_effects)
     return MultilevelFit(

@@ -422,18 +422,6 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
-class TestThreadCap:
-    def test_env_var_accepted(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("MFDA_THREADS", "1")
-        spec_path = write_spec(tmp_path, n2_spec_dict(5, n=4, J=2, m=11))
-        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 0
-
-    def test_garbage_env_var_ignored(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("MFDA_THREADS", "lots")
-        spec_path = write_spec(tmp_path, n2_spec_dict(5, n=4, J=2, m=11))
-        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 0
-
-
 class TestCorrelate:
     def test_basic_run(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)

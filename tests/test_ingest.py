@@ -492,6 +492,24 @@ class TestFitRoundTrip:
         assert manifest["library_version"] == mfda.__version__
         assert manifest["levels"] == 2
 
+    def test_manifest_with_noise_bandwidth_still_loads(self, tmp_path):
+        # fit directories written before the noise bandwidth became a
+        # module constant store it under config; read_fit ignores the key
+        import json
+
+        X, _ = generate(n2_spec(14, n=4, J=2, m=7))
+        fit = fit_nested(X, FitConfig(levels=2, pve=0.9))
+        out = tmp_path / "fit"
+        write_fit(fit, out)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "noise_bandwidth" not in manifest["config"]
+        manifest["config"]["noise_bandwidth"] = 0.015
+        path.write_text(json.dumps(manifest))
+        back = read_fit(out)
+        assert back.config == fit.config
+        fits_equal(fit, back)
+
     def test_deterministic_bytes(self, tmp_path):
         X, _ = generate(n2_spec(15, n=4, J=2, m=7))
         fit = fit_nested(X, FitConfig(levels=2))

@@ -10,10 +10,14 @@ from mfda.errors import (
     SingularSystemError,
     UnbalancedDesignError,
 )
-from mfda.fpca import EigenSystem, eigendecompose
+import mfda.mfpca
+from mfda.core import center_rows
+from mfda.fpca import EigenSystem, eigendecompose, smooth_covariance
 from mfda.mfpca import (
+    NOISE_BANDWIDTH,
     FitConfig,
     blup_scores,
+    canonical_design,
     estimate_noise,
     fit_nested,
     measure_means,
@@ -89,6 +93,51 @@ def brute_h_surfaces(rv: np.ndarray):
     h2 /= n * J * K * (K - 1)
     h3 /= n * J * K
     return h1, h2, h3
+
+
+def _reference_blup(X, means, level_eig, noise_variance):
+    """The BLUP with an explicit joint basis B and one solve per subject."""
+    levels = len(level_eig)
+    rv, n, J, K_rep = canonical_design(center_rows(X, means), levels=levels)
+    units = [1, J, J * K_rep][:levels]
+    blocks = [
+        np.tile(level_eig[0].functions, (J * K_rep, 1)),
+        np.kron(np.eye(J), np.tile(level_eig[1].functions, (K_rep, 1))),
+    ]
+    if levels == 3:
+        blocks.append(np.kron(np.eye(J * K_rep), level_eig[2].functions))
+    B = np.hstack(blocks)
+    lam = np.concatenate(
+        [np.tile(level_eig[l].eigenvalues, units[l]) for l in range(levels)]
+    )
+    positive = lam > 0
+    A = B[:, positive] * np.sqrt(lam[positive])
+    q = A.shape[1]
+    out = [
+        np.zeros((n * units[l], level_eig[l].n_components)) for l in range(levels)
+    ]
+    if q == 0:
+        return out
+    if noise_variance == 0 and np.linalg.matrix_rank(A) < q:
+        raise SingularSystemError("collinear score basis")
+    for i in range(n):
+        y = rv[i].reshape(-1)
+        if noise_variance > 0:
+            gram = A.T @ A + noise_variance * np.eye(q)
+            coef = np.linalg.solve(gram, A.T @ y)
+        else:
+            coef = np.linalg.pinv(A) @ y
+        s = np.zeros(lam.size)
+        s[positive] = np.sqrt(lam[positive]) * coef
+        start = 0
+        for l in range(levels):
+            k = level_eig[l].n_components
+            stop = start + units[l] * k
+            out[l][i * units[l] : (i + 1) * units[l]] = s[start:stop].reshape(
+                units[l], k
+            )
+            start = stop
+    return out
 
 
 class TestMeasureMeans:
@@ -347,7 +396,7 @@ class TestThreeLevelCovariances:
                 noise=0.0,
             )
             X, _ = generate(spec)
-            reps.append(three_level_covariances(X, measure_means(X)).k3)
+            reps.append(three_level_covariances(X, measure_means(X)).k[2])
         reps = np.asarray(reps)
         mean_k3 = reps.mean(axis=0)
         sd = reps.std(axis=0, ddof=1)
@@ -359,7 +408,7 @@ class TestThreeLevelCovariances:
             spec = n3_spec(seed, n=200, J=2, K_rep=20, m=41)
             X, _ = generate(spec)
             cov = three_level_covariances(X, measure_means(X))
-            for l, surface in enumerate((cov.k1, cov.k2, cov.k3)):
+            for l, surface in enumerate(cov.k):
                 tops[l].append(eigendecompose(surface, X.grid).eigenvalues[0])
         for l, true_top in zip(range(3), (4.0, 2.0, 1.0)):
             assert np.mean(tops[l]) == pytest.approx(true_top, rel=0.20)
@@ -461,6 +510,62 @@ class TestBlupScores:
         )
         with pytest.raises(SingularSystemError):
             blup_scores(X, zero_means(uniform_grid), (eig1, eig2), 0.0)
+
+
+def _fourier_eig(grid: Grid, eigenvalues, first: int = 0) -> EigenSystem:
+    lam = np.asarray(eigenvalues, dtype=float)
+    basis = fourier_basis(grid, first + lam.size)[:, first:]
+    pve = np.cumsum(lam) / lam.sum() if lam.sum() > 0 else np.zeros_like(lam)
+    return EigenSystem(grid, lam, basis, pve)
+
+
+class TestBlupMatchesReference:
+    # (levels, eigenvalues per level, noise variance)
+    CASES = {
+        "two-level": (2, [(3.0, 1.5), (2.0, 1.0, 0.5)], 0.5),
+        "two-level-zero-level": (2, [(3.0, 1.5), ()], 0.5),
+        "two-level-zero-eigenvalue": (2, [(3.0, 0.0), (1.0,)], 0.25),
+        "two-level-no-noise": (2, [(3.0, 1.5), (2.0,)], 0.0),
+        "three-level": (3, [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.25),
+        "three-level-zero-level": (3, [(4.0,), (), (1.0, 0.0)], 0.25),
+        "three-level-no-noise": (3, [(4.0,), (2.0,), (1.0, 0.5)], 0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_subject_solve(self, case):
+        levels, lams, noise = self.CASES[case]
+        if levels == 2:
+            X, _ = generate(n2_spec(71, n=7, J=3, m=21))
+        else:
+            X, _ = generate(n3_spec(72, n=5, J=2, K_rep=3, m=21))
+        means = measure_means(X)
+        first = 0
+        eigs = []
+        for lam in lams:
+            eigs.append(_fourier_eig(X.grid, lam, first))
+            first += len(lam)
+        got = blup_scores(X, means, tuple(eigs), noise)
+        ref = _reference_blup(X, means, tuple(eigs), noise)
+        assert len(got) == levels
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=1e-10)
+
+    def test_singular_system_matches(self, small_grid):
+        basis = fourier_basis(small_grid, 1)[:, 0]
+        collinear = EigenSystem(
+            small_grid,
+            np.array([1.0, 1.0]),
+            np.column_stack([basis, basis]),
+            np.array([0.5, 1.0]),
+        )
+        eigs = (collinear, _fourier_eig(small_grid, (1.0,), first=1))
+        X, _ = generate(n2_spec(73, n=4, J=2, m=small_grid.size))
+        means = measure_means(X)
+        with pytest.raises(SingularSystemError):
+            _reference_blup(X, means, eigs, 0.0)
+        with pytest.raises(SingularSystemError):
+            blup_scores(X, means, eigs, 0.0)
 
 
 class TestFitNested:
@@ -609,4 +714,58 @@ class TestFitNested:
         )
         np.testing.assert_allclose(
             gram, np.eye(fit.retained[1]), atol=1e-8
+        )
+
+
+class TestFitNestedStructure:
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_call_counts(self, monkeypatch, levels, smooth):
+        calls = {"canonical_design": 0, "smooth_covariance": 0}
+
+        def counting(name):
+            original = getattr(mfda.mfpca, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mfda.mfpca, name, wrapper)
+
+        counting("canonical_design")
+        counting("smooth_covariance")
+        if levels == 2:
+            X, _ = generate(n2_spec(81, n=6, J=2, m=21))
+        else:
+            X, _ = generate(n3_spec(82, n=4, J=2, K_rep=3, m=21))
+        fit_nested(X, FitConfig(levels=levels, smooth=smooth, bandwidth=0.1))
+        assert calls["canonical_design"] == 1
+        assert calls["smooth_covariance"] == (levels + 1 if smooth else 1)
+
+    def test_three_level_smooth_smooths_level3(self):
+        spec = n3_spec(83, n=30, J=2, K_rep=4, m=31)
+        X, _ = generate(spec)
+        bw = 0.08
+        smoothed = fit_nested(X, FitConfig(levels=3, smooth=True, bandwidth=bw))
+        raw = fit_nested(X, FitConfig(levels=3))
+        cov = three_level_covariances(X, measure_means(X))
+        k3 = cov.h3 - cov.h2
+        expected = smooth_covariance(k3, X.grid, bw)
+        narrow = smooth_covariance(k3, X.grid, NOISE_BANDWIDTH)
+        np.fill_diagonal(expected, np.diag(narrow))
+        full = eigendecompose(expected, X.grid)
+        eig3 = smoothed.level_eig[2]
+        assert eig3.n_components >= 1
+        np.testing.assert_allclose(
+            eig3.eigenvalues, full.eigenvalues[: eig3.n_components], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            eig3.functions,
+            full.functions[:, : eig3.n_components],
+            rtol=1e-8,
+            atol=1e-10,
+        )
+        unsmoothed = raw.level_eig[2]
+        assert eig3.n_components != unsmoothed.n_components or not np.allclose(
+            eig3.eigenvalues, unsmoothed.eigenvalues, rtol=1e-6
         )
