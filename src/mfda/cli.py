@@ -19,24 +19,11 @@ import yaml
 
 from . import FORMAT_VERSION, __version__
 from .errors import (
-    AsymmetricMatrixError,
-    ComponentMismatchError,
-    DegenerateSpectrumError,
-    DimensionError,
-    DuplicateKeyError,
-    EmptyDataError,
-    GridMismatchError,
-    IncompleteCurveError,
-    InsufficientDataError,
-    InvalidBasisError,
-    InvalidGridError,
+    InputError,
     InvalidParameterError,
-    MissingMeanError,
+    NumericalError,
     ParseError,
-    SingularSystemError,
-    UnbalancedDesignError,
-    UndefinedCorrelationError,
-    UndefinedIccError,
+    PreconditionError,
 )
 from .fpca import DEFAULT_BANDWIDTH, FpcaFit
 from .icc import icc_report
@@ -50,32 +37,6 @@ from .ingest import (
 from .leveltest import METHODS, two_sample_score_test, score_covariate_correlation
 from .mfpca import FitConfig, fit_nested
 from .simkl import generate, spec_from_dict
-
-_INPUT_ERRORS = (
-    ParseError,
-    DuplicateKeyError,
-    IncompleteCurveError,
-    InvalidParameterError,
-    InvalidBasisError,
-    InvalidGridError,
-    GridMismatchError,
-    MissingMeanError,
-    ComponentMismatchError,
-    EmptyDataError,
-    FileNotFoundError,
-    NotADirectoryError,
-)
-_PRECONDITION_ERRORS = (UnbalancedDesignError, InsufficientDataError)
-_NUMERICAL_ERRORS = (
-    SingularSystemError,
-    DegenerateSpectrumError,
-    AsymmetricMatrixError,
-    DimensionError,
-    UndefinedIccError,
-    UndefinedCorrelationError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -385,13 +346,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _INPUT_ERRORS as exc:
+    except (
+        InputError,
+        FileNotFoundError,
+        NotADirectoryError,
+        IsADirectoryError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _NUMERICAL_ERRORS as exc:
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

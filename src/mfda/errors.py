@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Grouped by what the caller can do about them: input/usage problems,
-model preconditions, and numerical failures. The CLI maps these groups
-to exit codes (2, 3, 4 respectively).
+model preconditions, and numerical failures. Each group has a base class,
+and the CLI maps the bases to exit codes (2, 3, 4 respectively).
 """
 
 
@@ -10,82 +10,94 @@ class MfdaError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(MfdaError):
+    """Bad input or usage: a file, parameter or data set the caller supplied."""
+
+
+class PreconditionError(MfdaError):
+    """Valid input that does not meet the model's requirements."""
+
+
+class NumericalError(MfdaError):
+    """A computation failed or is undefined on the given data."""
+
+
 # -- input / usage ----------------------------------------------------------
 
 
-class InvalidGridError(MfdaError, ValueError):
+class InvalidGridError(InputError, ValueError):
     """Grid points or quadrature weights violate their invariants."""
 
 
-class GridMismatchError(MfdaError, ValueError):
+class GridMismatchError(InputError, ValueError):
     """Two curves (or a curve and a fit) do not share the same grid."""
 
 
-class InvalidParameterError(MfdaError, ValueError):
+class InvalidParameterError(InputError, ValueError):
     """A user-supplied parameter is out of its admissible range."""
 
 
-class MissingMeanError(MfdaError, KeyError):
+class MissingMeanError(InputError, KeyError):
     """A row's measure index has no supplied mean curve."""
 
 
-class InvalidBasisError(MfdaError, ValueError):
+class InvalidBasisError(InputError, ValueError):
     """A user-supplied basis is not orthonormal under the grid quadrature."""
 
 
-class ParseError(MfdaError, ValueError):
+class ParseError(InputError, ValueError):
     """A data or spec file could not be parsed; message carries the location."""
 
 
-class DuplicateKeyError(MfdaError, ValueError):
+class DuplicateKeyError(InputError, ValueError):
     """Duplicate (subject, measure, replicate, channel, t) record in a file."""
 
 
-class IncompleteCurveError(MfdaError, ValueError):
+class IncompleteCurveError(InputError, ValueError):
     """A curve group does not cover the shared grid."""
+
+
+class EmptyDataError(InputError, ValueError):
+    """An operation received an empty curve set or empty group."""
+
+
+class ComponentMismatchError(InputError, ValueError):
+    """Score matrices do not share the same component layout."""
 
 
 # -- model preconditions ----------------------------------------------------
 
 
-class EmptyDataError(MfdaError, ValueError):
-    """An operation received an empty curve set or empty group."""
-
-
-class InsufficientDataError(MfdaError, ValueError):
+class InsufficientDataError(PreconditionError, ValueError):
     """Not enough rows, measures, or replicates for the requested fit."""
 
 
-class UnbalancedDesignError(MfdaError, ValueError):
+class UnbalancedDesignError(PreconditionError, ValueError):
     """The nested index set is not complete and rectangular."""
-
-
-class ComponentMismatchError(MfdaError, ValueError):
-    """Score matrices do not share the same component layout."""
 
 
 # -- numerical failures -----------------------------------------------------
 
 
-class AsymmetricMatrixError(MfdaError, ValueError):
+class AsymmetricMatrixError(NumericalError, ValueError):
     """A matrix expected to be symmetric is not, beyond tolerance."""
 
 
-class DimensionError(MfdaError, ValueError):
+class DimensionError(NumericalError, ValueError):
     """Non-conformable matrix or vector dimensions."""
 
 
-class DegenerateSpectrumError(MfdaError, ValueError):
+class DegenerateSpectrumError(NumericalError, ValueError):
     """All eigenvalues are zero; no component can be selected."""
 
 
-class SingularSystemError(MfdaError, ValueError):
+class SingularSystemError(NumericalError, ValueError):
     """A score system is singular (zero noise and collinear basis)."""
 
 
-class UndefinedIccError(MfdaError, ValueError):
+class UndefinedIccError(NumericalError, ValueError):
     """The ICC denominator vanishes."""
 
 
-class UndefinedCorrelationError(MfdaError, ValueError):
+class UndefinedCorrelationError(NumericalError, ValueError):
     """A correlation is undefined (zero-variance input)."""

@@ -5,8 +5,22 @@ statistic (Kolmogorov-Smirnov, Cramer-von Mises, or energy distance),
 calibrated by permutation; the per-component p-values are FDR-adjusted and
 the minimum adjusted p-value is the global decision value.
 
+One kernel computes every statistic for a batch of group splits, given as a
+0/1 matrix marking group A, from one stable sort of the pooled sample and
+one cumulative count of group-A members along it, which gives the ECDF gap
+F_a - F_b at each distinct value. KS is its largest absolute value and CvM
+its multiplicity-weighted square sum. Energy distance in one dimension is
+2 * integral (F_a - F_b)^2 dt (Szekely & Rizzo 2013), a sum of the squared
+gaps times the spacings of the sorted values, so R splits of N values cost
+O(R N) after the sort, with no pairwise distances and no cancellation. The
+unpaired design relabels freely and the paired design swaps labels within
+each pair; the two differ only in how the membership rows are drawn.
+
 Permutation replicates draw from independently spawned substreams of the
-seed, so p-values are reproducible regardless of evaluation order.
+seed, so p-values are reproducible regardless of evaluation order. A
+permuted statistic counts as reaching the observed one when it is at least
+observed - TIE_RTOL * |observed|, so splits that tie mathematically count
+whatever the rounding of their last bits.
 """
 
 from __future__ import annotations
@@ -27,13 +41,14 @@ METHODS = ("ks", "cvm", "energy")
 
 MIN_PERMUTATIONS = 99
 MIN_GROUP_SIZE = 5
+# far above the rounding of a sum over N terms (about N * 1e-16 relative) and
+# far below the gap between distinct statistics of different splits
+TIE_RTOL = 1e-12
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(_batch_stats("ks", np.concatenate([a, b]), a.size, None))
+    return _observed("ks", a, b)
 
 
 def cvm_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -44,9 +59,7 @@ def cvm_statistic(a: np.ndarray, b: np.ndarray) -> float:
     against the pooled ECDF. Ties are handled by evaluating the ECDFs only
     at value boundaries.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(_batch_stats("cvm", np.concatenate([a, b]), a.size, None))
+    return _observed("cvm", a, b)
 
 
 def energy_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,75 +68,67 @@ def energy_statistic(a: np.ndarray, b: np.ndarray) -> float:
     V-statistic means (denominators n^2, zero diagonal included), so two
     identical samples give exactly zero.
     """
+    return _observed("energy", a, b)
+
+
+def _observed(method: str, a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(_batch_stats("energy", np.concatenate([a, b]), a.size, None))
+    member = _memberships(a.size, a.size + b.size, (), paired=False)
+    return float(_batch_stats(method, np.concatenate([a, b]), member)[0])
 
 
-_STATISTIC_FNS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "ks": ks_statistic,
-    "cvm": cvm_statistic,
-    "energy": energy_statistic,
-}
-
-
-def _permutation_matrix(
-    n: int, n_permutations: int, seed_seq: np.random.SeedSequence
+def _memberships(
+    n_a: int,
+    N: int,
+    children: Sequence[np.random.SeedSequence],
+    paired: bool,
 ) -> np.ndarray:
-    """(R, n) index rows, one independently seeded substream per replicate."""
-    children = seed_seq.spawn(n_permutations)
-    out = np.empty((n_permutations, n), dtype=np.intp)
-    for r, child in enumerate(children):
-        out[r] = np.random.default_rng(child).permutation(n)
-    return out
+    """(1 + R, N) 0/1 rows marking group A in the pooled sample.
 
-
-def _batch_stats(
-    method: str, pooled: np.ndarray, n_a: int, perms: Optional[np.ndarray]
-) -> np.ndarray | float:
-    """Statistics for the observed split (perms=None) or each permutation row.
-
-    Group A is the first n_a entries of each index row.
+    Row 0 is the observed split (the first n_a entries); row r draws from
+    children[r - 1]. Unpaired draws take the first n_a entries of a random
+    permutation; paired draws swap pair i between pooled entries i and
+    n_a + i.
     """
-    N = pooled.size
-    n_b = N - n_a
-    if perms is None:
-        perms = np.arange(N, dtype=np.intp)[None, :]
-        single = True
-    else:
-        single = False
-    R = perms.shape[0]
-    is_a = np.zeros((R, N))
-    np.put_along_axis(is_a, perms[:, :n_a], 1.0, axis=1)
-
-    if method == "energy":
-        D = np.abs(pooled[:, None] - pooled[None, :])
-        SA = is_a @ D
-        sum_aa = np.einsum("rj,rj->r", SA, is_a)
-        sum_ab = SA.sum(axis=1) - sum_aa
-        sum_bb = D.sum() - 2.0 * sum_ab - sum_aa
-        stats = (
-            2.0 * sum_ab / (n_a * n_b)
-            - sum_aa / (n_a * n_a)
-            - sum_bb / (n_b * n_b)
-        )
-    else:
-        order = np.argsort(pooled, kind="mergesort")
-        z = pooled[order]
-        boundary = np.r_[np.diff(z) != 0, True]
-        cum_a = np.cumsum(is_a[:, order], axis=1)[:, boundary]
-        ranks = np.flatnonzero(boundary) + 1
-        f_a = cum_a / n_a
-        f_b = (ranks[None, :] - cum_a) / n_b
-        gap = f_a - f_b
-        if method == "ks":
-            stats = np.max(np.abs(gap), axis=1)
-        elif method == "cvm":
-            mult = np.diff(ranks, prepend=0)
-            stats = (n_a * n_b / N**2) * (gap**2 @ mult)
+    member = np.zeros((len(children) + 1, N))
+    member[0, :n_a] = 1.0
+    for r, child in enumerate(children, start=1):
+        rng = np.random.default_rng(child)
+        if paired:
+            member[r, np.arange(n_a) + n_a * rng.integers(0, 2, n_a)] = 1.0
         else:
-            raise InvalidParameterError(f"unknown method {method!r}")
-    return stats[0] if single else stats
+            member[r, rng.permutation(N)[:n_a]] = 1.0
+    return member
+
+
+def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The statistic for each row of the (R, N) 0/1 matrix marking group A."""
+    N = pooled.size
+    n_a = int(member[0].sum())
+    n_b = N - n_a
+    order = np.argsort(pooled, kind="mergesort")
+    z = pooled[order]
+    is_a = member[:, order]
+    cum_a = np.cumsum(is_a, axis=1)
+    boundary = np.r_[np.diff(z) != 0, True]
+    ranks = np.flatnonzero(boundary) + 1
+    cum_a = cum_a[:, boundary]
+    gap = cum_a / n_a - (ranks - cum_a) / n_b
+    if method == "ks":
+        return np.max(np.abs(gap), axis=1)
+    if method == "cvm":
+        return (n_a * n_b / N**2) * (gap**2 @ np.diff(ranks, prepend=0))
+    if method == "energy":
+        # 2 E|a-b| - E|a-a'| - E|b-b'| = 2 integral of (F_a - F_b)^2 dt
+        return 2.0 * (gap[:, :-1] ** 2 @ np.diff(z[boundary]))
+    raise InvalidParameterError(f"unknown method {method!r}")
+
+
+def _pvalue(permuted: np.ndarray, observed: float) -> float:
+    """(1 + #{permuted >= observed, ties within TIE_RTOL}) / (R + 1)."""
+    exceed = np.count_nonzero(permuted >= observed - TIE_RTOL * abs(observed))
+    return (1 + exceed) / (permuted.size + 1)
 
 
 class PermutationResult(NamedTuple):
@@ -138,7 +143,8 @@ def permutation_pvalue(
     n_permutations: int = 999,
     seed: int | np.random.SeedSequence = 0,
 ) -> PermutationResult:
-    """Permutation p-value (1 + #{permuted >= observed}) / (R + 1).
+    """Permutation p-value (1 + #{permuted >= observed}) / (R + 1), with the
+    tie rule of the module docstring.
 
     A constant pooled sample is reported as degenerate with p = 1.
     """
@@ -155,33 +161,13 @@ def permutation_pvalue(
         seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     )
     observed = statistic_fn(a, b)
-    perms = _permutation_matrix(pooled.size, n_permutations, seed_seq)
-    n_a = a.size
-    exceed = sum(
-        1
-        for row in perms
-        if statistic_fn(pooled[row[:n_a]], pooled[row[n_a:]]) >= observed
+    member = _memberships(
+        a.size, pooled.size, seed_seq.spawn(n_permutations), paired=False
+    )[1:] == 1.0
+    permuted = np.array(
+        [statistic_fn(pooled[row], pooled[~row]) for row in member]
     )
-    return PermutationResult((1 + exceed) / (n_permutations + 1), False)
-
-
-def _permutation_pvalue_batched(
-    method: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    n_permutations: int,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[float, PermutationResult]:
-    """Observed statistic and p-value with the statistics batched over
-    permutations; matches permutation_pvalue(statistic_fn=...) exactly."""
-    pooled = np.concatenate([a, b])
-    observed = float(_batch_stats(method, pooled, a.size, None))
-    if np.ptp(pooled) == 0.0:
-        return observed, PermutationResult(1.0, True)
-    perms = _permutation_matrix(pooled.size, n_permutations, seed_seq)
-    stats = _batch_stats(method, pooled, a.size, perms)
-    pvalue = (1 + int(np.sum(stats >= observed))) / (n_permutations + 1)
-    return observed, PermutationResult(pvalue, False)
+    return PermutationResult(_pvalue(permuted, observed), False)
 
 
 def bh_adjust(p: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -244,11 +230,12 @@ def two_sample_score_test(
 ) -> TestReport:
     """Componentwise two-sample test of score-distribution equality.
 
-    Columns of A and B must hold the same components in the same order.
-    p-values come from permutation by default; the asymptotic formula is
-    available for the KS statistic only. paired=True swaps the two group
-    labels within each row pair instead of permuting freely (an extension
-    beyond the unpaired default; requires equal group sizes).
+    Columns of A and B must hold the same components in the same order, and
+    every score must be finite. p-values come from permutation by default;
+    the asymptotic formula is available for the KS statistic only.
+    paired=True swaps the two group labels within each row pair instead of
+    permuting freely (an extension beyond the unpaired default; requires
+    equal group sizes and permutation p-values).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -262,17 +249,24 @@ def two_sample_score_test(
         raise InsufficientDataError(
             f"both groups need at least {MIN_GROUP_SIZE} units"
         )
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise InvalidParameterError("scores must be finite")
     if method not in METHODS:
         raise InvalidParameterError(f"method must be one of {METHODS}")
     if pvalue_method not in ("permutation", "asymptotic"):
         raise InvalidParameterError(
             "pvalue_method must be 'permutation' or 'asymptotic'"
         )
-    if pvalue_method == "asymptotic" and method != "ks":
+    asymptotic = pvalue_method == "asymptotic"
+    if asymptotic and method != "ks":
         raise InvalidParameterError(
             f"asymptotic p-values are only available for ks, not {method}"
         )
-    if pvalue_method == "permutation" and n_permutations < MIN_PERMUTATIONS:
+    if asymptotic and paired:
+        raise InvalidParameterError(
+            "the paired test needs permutation p-values"
+        )
+    if not asymptotic and n_permutations < MIN_PERMUTATIONS:
         raise InvalidParameterError(
             f"need at least {MIN_PERMUTATIONS} permutations"
         )
@@ -280,33 +274,30 @@ def two_sample_score_test(
         raise InsufficientDataError("paired test requires equal group sizes")
 
     K = A.shape[1]
+    n_a = A.shape[0]
     children = np.random.SeedSequence(seed).spawn(K)
     statistics = np.zeros(K)
     raw = np.ones(K)
     degenerate = np.zeros(K, dtype=bool)
     for k in range(K):
-        a, b = A[:, k], B[:, k]
-        if pvalue_method == "asymptotic":
-            statistics[k] = ks_statistic(a, b)
-            if np.ptp(np.concatenate([a, b])) == 0.0:
-                degenerate[k] = True
-                raw[k] = 1.0
-            else:
-                from scipy.special import kolmogorov
+        pooled = np.concatenate([A[:, k], B[:, k]])
+        degenerate[k] = np.ptp(pooled) == 0.0
+        draws = (
+            () if asymptotic or degenerate[k] else children[k].spawn(n_permutations)
+        )
+        stats = _batch_stats(
+            method, pooled, _memberships(n_a, pooled.size, draws, paired)
+        )
+        statistics[k] = stats[0]
+        if degenerate[k]:
+            continue
+        if asymptotic:
+            from scipy.special import kolmogorov
 
-                en = a.size * b.size / (a.size + b.size)
-                raw[k] = float(kolmogorov(statistics[k] * np.sqrt(en)))
-        elif paired:
-            statistics[k] = _STATISTIC_FNS[method](a, b)
-            result = _paired_permutation_pvalue(
-                method, a, b, n_permutations, children[k]
-            )
-            raw[k], degenerate[k] = result
+            en = n_a * (pooled.size - n_a) / pooled.size
+            raw[k] = float(kolmogorov(stats[0] * np.sqrt(en)))
         else:
-            statistics[k], result = _permutation_pvalue_batched(
-                method, a, b, n_permutations, children[k]
-            )
-            raw[k], degenerate[k] = result
+            raw[k] = _pvalue(stats[1:], stats[0])
 
     adjusted = bh_adjust(raw)
     per_score = tuple(
@@ -323,33 +314,10 @@ def two_sample_score_test(
         per_score=per_score,
         global_p=float(np.min(adjusted)),
         method=method,
-        n_permutations=n_permutations if pvalue_method == "permutation" else 0,
+        n_permutations=0 if asymptotic else n_permutations,
         pvalue_method=pvalue_method,
         seed=seed,
     )
-
-
-def _paired_permutation_pvalue(
-    method: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    n_permutations: int,
-    seed_seq: np.random.SeedSequence,
-) -> PermutationResult:
-    """Within-pair label swaps instead of free relabeling."""
-    pooled = np.concatenate([a, b])
-    if np.ptp(pooled) == 0.0:
-        return PermutationResult(1.0, True)
-    observed = _STATISTIC_FNS[method](a, b)
-    children = seed_seq.spawn(n_permutations)
-    exceed = 0
-    for child in children:
-        swap = np.random.default_rng(child).integers(0, 2, a.size).astype(bool)
-        a_perm = np.where(swap, b, a)
-        b_perm = np.where(swap, a, b)
-        if _STATISTIC_FNS[method](a_perm, b_perm) >= observed:
-            exceed += 1
-    return PermutationResult((1 + exceed) / (n_permutations + 1), False)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import pytest
 import yaml
 
 import mfda
+import mfda.cli
+from mfda import errors
 from mfda.cli import main
 from mfda.core import Curve
 from mfda.fpca import EigenSystem
@@ -164,6 +166,14 @@ class TestFit:
             ]
         )
         assert code == 2
+
+    def test_directory_as_data_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["fit", str(tmp_path), "--channel", "sim", "--out", str(tmp_path / "f")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_smooth_flag(self, sim_dir, tmp_path):
         code = main(
@@ -347,6 +357,20 @@ class TestLevelTest:
         assert code == 2
         assert "overlap" in capsys.readouterr().err
 
+    def test_non_finite_score_exits_2(self, tmp_path, capsys):
+        fit_dir = handmade_fit_dir(tmp_path)
+        path = fit_dir / "scores_level2.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2",
+             "--perms", "99"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: scores must be finite\n"
+
     def test_unknown_measure_lists_known(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)
         code = main(
@@ -449,3 +473,40 @@ class TestCorrelate:
         )
         assert code == 2
         assert "lacks subjects" in capsys.readouterr().err
+
+
+ERROR_CATEGORIES = {
+    errors.InputError: 2,
+    errors.PreconditionError: 3,
+    errors.NumericalError: 4,
+}
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type)
+    and issubclass(cls, errors.MfdaError)
+    and cls not in (errors.MfdaError, *ERROR_CATEGORIES)
+]
+
+
+def icc_exit_code(cls, monkeypatch) -> int:
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(mfda.cli, "read_fit", fail)
+    return main(["icc", "unused"])
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_exits_with_its_category_code(cls, monkeypatch, capsys):
+    (code,) = [c for base, c in ERROR_CATEGORIES.items() if issubclass(cls, base)]
+    assert icc_exit_code(cls, monkeypatch) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "boom" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cls", [errors.EmptyDataError, errors.ComponentMismatchError]
+)
+def test_empty_data_and_component_mismatch_are_input_errors(cls, monkeypatch):
+    assert icc_exit_code(cls, monkeypatch) == 2

@@ -13,6 +13,7 @@ from mfda.errors import (
     UndefinedCorrelationError,
 )
 from mfda.leveltest import (
+    METHODS,
     bh_adjust,
     cvm_statistic,
     energy_statistic,
@@ -21,6 +22,62 @@ from mfda.leveltest import (
     score_covariate_correlation,
     two_sample_score_test,
 )
+
+
+def dense_energy_units(a: np.ndarray, b: np.ndarray) -> int:
+    """Energy distance times n_a^2 n_b^2 from all O(N^2) pairwise distances,
+    exact for integer samples."""
+    def pair_sum(x, y):
+        return int(np.abs(x[:, None] - y[None, :]).sum())
+
+    n_a, n_b = a.size, b.size
+    return (
+        2 * pair_sum(a, b) * n_a * n_b
+        - pair_sum(a, a) * n_b**2
+        - pair_sum(b, b) * n_a**2
+    )
+
+
+def reference_units(method: str, a: np.ndarray, b: np.ndarray) -> int:
+    """Each statistic as an exact integer multiple of its unit, for integer
+    samples: the ECDF gaps at every pooled point, times n_a n_b."""
+    if method == "energy":
+        return dense_energy_units(a, b)
+    pooled = np.concatenate([a, b])
+    gap = (
+        b.size * (a[:, None] <= pooled).sum(0)
+        - a.size * (b[:, None] <= pooled).sum(0)
+    )
+    return int(np.max(np.abs(gap)) if method == "ks" else np.sum(gap**2))
+
+
+def reference_pvalue(
+    method: str,
+    a: np.ndarray,
+    b: np.ndarray,
+    n_permutations: int,
+    seed_seq: np.random.SeedSequence,
+    paired: bool,
+) -> float:
+    """The per-replicate loop the batched kernel replaced: one generator per
+    replicate substream, free relabelling or within-pair swaps, and every
+    statistic recomputed from its definition. Integer samples and integer
+    statistics make every tie exact."""
+    pooled = np.concatenate([a, b])
+    if np.ptp(pooled) == 0:
+        return 1.0
+    observed = reference_units(method, a, b)
+    exceed = 0
+    for child in seed_seq.spawn(n_permutations):
+        rng = np.random.default_rng(child)
+        if paired:
+            swap = rng.integers(0, 2, a.size).astype(bool)
+            a_perm, b_perm = np.where(swap, b, a), np.where(swap, a, b)
+        else:
+            row = rng.permutation(pooled.size)
+            a_perm, b_perm = pooled[row[: a.size]], pooled[row[a.size :]]
+        exceed += reference_units(method, a_perm, b_perm) >= observed
+    return (1 + exceed) / (n_permutations + 1)
 
 
 def bh_reference(p: np.ndarray) -> np.ndarray:
@@ -253,6 +310,57 @@ class TestTwoSampleScoreTest:
         )
         assert report.global_p < 0.05
 
+    @given(
+        st.integers(5, 25),
+        st.integers(5, 25),
+        st.sampled_from([1, 2, 3, 8, 1000]),
+        st.sampled_from([0.1, 0.37, 1.0, 3.0e5]),
+        st.booleans(),
+        st.sampled_from(METHODS),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_reference_loop(
+        self, n_a, n_b, levels, scale, paired, method, seed
+    ):
+        # integer samples times a scale that is inexact in binary: the kernel
+        # sees rounded values and must still count every exact tie
+        n_b = n_a if paired else n_b
+        rng = np.random.default_rng(seed)
+        ka = rng.integers(0, levels, n_a)
+        kb = rng.integers(0, levels, n_b)
+        report = two_sample_score_test(
+            (ka * scale)[:, None],
+            (kb * scale)[:, None],
+            method=method,
+            n_permutations=99,
+            seed=seed,
+            paired=paired,
+        )
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        assert report.per_score[0].p_raw == reference_pvalue(
+            method, ka, kb, 99, child, paired
+        )
+        if method == "energy":
+            dense = scale * dense_energy_units(ka, kb) / (n_a * n_b) ** 2
+            assert report.per_score[0].statistic == pytest.approx(
+                dense, rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("method", ["ks", "cvm", "energy"])
+    def test_paired_swaps_that_all_tie_give_one(self, method):
+        # pair i lies inside [i, i + 1), so every swap gives the same
+        # statistic; only rounding could make some of them smaller
+        rng = np.random.default_rng(7)
+        base = np.arange(30.0)
+        lo = 0.1 * (base + rng.uniform(0.0, 0.5, 30))
+        hi = 0.1 * (base + rng.uniform(0.5, 1.0, 30))
+        report = two_sample_score_test(
+            lo[:, None], hi[:, None], method=method, n_permutations=199,
+            seed=3, paired=True,
+        )
+        assert report.per_score[0].p_raw == 1.0
+
     def test_error_cases(self):
         A = np.zeros((10, 2))
         with pytest.raises(ComponentMismatchError):
@@ -267,6 +375,17 @@ class TestTwoSampleScoreTest:
             two_sample_score_test(A, A, method="anova")
         with pytest.raises(InsufficientDataError):
             two_sample_score_test(np.zeros((10, 0)), np.zeros((10, 0)))
+        with pytest.raises(InvalidParameterError):
+            two_sample_score_test(
+                A, A, method="ks", pvalue_method="asymptotic", paired=True
+            )
+        for bad in (np.nan, np.inf, -np.inf):
+            C = np.ones((10, 2))
+            C[4, 1] = bad
+            with pytest.raises(InvalidParameterError):
+                two_sample_score_test(C, A)
+            with pytest.raises(InvalidParameterError):
+                two_sample_score_test(A, C, method="ks", pvalue_method="asymptotic")
 
 
 class TestScoreCovariateCorrelation:
