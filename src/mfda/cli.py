@@ -265,6 +265,14 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a seed of numpy's SeedSequence is >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfda",
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("spec", help="generator spec YAML file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override spec seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override spec seed")
     p.add_argument(
         "--channel", default=SIMULATED_CHANNEL, help="channel name to write"
     )
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", choices=METHODS, default="energy")
     p.add_argument("--perms", type=int, default=999)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(handler=cmd_test)
 
     p = sub.add_parser(

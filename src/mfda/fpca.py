@@ -130,7 +130,13 @@ def smooth_covariance(
     K = np.exp(-0.5 * ((t[:, None] - t[None, :]) / bandwidth) ** 2)
     off = 1.0 - np.eye(m)
     num = K @ (S * off) @ K.T
-    den = K @ off @ K.T
+    # K @ off @ K.T in one m x m x m product. With K = I + E (E symmetric)
+    # and e = E 1 it is off - 2E + e 1' + 1 e' + e e' - E E', whose diagonal
+    # sums small terms only, so kernels far narrower than the grid spacing
+    # keep it exact where outer(K 1, K 1) - K K' would cancel to zero
+    E = K - np.eye(m)
+    e = E.sum(axis=1)
+    den = off - 2.0 * E + np.add.outer(e, e) + np.outer(e, e) - E @ E.T
     if np.any(den <= 0.0):
         # kernel weights underflow when the bandwidth is far below the
         # grid spacing, leaving some targets with no off-diagonal mass

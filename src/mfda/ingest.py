@@ -290,7 +290,10 @@ def write_json(path: Union[str, Path], payload: dict) -> None:
 
 def read_json(path: Union[str, Path]) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _eigen_rows(level: int, eig: EigenSystem):
@@ -384,62 +387,82 @@ def write_fit(
     return out
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_numeric(
+    path: Path, n_keys: int = 0
+) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """A fit table's header, its first n_keys columns as label rows, and its
+    other columns as one float matrix, parsed in one bulk pass.
+
+    A missing file, a short row or a cell that does not parse is a
+    ParseError naming the file.
+    """
     if not path.exists():
         raise ParseError(f"missing fit file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        return header, [row for row in reader]
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise ParseError(f"{path}: empty file")
+            skip = reader.line_num  # a quoted label may span lines
+            keys = [row[:n_keys] for row in reader if row] if n_keys else []
+            fh.seek(0)
+            values = _load_columns(fh, list(range(n_keys, len(found))), float, skip)
+        except (ValueError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if n_keys and len(keys) != len(values):
+        raise ParseError(f"{path}: {len(keys)} keyed rows but {len(values)} value rows")
+    return found, keys, values
 
 
 def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
-    """Load a fit directory written by write_fit."""
+    """Load a fit directory written by write_fit.
+
+    Every table and JSON file is parsed in full before any value is used, and
+    a fault in one is a ParseError naming that file.
+    """
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise ParseError(f"missing fit file: {manifest_path}")
     manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ParseError(
             f"{d}: unsupported format version {manifest.get('format_version')!r}"
         )
-    if "levels" not in manifest:
-        raise ParseError(f"{d}: manifest has no 'levels' field; not a fit directory")
-    levels = int(manifest["levels"])
-    header, rows = _read_table(d / "mean.csv")
+    try:
+        levels = int(manifest["levels"])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(
+            f"{d}: manifest has no integer 'levels' field; not a fit directory"
+        ) from None
+    header, _, mean_table = _read_numeric(d / "mean.csv")
     if header != ["t", "value", "w"]:
         raise ParseError(f"{d}/mean.csv: unexpected header {header}")
-    points = np.array([float(r[0]) for r in rows])
-    mean_values = np.array([float(r[1]) for r in rows])
-    weights = np.array([float(r[2]) for r in rows])
+    points, mean_values, weights = mean_table.T
     grid = Grid(points, weights)
-    noise = float(read_json(d / "noise.json")["noise_variance"])
+    noise_doc = read_json(d / "noise.json")
+    try:
+        noise = float(noise_doc["noise_variance"])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"{d}/noise.json: no numeric 'noise_variance'") from None
 
-    eig_header, eig_rows = _read_table(d / "eigenvalues.csv")
-    eigenvalues: dict[int, list[float]] = {}
-    for row in eig_rows:
-        eigenvalues.setdefault(int(row[0]), []).append(float(row[2]))
+    _, eig_keys, eig_values = _read_numeric(d / "eigenvalues.csv", n_keys=2)
+    eig_levels = np.array([key[0] for key in eig_keys], dtype=str)
 
     level_eigs = []
     for level in range(1, levels + 1):
-        ef_header, ef_rows = _read_table(d / f"eigenfunctions_level{level}.csv")
+        ef_header, _, ef_table = _read_numeric(d / f"eigenfunctions_level{level}.csv")
         k = len(ef_header) - 1
-        lam = np.array(eigenvalues.get(level, []), dtype=float)
+        lam = eig_values[eig_levels == str(level), 0]
         if lam.size != k:
             raise ParseError(
                 f"{d}: level {level} has {lam.size} eigenvalues but "
                 f"{k} eigenfunction columns"
             )
-        if k:
-            funcs = np.array(
-                [[float(v) for v in row[1:]] for row in ef_rows], dtype=float
-            )
-        else:
-            funcs = np.zeros((grid.size, 0))
+        funcs = ef_table[:, 1:] if k else np.zeros((grid.size, 0))
         total = lam.sum()
         pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
         level_eigs.append(EigenSystem(grid, lam, funcs, pve))
@@ -449,24 +472,25 @@ def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
     subject_labels: list[str] = []
     measure_labels: list[str] = []
     for level in range(1, levels + 1):
-        s_header, s_rows = _read_table(d / f"scores_level{level}.csv")
-        mat = np.array(
-            [[float(v) for v in row[level:]] for row in s_rows], dtype=float
-        ).reshape(len(s_rows), -1)
+        path = d / f"scores_level{level}.csv"
+        _, keys, mat = _read_numeric(path, n_keys=level)
         scores.append(mat)
         if level == 1:
-            subject_labels = [row[0] for row in s_rows]
-            units.append(tuple((i + 1,) for i in range(len(s_rows))))
+            subject_labels = [key[0] for key in keys]
+            units.append(tuple((i + 1,) for i in range(len(keys))))
             continue
         if level == 2:
-            measure_labels = list(dict.fromkeys(row[1] for row in s_rows))
+            measure_labels = list(dict.fromkeys(key[1] for key in keys))
         sub_of = {lab: i + 1 for i, lab in enumerate(subject_labels)}
         meas_of = {lab: j + 1 for j, lab in enumerate(measure_labels)}
-        units.append(tuple(
-            (sub_of[r[0]], meas_of[r[1]]) if level == 2
-            else (sub_of[r[0]], meas_of[r[1]], int(r[2]))
-            for r in s_rows
-        ))
+        try:
+            units.append(tuple(
+                (sub_of[key[0]], meas_of[key[1]]) if level == 2
+                else (sub_of[key[0]], meas_of[key[1]], int(key[2]))
+                for key in keys
+            ))
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ParseError(f"{path}: unit key not in the fit: {exc}") from None
     if levels == 1:
         return FpcaFit(
             mean=Curve(grid, mean_values),
@@ -475,14 +499,16 @@ def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
             noise_variance=noise,
         )
 
-    mm_header, mm_rows = _read_table(d / "measure_means.csv")
-    effects = tuple(
-        Curve(grid, np.array([float(row[j]) for row in mm_rows]))
-        for j in range(1, len(mm_header))
-    )
+    _, _, mm_table = _read_numeric(d / "measure_means.csv")
+    effects = tuple(Curve(grid, col) for col in mm_table[:, 1:].T)
     defaults = asdict(FitConfig(levels=levels))
-    stored = {**defaults, **manifest.get("config", {})}
-    config = FitConfig(**{key: type(v)(stored[key]) for key, v in defaults.items()})
+    try:
+        stored = {**defaults, **manifest.get("config", {})}
+        config = FitConfig(
+            **{key: type(v)(stored[key]) for key, v in defaults.items()}
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{manifest_path}: bad config: {exc}") from None
     return MultilevelFit(
         grid=grid,
         levels=levels,

@@ -16,11 +16,13 @@ O(R N) after the sort, with no pairwise distances and no cancellation. The
 unpaired design relabels freely and the paired design swaps labels within
 each pair; the two differ only in how the membership rows are drawn.
 
-Permutation replicates draw from independently spawned substreams of the
-seed, so p-values are reproducible regardless of evaluation order. A
-permuted statistic counts as reaching the observed one when it is at least
-observed - TIE_RTOL * |observed|, so splits that tie mathematically count
-whatever the rounding of their last bits.
+Each test draws its membership matrix once, from one generator seeded by
+SeedSequence(seed), and applies it to every component: a unit's whole score
+vector moves with its label, so the dependence between the components is
+kept (Westfall & Young 1993) and a seed gives the same p-values on every
+call. A permuted statistic counts as reaching the observed one when it is at
+least observed - TIE_RTOL * |observed|, so splits that tie mathematically
+count whatever the rounding of their last bits.
 """
 
 from __future__ import annotations
@@ -74,36 +76,40 @@ def energy_statistic(a: np.ndarray, b: np.ndarray) -> float:
 def _observed(method: str, a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    member = _memberships(a.size, a.size + b.size, (), paired=False)
+    member = _memberships(a.size, a.size + b.size)
     return float(_batch_stats(method, np.concatenate([a, b]), member)[0])
 
 
 def _memberships(
     n_a: int,
     N: int,
-    children: Sequence[np.random.SeedSequence],
-    paired: bool,
+    n_draws: int = 0,
+    seed: int | np.random.SeedSequence = 0,
+    paired: bool = False,
 ) -> np.ndarray:
-    """(1 + R, N) 0/1 rows marking group A in the pooled sample.
+    """(1 + n_draws, N) boolean rows marking group A in the pooled sample.
 
-    Row 0 is the observed split (the first n_a entries); row r draws from
-    children[r - 1]. Unpaired draws take the first n_a entries of a random
-    permutation; paired draws swap pair i between pooled entries i and
-    n_a + i.
+    Row 0 is the observed split (the first n_a entries). The drawn rows come
+    from one generator seeded by SeedSequence(seed), which only reads a
+    SeedSequence seed. Unpaired rows mark the n_a smallest of N uniforms, the
+    first n_a entries of a random permutation; paired rows move pair i from
+    pooled entry i to n_a + i when its uniform is below 1/2.
     """
-    member = np.zeros((len(children) + 1, N))
-    member[0, :n_a] = 1.0
-    for r, child in enumerate(children, start=1):
-        rng = np.random.default_rng(child)
+    member = np.zeros((1 + n_draws, N), dtype=bool)
+    member[0, :n_a] = True
+    if n_draws:
+        rng = np.random.default_rng(seed)
         if paired:
-            member[r, np.arange(n_a) + n_a * rng.integers(0, 2, n_a)] = 1.0
+            swap = rng.random((n_draws, n_a)) < 0.5
+            member[1:, :n_a], member[1:, n_a:] = ~swap, swap
         else:
-            member[r, rng.permutation(N)[:n_a]] = 1.0
+            first = np.argpartition(rng.random((n_draws, N)), n_a - 1, axis=1)
+            np.put_along_axis(member[1:], first[:, :n_a], True, axis=1)
     return member
 
 
 def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """The statistic for each row of the (R, N) 0/1 matrix marking group A."""
+    """The statistic for each row of the (R, N) boolean matrix marking group A."""
     N = pooled.size
     n_a = int(member[0].sum())
     n_b = N - n_a
@@ -157,13 +163,8 @@ def permutation_pvalue(
     pooled = np.concatenate([a, b])
     if np.ptp(pooled) == 0.0:
         return PermutationResult(1.0, True)
-    seed_seq = (
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
     observed = statistic_fn(a, b)
-    member = _memberships(
-        a.size, pooled.size, seed_seq.spawn(n_permutations), paired=False
-    )[1:] == 1.0
+    member = _memberships(a.size, pooled.size, n_permutations, seed)[1:]
     permuted = np.array(
         [statistic_fn(pooled[row], pooled[~row]) for row in member]
     )
@@ -224,7 +225,7 @@ def two_sample_score_test(
     B: np.ndarray,
     method: str = "energy",
     n_permutations: int = 999,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     pvalue_method: str = "permutation",
     paired: bool = False,
 ) -> TestReport:
@@ -275,18 +276,15 @@ def two_sample_score_test(
 
     K = A.shape[1]
     n_a = A.shape[0]
-    children = np.random.SeedSequence(seed).spawn(K)
+    pooled = np.vstack([A, B])
+    N = pooled.shape[0]
+    member = _memberships(n_a, N, 0 if asymptotic else n_permutations, seed, paired)
+    degenerate = np.ptp(pooled, axis=0) == 0.0
     statistics = np.zeros(K)
     raw = np.ones(K)
-    degenerate = np.zeros(K, dtype=bool)
     for k in range(K):
-        pooled = np.concatenate([A[:, k], B[:, k]])
-        degenerate[k] = np.ptp(pooled) == 0.0
-        draws = (
-            () if asymptotic or degenerate[k] else children[k].spawn(n_permutations)
-        )
         stats = _batch_stats(
-            method, pooled, _memberships(n_a, pooled.size, draws, paired)
+            method, pooled[:, k], member[:1] if degenerate[k] else member
         )
         statistics[k] = stats[0]
         if degenerate[k]:
@@ -294,7 +292,7 @@ def two_sample_score_test(
         if asymptotic:
             from scipy.special import kolmogorov
 
-            en = n_a * (pooled.size - n_a) / pooled.size
+            en = n_a * (N - n_a) / N
             raw[k] = float(kolmogorov(stats[0] * np.sqrt(en)))
         else:
             raw[k] = _pvalue(stats[1:], stats[0])

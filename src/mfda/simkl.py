@@ -130,6 +130,8 @@ class GeneratorSpec:
             raise InvalidParameterError("replicates > 1 requires three levels")
         if self.noise_variance < 0:
             raise InvalidParameterError("noise variance must be >= 0")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if self.score_df is not None and self.score_df <= 2:
             raise InvalidParameterError("score t distribution needs df > 2")
         m = self.grid.size

@@ -76,6 +76,21 @@ class TestSimulate:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_flag_exits_2(self, tmp_path, capsys, seed):
+        spec_path = write_spec(tmp_path, n2_spec_dict(5, n=4, J=2, m=11))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(spec_path), "--out", str(tmp_path / "o"),
+                  "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_spec_seed_exits_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
 
 class TestFit:
     def test_fit_summary_and_files(self, sim_dir, tmp_path, capsys):
@@ -251,6 +266,37 @@ class TestIcc:
         fit_dir = handmade_fit_dir(tmp_path)
         (fit_dir / "eigenvalues.csv").unlink()
         assert main(["icc", str(fit_dir)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, edit, needle",
+        [
+            ("mean.csv", lambda text: text.replace("0.0", "abc", 1), "mean.csv"),
+            ("noise.json", lambda text: text[: len(text) // 2], "noise.json"),
+            ("noise.json", lambda text: "[]", "noise.json"),
+            ("eigenvalues.csv", lambda text: text.replace("4.0", "x", 1),
+             "eigenvalues.csv"),
+            ("eigenfunctions_level1.csv", lambda text: text.replace(",", "\n", 1),
+             "eigenfunctions_level1.csv"),
+            ("scores_level2.csv", lambda text: text.replace("\n1,", "\n99,", 1),
+             "scores_level2.csv"),
+            ("measure_means.csv", lambda text: text.replace("0.0", "1_0", 1),
+             "measure_means.csv"),
+            ("manifest.json", lambda text: text[:-3], "manifest.json"),
+            ("manifest.json",
+             lambda text: text.replace('"pve": 0.99', '"pve": "most"'),
+             "manifest.json"),
+        ],
+    )
+    def test_hand_edited_fit_file_exits_2(self, tmp_path, capsys, name, edit, needle):
+        fit_dir = handmade_fit_dir(tmp_path)
+        path = fit_dir / name
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        assert main(["icc", str(fit_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
 
     def test_dataset_dir_is_not_a_fit_dir(self, sim_dir, capsys):
         # a simulate output dir has its own manifest.json without 'levels'

@@ -137,6 +137,23 @@ class TestSmoothCovariance:
         with pytest.raises(AsymmetricMatrixError):
             smooth_covariance(S, small_grid, bandwidth=0.05)
 
+    @pytest.mark.parametrize("m", [3, 5, 11, 21, 101, 401])
+    @pytest.mark.parametrize("bandwidth", [0.015, 0.05, 0.2])
+    def test_matches_two_product_reference(self, m, bandwidth):
+        # the surface divided by the off-diagonal kernel mass K @ off @ K.T,
+        # formed literally with two matrix products
+        grid = Grid.uniform(m)
+        t = grid.points
+        rng = np.random.default_rng(m)
+        A = rng.uniform(0.0, 1.0, (m, m))
+        S = 2.0 + np.outer(t, t) + A + A.T
+        K = np.exp(-0.5 * ((t[:, None] - t[None, :]) / bandwidth) ** 2)
+        off = 1.0 - np.eye(m)
+        ref = (K @ (S * off) @ K.T) / (K @ off @ K.T)
+        np.testing.assert_allclose(
+            smooth_covariance(S, grid, bandwidth), 0.5 * (ref + ref.T), rtol=1e-13
+        )
+
     def test_bandwidth_below_grid_resolution_rejected(self):
         grid = Grid.uniform(2)  # spacing 1.0; kernel weights underflow
         S = np.eye(2)

@@ -56,25 +56,26 @@ def reference_pvalue(
     a: np.ndarray,
     b: np.ndarray,
     n_permutations: int,
-    seed_seq: np.random.SeedSequence,
+    seed: int,
     paired: bool,
 ) -> float:
-    """The per-replicate loop the batched kernel replaced: one generator per
-    replicate substream, free relabelling or within-pair swaps, and every
-    statistic recomputed from its definition. Integer samples and integer
-    statistics make every tie exact."""
+    """A per-row loop over the membership rows a test with this seed draws,
+    rebuilt here from one generator: each row takes the next uniforms, and
+    relabels by their sort order or swaps the pairs whose uniform is below
+    1/2. Every statistic is recomputed from its definition; integer samples
+    and integer statistics make every tie exact."""
     pooled = np.concatenate([a, b])
     if np.ptp(pooled) == 0:
         return 1.0
     observed = reference_units(method, a, b)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     exceed = 0
-    for child in seed_seq.spawn(n_permutations):
-        rng = np.random.default_rng(child)
+    for _ in range(n_permutations):
         if paired:
-            swap = rng.integers(0, 2, a.size).astype(bool)
+            swap = rng.random(a.size) < 0.5
             a_perm, b_perm = np.where(swap, b, a), np.where(swap, a, b)
         else:
-            row = rng.permutation(pooled.size)
+            row = np.argsort(rng.random(pooled.size))
             a_perm, b_perm = pooled[row[: a.size]], pooled[row[a.size :]]
         exceed += reference_units(method, a_perm, b_perm) >= observed
     return (1 + exceed) / (n_permutations + 1)
@@ -219,6 +220,16 @@ class TestPermutationPvalue:
         assert abs(p1 * (R + 1) - quantum) < 1e-9
         assert 1 <= quantum <= R + 1
 
+    def test_reused_seed_sequence_gives_equal_pvalues(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=20)
+        b = rng.normal(0.3, 1, size=20)
+        seed = np.random.SeedSequence(5)
+        first = permutation_pvalue(ks_statistic, a, b, 199, seed=seed).pvalue
+        second = permutation_pvalue(ks_statistic, a, b, 199, seed=seed).pvalue
+        assert first == second
+        assert first == permutation_pvalue(ks_statistic, a, b, 199, seed=5).pvalue
+
     def test_too_few_permutations(self):
         with pytest.raises(InvalidParameterError):
             permutation_pvalue(ks_statistic, np.zeros(5), np.ones(5), 50, seed=0)
@@ -246,18 +257,54 @@ class TestTwoSampleScoreTest:
         assert report.global_p < 0.01
 
     def test_matches_generic_permutation_backend(self):
+        # one draw serves every component, so each column matches the generic
+        # backend called with the test's own seed
         rng = np.random.default_rng(31)
         A = rng.normal(size=(15, 2))
         B = rng.normal(0.3, 1, size=(18, 2))
-        report = two_sample_score_test(
-            A, B, method="ks", n_permutations=199, seed=42
-        )
-        children = np.random.SeedSequence(42).spawn(2)
-        for k in range(2):
-            reference = permutation_pvalue(
-                ks_statistic, A[:, k], B[:, k], 199, seed=children[k]
+        for method, statistic_fn in zip(
+            METHODS, (ks_statistic, cvm_statistic, energy_statistic)
+        ):
+            report = two_sample_score_test(
+                A, B, method=method, n_permutations=199, seed=42
             )
-            assert report.per_score[k].p_raw == reference.pvalue
+            for k in range(2):
+                reference = permutation_pvalue(
+                    statistic_fn, A[:, k], B[:, k], 199, seed=42
+                )
+                assert report.per_score[k].p_raw == reference.pvalue
+
+    def test_reused_seed_sequence_gives_equal_reports(self):
+        rng = np.random.default_rng(32)
+        A = rng.normal(size=(12, 3))
+        B = rng.normal(0.4, 1, size=(12, 3))
+        seed = np.random.SeedSequence(8)
+        for paired in (False, True):
+            first = two_sample_score_test(A, B, "cvm", 199, seed=seed, paired=paired)
+            second = two_sample_score_test(A, B, "cvm", 199, seed=seed, paired=paired)
+            assert first.per_score == second.per_score
+
+    @given(
+        st.integers(5, 30),
+        st.booleans(),
+        st.sampled_from(METHODS),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_duplicated_component_gets_identical_pvalue(
+        self, n, paired, method, seed
+    ):
+        # the draw is shared: a column repeated in the score matrix sees the
+        # same membership rows, so its p-values agree exactly
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, 2))
+        B = rng.normal(0.2, 1, size=(n, 2))
+        report = two_sample_score_test(
+            A[:, [0, 1, 0]], B[:, [0, 1, 0]], method=method,
+            n_permutations=99, seed=seed, paired=paired,
+        )
+        assert report.per_score[0].p_raw == report.per_score[2].p_raw
+        assert report.per_score[0].statistic == report.per_score[2].statistic
 
     def test_reduced_null_calibration(self):
         rejections = 0
@@ -337,9 +384,8 @@ class TestTwoSampleScoreTest:
             seed=seed,
             paired=paired,
         )
-        child = np.random.SeedSequence(seed).spawn(1)[0]
         assert report.per_score[0].p_raw == reference_pvalue(
-            method, ka, kb, 99, child, paired
+            method, ka, kb, 99, seed, paired
         )
         if method == "energy":
             dense = scale * dense_energy_units(ka, kb) / (n_a * n_b) ** 2
