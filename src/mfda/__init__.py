@@ -22,13 +22,7 @@ from .core import (  # noqa: F401
 )
 from .fpca import (  # noqa: F401
     EigenSystem,
-    FpcaFit,
     eigendecompose,
-    empirical_covariance,
-    fit_fpca,
-    mean_curve,
-    project_scores,
-    reconstruct,
     select_k,
     smooth_covariance,
 )
@@ -47,10 +41,8 @@ from .mfpca import (  # noqa: F401
     blup_scores,
     fit_nested,
     measure_means,
-    sandwich_covariance,
     sigma_B_hat,
     sigma_T_hat,
-    sigma_W_hat,
     three_level_covariances,
 )
 from .simkl import (  # noqa: F401

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import FORMAT_VERSION, __version__
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .fpca import DEFAULT_BANDWIDTH, FpcaFit
+from .fpca import DEFAULT_BANDWIDTH
 from .icc import icc_report
 from .ingest import (
     read_fit,
@@ -36,7 +35,7 @@ from .ingest import (
 )
 from .leveltest import METHODS, two_sample_score_test, score_covariate_correlation
 from .mfpca import FitConfig, fit_nested
-from .simkl import generate, spec_from_dict
+from .simkl import generate, load_spec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,15 +53,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise FileNotFoundError(f"spec file not found: {spec_path}")
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"cannot parse spec file {spec_path}: {exc}") from None
-    if args.seed is not None:
-        data = dict(data)
-        data["seed"] = args.seed
-    spec = spec_from_dict(data)
+    spec = load_spec(spec_path, seed=args.seed)
     curves, truth = generate(spec)
 
     out = Path(args.out)
@@ -142,8 +133,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_icc(args: argparse.Namespace) -> int:
     fit = read_fit(args.fit_dir)
-    if isinstance(fit, FpcaFit):
-        raise ParseError("ICC needs a two- or three-level fit directory")
     report = icc_report(fit)
     out = Path(args.fit_dir)
     write_json(
@@ -165,8 +154,6 @@ def cmd_icc(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     fit = read_fit(args.fit_dir)
-    if isinstance(fit, FpcaFit) or fit.levels < 2:
-        raise ParseError("the level test needs a fit with level-2 scores")
     group_a = list(dict.fromkeys(args.group_a))
     group_b = list(dict.fromkeys(args.group_b))
     overlap = set(group_a) & set(group_b)
@@ -228,8 +215,6 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     fit = read_fit(args.fit_dir)
-    if isinstance(fit, FpcaFit):
-        raise ParseError("correlate needs a multilevel fit directory")
     cov_path = Path(args.covariate)
     if not cov_path.exists():
         raise FileNotFoundError(f"covariate file not found: {cov_path}")

@@ -198,12 +198,6 @@ class CurveSet:
     def n_measures(self) -> int:
         return len({ix.measure for ix in self.index})
 
-    def curve(self, row: int) -> Curve:
-        return Curve(self.grid, self.values[row])
-
-    def has_replicates(self) -> bool:
-        return any(ix.replicate is not None for ix in self.index)
-
     def design_counts(self) -> dict[int, dict[int, int]]:
         """{subject: {measure: replicate count}} for the whole set."""
         counts: dict[int, dict[int, int]] = {}

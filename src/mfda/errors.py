@@ -83,10 +83,6 @@ class AsymmetricMatrixError(NumericalError, ValueError):
     """A matrix expected to be symmetric is not, beyond tolerance."""
 
 
-class DimensionError(NumericalError, ValueError):
-    """Non-conformable matrix or vector dimensions."""
-
-
 class DegenerateSpectrumError(NumericalError, ValueError):
     """All eigenvalues are zero; no component can be selected."""
 

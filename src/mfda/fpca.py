@@ -1,9 +1,8 @@
-"""Single-level functional PCA for independent curves.
+"""The eigen layer of the nested fit: one covariance surface at a time.
 
-Mean and covariance estimation, optional kernel smoothing of the covariance
-surface, the quadrature-weighted eigenproblem, component selection by
-proportion of variance explained, score projection, and truncated
-reconstruction.
+Kernel smoothing of a covariance surface, the diagonal-gap noise estimate,
+the quadrature-weighted eigenproblem, and component selection by proportion
+of variance explained. fit_nested calls these for every level surface.
 """
 
 from __future__ import annotations
@@ -12,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, CurveSet, Grid, NestedIndex, same_grid
+from .core import Grid
 from .errors import (
     AsymmetricMatrixError,
     DegenerateSpectrumError,
-    EmptyDataError,
     GridMismatchError,
-    InsufficientDataError,
     InvalidGridError,
     InvalidParameterError,
 )
@@ -60,10 +57,6 @@ class EigenSystem:
     def n_components(self) -> int:
         return int(self.eigenvalues.size)
 
-    def function(self, a: int) -> Curve:
-        """Eigenfunction a (0-based) as a Curve."""
-        return Curve(self.grid, self.functions[:, a])
-
     def truncated(self, k: int) -> "EigenSystem":
         if k < 0 or k > self.n_components:
             raise InvalidParameterError(f"cannot keep {k} of {self.n_components}")
@@ -74,38 +67,6 @@ class EigenSystem:
     def variance_curve(self) -> np.ndarray:
         """Pointwise variance sum_k lambda_k e_k(t)^2."""
         return (self.functions**2) @ self.eigenvalues
-
-
-@dataclass(frozen=True, eq=False)
-class FpcaFit:
-    """Fitted single-level FPCA: mean, eigensystem, scores, noise variance."""
-
-    mean: Curve
-    eig: EigenSystem
-    scores: np.ndarray
-    noise_variance: float = 0.0
-
-
-def mean_curve(X: CurveSet) -> Curve:
-    """Pointwise arithmetic mean across all rows."""
-    if len(X) == 0:
-        raise EmptyDataError("cannot average an empty curve set")
-    return Curve(X.grid, X.values.mean(axis=0))
-
-
-def empirical_covariance(X: CurveSet, mean: Curve) -> np.ndarray:
-    """Raw covariance surface (1/n) sum_i (X_i - mean)(X_i - mean)^T.
-
-    Uses the 1/n normalization; symmetric and positive semidefinite up to
-    round-off.
-    """
-    if len(X) < 2:
-        raise InsufficientDataError("covariance needs at least two curves")
-    if not same_grid(mean.grid, X.grid):
-        raise GridMismatchError("mean lives on a different grid")
-    r = X.values - mean.values
-    S = (r.T @ r) / len(X)
-    return 0.5 * (S + S.T)
 
 
 def smooth_covariance(
@@ -119,8 +80,10 @@ def smooth_covariance(
     smoothed diagonals is what estimates the noise variance downstream.
     """
     S = np.asarray(S, dtype=float)
-    if bandwidth <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise InvalidParameterError(
+            f"bandwidth must be positive and finite, got {bandwidth}"
+        )
     m = grid.size
     if S.shape != (m, m):
         raise AsymmetricMatrixError(f"expected a {m}x{m} surface, got {S.shape}")
@@ -197,27 +160,6 @@ def select_k(eig: EigenSystem, pve_threshold: float) -> int:
     return int(np.searchsorted(eig.pve, pve_threshold - 1e-15) + 1)
 
 
-def project_scores(X: CurveSet, mean: Curve, eig: EigenSystem) -> np.ndarray:
-    """Quadrature projection scores <X_i - mean, e_a> as an n x K matrix."""
-    if not same_grid(X.grid, mean.grid) or not same_grid(X.grid, eig.grid):
-        raise GridMismatchError("curves, mean, and eigensystem must share a grid")
-    r = X.values - mean.values
-    return (r * X.grid.weights) @ eig.functions
-
-
-def reconstruct(fit: FpcaFit, K: int) -> CurveSet:
-    """Truncated reconstruction mean + sum_{a<=K} score_ia e_a, one row per curve."""
-    if K < 0 or K > fit.eig.n_components:
-        raise InvalidParameterError(
-            f"K={K} outside [0, {fit.eig.n_components}] retained components"
-        )
-    rows = fit.mean.values + fit.scores[:, :K] @ fit.eig.functions[:, :K].T
-    index = tuple(
-        NestedIndex(subject=i + 1, measure=1) for i in range(fit.scores.shape[0])
-    )
-    return CurveSet(fit.mean.grid, index, rows)
-
-
 def estimate_noise_gap(raw: np.ndarray, smoothed: np.ndarray) -> float:
     """Noise variance from the mean diagonal gap, clamped at zero."""
     raw = np.asarray(raw, dtype=float)
@@ -225,31 +167,3 @@ def estimate_noise_gap(raw: np.ndarray, smoothed: np.ndarray) -> float:
     if raw.shape != smoothed.shape:
         raise AsymmetricMatrixError("raw and smoothed surfaces differ in shape")
     return float(max(0.0, np.mean(np.diag(raw) - np.diag(smoothed))))
-
-
-def fit_fpca(
-    X: CurveSet,
-    pve: float = 0.99,
-    smooth: bool = False,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    estimate_noise: bool = False,
-) -> FpcaFit:
-    """Convenience pipeline: mean, covariance, eigendecomposition, scores.
-
-    noise_variance stays 0 unless diagonal-gap estimation is requested.
-    """
-    mu = mean_curve(X)
-    raw = empirical_covariance(X, mu)
-    sigma2 = 0.0
-    surface = raw
-    if smooth or estimate_noise:
-        smoothed = smooth_covariance(raw, X.grid, bandwidth)
-        if estimate_noise:
-            sigma2 = estimate_noise_gap(raw, smoothed)
-        if smooth:
-            surface = smoothed
-    eig = eigendecompose(surface, X.grid)
-    K = select_k(eig, pve)
-    eig = eig.truncated(K)
-    scores = project_scores(X, mu, eig)
-    return FpcaFit(mean=mu, eig=eig, scores=scores, noise_variance=sigma2)

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-from .fpca import EigenSystem, FpcaFit
+from .fpca import EigenSystem
 from .mfpca import FitConfig, MultilevelFit
 
 LONG_COLUMNS = ("subject", "measure", "replicate", "t", "value", "channel")
@@ -307,52 +307,43 @@ def _score_header(level: int, k: int) -> list[str]:
 
 
 def write_fit(
-    fit: Union[MultilevelFit, FpcaFit],
+    fit: MultilevelFit,
     out_dir: Union[str, Path],
     extra_manifest: dict | None = None,
 ) -> Path:
-    """Write a fit as a directory of CSV files plus manifest.json.
+    """Write a two- or three-level fit as CSV files plus manifest.json.
 
-    Files: mean.csv (t, value, w), measure_means.csv (multilevel fits only),
-    one eigenfunctions_level{l}.csv per level (header only when that level
-    kept zero components), eigenvalues.csv, one scores_level{l}.csv per
-    level, noise.json, manifest.json.
+    Files: mean.csv (t, value, w), measure_means.csv (one column per measure
+    effect, none under center_measures=False), one eigenfunctions_level{l}.csv
+    per level (header only when that level kept zero components),
+    eigenvalues.csv, one scores_level{l}.csv per level, noise.json,
+    manifest.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format_version": FORMAT_VERSION, "library_version": __version__}
-    if isinstance(fit, FpcaFit):
-        mean, eigs, scores = fit.mean, (fit.eig,), (fit.scores,)
-        subjects = [str(i + 1) for i in range(len(fit.scores))]
-        units, measures = (tuple((i + 1,) for i in range(len(fit.scores))),), ()
-        manifest["levels"] = 1
-    else:
-        mean, eigs, scores = fit.global_mean, fit.level_eig, fit.scores
-        units, subjects, measures = fit.units, fit.subject_labels, fit.measure_labels
-        manifest["levels"] = fit.levels
-        manifest["config"] = asdict(fit.config)
-        header = ["t"] + [f"m_{lab}" for lab in fit.measure_labels[: len(fit.measure_effects)]]
-        effect_cols = [eff.values for eff in fit.measure_effects]
-        _write_table(
-            out / "measure_means.csv",
-            header,
-            (
-                [_fmt(t)] + [_fmt(col[s]) for col in effect_cols]
-                for s, t in enumerate(mean.grid.points)
-            ),
-        )
-
-    grid = mean.grid
+    manifest = {"format_version": FORMAT_VERSION, "library_version": __version__,
+                "levels": fit.levels, "config": asdict(fit.config)}
+    grid, subjects, measures = fit.grid, fit.subject_labels, fit.measure_labels
+    header = ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]]
+    effect_cols = [eff.values for eff in fit.measure_effects]
+    _write_table(
+        out / "measure_means.csv",
+        header,
+        (
+            [_fmt(t)] + [_fmt(col[s]) for col in effect_cols]
+            for s, t in enumerate(grid.points)
+        ),
+    )
     _write_table(
         out / "mean.csv",
         ["t", "value", "w"],
         (
             [_fmt(t), _fmt(v), _fmt(w)]
-            for t, v, w in zip(grid.points, mean.values, grid.weights)
+            for t, v, w in zip(grid.points, fit.global_mean.values, grid.weights)
         ),
     )
     eigen_rows = []
-    for level, eig in enumerate(eigs, start=1):
+    for level, eig in enumerate(fit.level_eig, start=1):
         eigen_rows.extend(_eigen_rows(level, eig))
         k = eig.n_components
         ef_header = ["t"] + [f"ef_{a}" for a in range(1, k + 1)]
@@ -367,7 +358,7 @@ def write_fit(
         _write_table(out / f"eigenfunctions_level{level}.csv", ef_header, rows)
     _write_table(out / "eigenvalues.csv", ["level", "component", "eigenvalue"], eigen_rows)
 
-    for level, (level_units, mat) in enumerate(zip(units, scores), start=1):
+    for level, (level_units, mat) in enumerate(zip(fit.units, fit.scores), start=1):
         rows = []
         for unit, score_row in zip(level_units, mat):
             key = [subjects[unit[0] - 1]]
@@ -387,39 +378,70 @@ def write_fit(
     return out
 
 
+def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
+    """The error of the first data row of a fit table that has other cells
+    than its header or a value cell that does not parse, cited by its
+    physical line; `fault` is what the bulk parse saw, for when no row does.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            width = len(next(reader, []))
+            for record in filter(None, reader):
+                if len(record) != width:
+                    raise ValueError(f"{len(record)} cells, the header has {width}")
+                for cell in record[n_keys:]:
+                    _to_float(cell)
+        except (ValueError, csv.Error) as exc:
+            return ParseError(f"{path}:{reader.line_num}: {exc}")
+    return ParseError(f"{path}: {fault}")
+
+
 def _read_numeric(
     path: Path, n_keys: int = 0
 ) -> tuple[list[str], list[list[str]], np.ndarray]:
     """A fit table's header, its first n_keys columns as label rows, and its
     other columns as one float matrix, parsed in one bulk pass.
 
-    A missing file, a short row or a cell that does not parse is a
-    ParseError naming the file.
+    A missing or empty file, a row with more or fewer cells than the header,
+    and a value cell that does not parse are each a ParseError naming the
+    file, and the line where there is one.
     """
     if not path.exists():
         raise ParseError(f"missing fit file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found is None:
-                raise ParseError(f"{path}: empty file")
+            header = next(reader, [])
+            if not header or len(header) < n_keys:
+                raise ValueError(f"header {header} lacks the {n_keys} key columns"
+                                 if header else "empty file")
             skip = reader.line_num  # a quoted label may span lines
-            keys = [row[:n_keys] for row in reader if row] if n_keys else []
+            keyed = [(len(row), row[:n_keys]) for row in reader if row] if n_keys else []
             fh.seek(0)
-            values = _load_columns(fh, list(range(n_keys, len(found))), float, skip)
+            # without usecols the bulk parse rejects rows of unequal width
+            values = _load_columns(
+                fh, list(range(n_keys, len(header))) if n_keys else None, float, skip
+            )
         except (ValueError, csv.Error) as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    if n_keys and len(keys) != len(values):
-        raise ParseError(f"{path}: {len(keys)} keyed rows but {len(values)} value rows")
-    return found, keys, values
+            raise _table_error(path, n_keys, str(exc)) from None
+    if n_keys:
+        ok = len(keyed) == len(values) and all(w == len(header) for w, _ in keyed)
+    else:
+        ok = not len(values) or values.shape[1] == len(header)
+    if not ok:
+        raise _table_error(path, n_keys, "a row's width differs from the header's")
+    # a table without data rows keeps its header's width
+    values = values.reshape(len(values), len(header) - n_keys)
+    return header, [key for _, key in keyed], values
 
 
-def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
+def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     """Load a fit directory written by write_fit.
 
     Every table and JSON file is parsed in full before any value is used, and
-    a fault in one is a ParseError naming that file.
+    a fault in one, or a manifest whose levels is not 2 or 3, is a ParseError
+    naming that file.
     """
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
@@ -438,6 +460,8 @@ def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
         raise ParseError(
             f"{d}: manifest has no integer 'levels' field; not a fit directory"
         ) from None
+    if levels not in (2, 3):
+        raise ParseError(f"{manifest_path}: levels must be 2 or 3, got {levels}")
     header, _, mean_table = _read_numeric(d / "mean.csv")
     if header != ["t", "value", "w"]:
         raise ParseError(f"{d}/mean.csv: unexpected header {header}")
@@ -491,14 +515,6 @@ def read_fit(fit_dir: Union[str, Path]) -> Union[MultilevelFit, FpcaFit]:
             ))
         except (KeyError, IndexError, ValueError) as exc:
             raise ParseError(f"{path}: unit key not in the fit: {exc}") from None
-    if levels == 1:
-        return FpcaFit(
-            mean=Curve(grid, mean_values),
-            eig=level_eigs[0],
-            scores=scores[0],
-            noise_variance=noise,
-        )
-
     _, _, mm_table = _read_numeric(d / "measure_means.csv")
     effects = tuple(Curve(grid, col) for col in mm_table[:, 1:].T)
     defaults = asdict(FitConfig(levels=levels))

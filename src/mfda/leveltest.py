@@ -216,9 +216,6 @@ class TestReport:
     def raw_pvalues(self) -> np.ndarray:
         return np.array([r.p_raw for r in self.per_score])
 
-    def adjusted_pvalues(self) -> np.ndarray:
-        return np.array([r.p_adjusted for r in self.per_score])
-
 
 def two_sample_score_test(
     A: np.ndarray,

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import CenteringMeans, Curve, CurveSet, Grid, same_grid
 from .errors import (
-    DimensionError,
     EmptyDataError,
     GridMismatchError,
     InsufficientDataError,
@@ -279,7 +278,7 @@ def _level_covariances(
     h = _moment_surfaces(rv)
     k = (h[0],) + tuple(deep - shallow for shallow, deep in zip(h, h[1:]))
     narrow = smooth_covariance(k[-1], grid, noise_bandwidth)
-    sigma2 = estimate_noise(k[-1], narrow, grid)
+    sigma2 = estimate_noise_gap(k[-1], narrow)
     if bandwidth is not None:
         k = tuple(smooth_covariance(s, grid, bandwidth) for s in k)
     k = k[:-1] + (_replace_diagonal(k[-1], narrow),)
@@ -298,54 +297,6 @@ def sigma_B_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
     subject-sum identity; unbiased for the subject-level surface.
     """
     return _moment_surfaces(_centred_design(X, means, levels=2))[0]
-
-
-def sigma_W_hat(sigma_T: np.ndarray, sigma_B: np.ndarray) -> np.ndarray:
-    """Within-subject surface as the entrywise difference total - between."""
-    sigma_T = np.asarray(sigma_T, dtype=float)
-    sigma_B = np.asarray(sigma_B, dtype=float)
-    if sigma_T.shape != sigma_B.shape:
-        raise DimensionError(
-            f"shape mismatch: {sigma_T.shape} vs {sigma_B.shape}"
-        )
-    return sigma_T - sigma_B
-
-
-def total_design_matrix(n_rows: int) -> np.ndarray:
-    """Design matrix G_T = (1/N)(I - 11^T/N) so X^T G_T X is the grand-mean
-    centered covariance with 1/N normalization."""
-    if n_rows < 1:
-        raise DimensionError("need at least one row")
-    return (np.eye(n_rows) - np.full((n_rows, n_rows), 1.0 / n_rows)) / n_rows
-
-
-def sandwich_covariance(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Sandwich-form surface X^T G X for a row-stacked data matrix."""
-    X = np.asarray(X, dtype=float)
-    G = np.asarray(G, dtype=float)
-    if X.ndim != 2 or G.shape != (X.shape[0], X.shape[0]):
-        raise DimensionError(
-            f"G must be {X.shape[0]}x{X.shape[0]} for data {X.shape}"
-        )
-    return X.T @ G @ X
-
-
-def estimate_noise(
-    raw_within: np.ndarray, smoothed_within: np.ndarray, grid: Grid
-) -> float:
-    """Noise variance from the mean raw-minus-smoothed diagonal gap."""
-    raw_within = np.asarray(raw_within, dtype=float)
-    if raw_within.shape != (grid.size, grid.size):
-        raise DimensionError("within surface does not match the grid")
-    return estimate_noise_gap(raw_within, smoothed_within)
-
-
-def two_level_covariances(
-    X: CurveSet, means: CenteringMeans, noise_bandwidth: float = NOISE_BANDWIDTH
-) -> LevelCovariances:
-    """H1 = Sigma_B, H2 = Sigma_T, K2 = Sigma_W plus the diagonal-gap noise."""
-    rv = _centred_design(X, means, levels=2)
-    return _level_covariances(rv, X.grid, noise_bandwidth)
 
 
 def three_level_covariances(

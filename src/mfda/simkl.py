@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 import yaml
 
-from .core import Curve, CurveSet, Grid, NestedIndex
+from .core import CurveSet, Grid, NestedIndex
 from .errors import InvalidBasisError, InvalidParameterError, ParseError
 
 _EXPR_NAMESPACE = {
@@ -312,13 +312,16 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
     )
 
 
-def load_spec(path: str) -> GeneratorSpec:
-    """Read a generator spec from a YAML file."""
+def load_spec(path: str, seed: Optional[int] = None) -> GeneratorSpec:
+    """Read a generator spec from a YAML file; a given seed replaces the
+    spec's own."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot parse spec file {path}: {exc}") from None
+    if seed is not None and isinstance(data, Mapping):
+        data = {**data, "seed": seed}
     return spec_from_dict(data)
 
 
@@ -445,7 +448,3 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
         analytic_icc=spec.analytic_icc(),
     )
     return curves, truth
-
-
-def mean_curve_of(spec: GeneratorSpec) -> Curve:
-    return Curve(spec.grid, spec.mean)

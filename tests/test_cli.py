@@ -86,6 +86,23 @@ class TestSimulate:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "just a string\n"])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+    def test_non_mapping_spec_exits_2(self, tmp_path, capsys, text, seed):
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(text)
+        argv = ["simulate", str(spec_path), "--out", str(tmp_path / "o"), *seed]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: generator spec must be a mapping\n"
+
+    def test_undecodable_spec_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_bytes(b"\xff\xfe grid")
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse spec file {spec_path}: ")
+        assert err.count("\n") == 1
+
     def test_negative_spec_seed_exits_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
@@ -208,6 +225,25 @@ class TestFit:
         assert manifest["config"]["smooth"] is True
         assert manifest["config"]["bandwidth"] == 0.08
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf"])
+    def test_non_finite_bandwidth_exits_2(
+        self, sim_dir, tmp_path, capsys, bandwidth
+    ):
+        argv = ["fit", str(sim_dir / "data.csv"), "--channel", "sim",
+                "--smooth", bandwidth, "--out", str(tmp_path / "fs")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bandwidth must be positive and finite, got {float(bandwidth)}\n"
+        )
+        assert not (tmp_path / "fs").exists()
+
+
+def edit_line(text: str, line: int, edit) -> str:
+    """text with its 1-based physical line replaced by edit(line)."""
+    lines = text.split("\n")
+    lines[line - 1] = edit(lines[line - 1])
+    return "\n".join(lines)
+
 
 def handmade_fit_dir(tmp_path: Path) -> Path:
     from mfda.core import Grid
@@ -285,6 +321,21 @@ class TestIcc:
             ("manifest.json",
              lambda text: text.replace('"pve": 0.99', '"pve": "most"'),
              "manifest.json"),
+            ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 1'),
+             "levels must be 2 or 3, got 1"),
+            ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 4'),
+             "levels must be 2 or 3, got 4"),
+            ("mean.csv", lambda text: edit_line(text, 4, lambda row: row + ",7.5"),
+             "mean.csv:4: 4 cells, the header has 3"),
+            ("mean.csv", lambda text: edit_line(text, 4, lambda row: "abc" + row[3:]),
+             "mean.csv:4: could not convert"),
+            ("mean.csv", lambda text: text.replace("\n", ",0\n").replace(",0\n", "\n", 1),
+             "mean.csv:2: 4 cells, the header has 3"),
+            ("scores_level2.csv", lambda text: edit_line(text, 3, lambda row: row + ",9"),
+             "scores_level2.csv:3: 5 cells, the header has 4"),
+            ("scores_level1.csv",
+             lambda text: edit_line(text, 2, lambda row: row.rsplit(",", 1)[0]),
+             "scores_level1.csv:2: 2 cells, the header has 3"),
         ],
     )
     def test_hand_edited_fit_file_exits_2(self, tmp_path, capsys, name, edit, needle):

@@ -1,9 +1,14 @@
-"""Single-level FPCA: estimators, eigenproblem, scores, reconstruction."""
+"""The eigen layer, and the pooled moments and scores around it.
+
+Pooled rows are laid out as one subject's measures, so the nested
+estimators see them as a single sample: the grand mean of measure_means,
+the total surface of sigma_T_hat, and the zero-noise BLUP projection.
+"""
 
 import numpy as np
 import pytest
 
-from mfda.core import Curve, CurveSet, Grid, NestedIndex
+from mfda.core import CenteringMeans, Curve, CurveSet, Grid, NestedIndex
 from mfda.errors import (
     AsymmetricMatrixError,
     DegenerateSpectrumError,
@@ -14,31 +19,34 @@ from mfda.errors import (
 from mfda.fpca import (
     EigenSystem,
     eigendecompose,
-    empirical_covariance,
-    fit_fpca,
-    mean_curve,
-    project_scores,
-    reconstruct,
     select_k,
     smooth_covariance,
 )
-from mfda.simkl import fourier_basis
+from mfda.mfpca import FitConfig, blup_scores, fit_nested, measure_means, sigma_T_hat
+from mfda.simkl import fourier_basis, generate
+
+from .conftest import n2_spec, n3_spec
 
 
 def independent_rows(values: np.ndarray, grid: Grid) -> CurveSet:
-    index = tuple(NestedIndex(i + 1, 1) for i in range(values.shape[0]))
+    index = tuple(NestedIndex(1, i + 1) for i in range(values.shape[0]))
     return CurveSet(grid, index, values)
 
 
-def kl_sample(grid: Grid, lam, n: int, seed: int, noise: float = 0.0):
+def mean_curve(X: CurveSet) -> Curve:
+    return measure_means(X, center_measures=False).global_mean
+
+
+def empirical_covariance(X: CurveSet) -> np.ndarray:
+    return sigma_T_hat(X, measure_means(X, center_measures=False))
+
+
+def kl_sample(grid: Grid, lam, n: int, seed: int) -> CurveSet:
     """Independent KL draws: sum_k sqrt(lam_k) z_ik e_k(t)."""
     basis = fourier_basis(grid, len(lam))
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n, len(lam))) * np.sqrt(lam)
-    values = scores @ basis.T
-    if noise > 0:
-        values = values + rng.normal(0.0, np.sqrt(noise), values.shape)
-    return independent_rows(values, grid), scores, basis
+    return independent_rows(scores @ basis.T, grid)
 
 
 def from_weighted(A: np.ndarray, grid: Grid) -> np.ndarray:
@@ -76,17 +84,17 @@ class TestEmpiricalCovariance:
     def test_two_point_toy(self):
         grid = Grid.uniform(2)
         X = independent_rows(np.array([[1.0, -1.0], [-1.0, 1.0]]), grid)
-        S = empirical_covariance(X, mean_curve(X))
+        S = empirical_covariance(X)
         np.testing.assert_allclose(S, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_constant_rows(self, small_grid):
         X = independent_rows(np.ones((5, small_grid.size)), small_grid)
-        S = empirical_covariance(X, mean_curve(X))
+        S = empirical_covariance(X)
         np.testing.assert_allclose(S, 0.0, atol=1e-14)
 
     def test_kl_eigenvalue_recovery(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=2000, seed=99)
-        S = empirical_covariance(X, mean_curve(X))
+        X = kl_sample(uniform_grid, [2.0, 1.0], n=2000, seed=99)
+        S = empirical_covariance(X)
         eig = eigendecompose(S, uniform_grid)
         assert eig.eigenvalues[0] == pytest.approx(2.0, rel=0.10)
         assert eig.eigenvalues[1] == pytest.approx(1.0, rel=0.10)
@@ -94,7 +102,7 @@ class TestEmpiricalCovariance:
     def test_insufficient_rows(self, small_grid):
         X = independent_rows(np.ones((1, small_grid.size)), small_grid)
         with pytest.raises(InsufficientDataError):
-            empirical_covariance(X, mean_curve(X))
+            empirical_covariance(X)
 
 
 class TestSmoothCovariance:
@@ -271,100 +279,78 @@ class TestSelectK:
 
 
 class TestProjectScores:
+    """blup_scores without noise: curves in the span get their coordinates."""
+
+    @staticmethod
+    def _eigs(grid, lam):
+        lam = np.asarray(lam, dtype=float)
+        basis = fourier_basis(grid, lam.size)
+        empty = EigenSystem(grid, np.zeros(0), np.zeros((grid.size, 0)), np.zeros(0))
+        return EigenSystem(grid, lam, basis, np.cumsum(lam) / lam.sum()), empty
+
     def test_exact_eigenfunction(self, uniform_grid):
-        basis = fourier_basis(uniform_grid, 3)
-        lam = np.array([3.0, 2.0, 1.0])
-        eig = EigenSystem(uniform_grid, lam, basis, np.cumsum(lam) / lam.sum())
+        eigs = self._eigs(uniform_grid, [3.0, 2.0, 1.0])
         mean = Curve(uniform_grid, np.zeros(uniform_grid.size))
-        X = independent_rows(basis[:, 0][None, :], uniform_grid)
-        scores = project_scores(X, mean, eig)
-        np.testing.assert_allclose(scores, [[1.0, 0.0, 0.0]], atol=1e-8)
+        X = independent_rows(np.tile(eigs[0].functions[:, 0], (2, 1)), uniform_grid)
+        scores = blup_scores(X, CenteringMeans(mean), eigs, 0.0)
+        np.testing.assert_allclose(scores[0], [[1.0, 0.0, 0.0]], atol=1e-8)
 
     def test_mean_rows_give_zero(self, uniform_grid):
         mu = np.linspace(0, 1, uniform_grid.size)
-        basis = fourier_basis(uniform_grid, 2)
-        eig = EigenSystem(
-            uniform_grid, np.ones(2), basis, np.array([0.5, 1.0])
-        )
+        eigs = self._eigs(uniform_grid, [1.0, 1.0])
         X = independent_rows(np.tile(mu, (3, 1)), uniform_grid)
-        scores = project_scores(X, Curve(uniform_grid, mu), eig)
-        np.testing.assert_allclose(scores, 0.0, atol=1e-12)
-
-    def test_matches_direct_quadrature_oracle(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=12, seed=77, noise=0.3)
-        fit = fit_fpca(X, pve=0.95)
-        scores = project_scores(X, fit.mean, fit.eig)
-        # independent oracle: plain python accumulation of the quadrature sum
-        w = uniform_grid.weights
-        for i in range(len(X)):
-            for a in range(fit.eig.n_components):
-                acc = 0.0
-                for j in range(uniform_grid.size):
-                    acc += w[j] * (X.values[i, j] - fit.mean.values[j]) * (
-                        fit.eig.functions[j, a]
-                    )
-                assert abs(acc - scores[i, a]) < 1e-10
+        scores = blup_scores(X, CenteringMeans(Curve(uniform_grid, mu)), eigs, 0.0)
+        np.testing.assert_allclose(scores[0], 0.0, atol=1e-12)
 
 
 class TestReconstruct:
-    def _fit(self, uniform_grid, n=20, seed=3):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=n, seed=seed)
-        return X, fit_fpca(X, pve=1.0)
+    """EigenSystem.truncated: the K leading components a fit keeps."""
+
+    @staticmethod
+    def _eig(grid):
+        lam = np.array([2.0, 1.0])
+        return EigenSystem(grid, lam, fourier_basis(grid, 2), np.cumsum(lam) / 3.0)
 
     def test_k_zero_returns_mean(self, uniform_grid):
-        X, fit = self._fit(uniform_grid)
-        rec = reconstruct(fit, 0)
-        for row in rec.values:
-            np.testing.assert_array_equal(row, fit.mean.values)
-
-    def test_exact_rank_recovery(self, uniform_grid):
-        X, fit = self._fit(uniform_grid)
-        rec = reconstruct(fit, 2)
-        assert np.max(np.abs(rec.values - X.values)) < 1e-6
-
-    def test_error_nonincreasing_in_k(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=15, seed=9, noise=0.5)
-        fit = fit_fpca(X, pve=1.0)
-        w = uniform_grid.weights
-
-        def ise(k):
-            rec = reconstruct(fit, k)
-            return float(np.sum((rec.values - X.values) ** 2 @ w))
-
-        assert ise(1) >= ise(2)
+        # a level that keeps no components adds nothing to the mean
+        none = self._eig(uniform_grid).truncated(0)
+        assert none.functions.shape == (uniform_grid.size, 0)
+        np.testing.assert_array_equal(none.variance_curve(), 0.0)
 
     def test_k_out_of_range(self, uniform_grid):
-        _, fit = self._fit(uniform_grid)
-        with pytest.raises(InvalidParameterError):
-            reconstruct(fit, fit.eig.n_components + 1)
+        eig = self._eig(uniform_grid)
+        for k in (-1, eig.n_components + 1):
+            with pytest.raises(InvalidParameterError):
+                eig.truncated(k)
 
 
 class TestFitProperties:
-    def test_score_variance_approaches_eigenvalue(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=2000, seed=123)
-        fit = fit_fpca(X, pve=0.95)
-        top_var = float(np.var(fit.scores[:, 0]))
-        assert top_var == pytest.approx(2.0, rel=0.15)
+    def test_score_variance_approaches_eigenvalue(self):
+        X, _ = generate(n2_spec(123, n=500, J=4, m=41))
+        fit = fit_nested(X, FitConfig(levels=2, pve=0.95))
+        top_var = float(np.var(fit.scores[0][:, 0]))
+        assert top_var == pytest.approx(4.0, rel=0.15)
 
-    def test_score_columns_centered(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=200, seed=17, noise=0.2)
-        fit = fit_fpca(X, pve=0.95)
-        n = fit.scores.shape[0]
-        for a in range(fit.eig.n_components):
-            bound = 3.0 * np.sqrt(max(fit.eig.eigenvalues[a], 1e-12) / n)
-            assert abs(fit.scores[:, a].mean()) <= bound
+    def test_score_columns_centered(self):
+        X, _ = generate(n2_spec(17, n=50, J=4, m=41))
+        fit = fit_nested(X, FitConfig(levels=2, pve=0.95))
+        for eig, scores in zip(fit.level_eig, fit.scores):
+            n = scores.shape[0]
+            for a in range(eig.n_components):
+                bound = 3.0 * np.sqrt(max(eig.eigenvalues[a], 1e-12) / n)
+                assert abs(scores[:, a].mean()) <= bound
 
-    def test_bitwise_deterministic(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=50, seed=21, noise=0.4)
-        a = fit_fpca(X, pve=0.99)
-        b = fit_fpca(X, pve=0.99)
-        assert np.array_equal(a.scores, b.scores)
-        assert np.array_equal(a.eig.eigenvalues, b.eig.eigenvalues)
-        assert np.array_equal(a.eig.functions, b.eig.functions)
+    def test_bitwise_deterministic(self):
+        X, _ = generate(n3_spec(21, n=10, J=2, K_rep=3, m=21))
+        a = fit_nested(X, FitConfig(levels=3))
+        b = fit_nested(X, FitConfig(levels=3))
+        assert a.noise_variance == b.noise_variance
+        for sa, sb, ea, eb in zip(a.scores, b.scores, a.level_eig, b.level_eig):
+            assert np.array_equal(sa, sb)
+            assert np.array_equal(ea.eigenvalues, eb.eigenvalues)
+            assert np.array_equal(ea.functions, eb.functions)
 
-    def test_noise_estimation_requested(self, uniform_grid):
-        X, _, _ = kl_sample(uniform_grid, [2.0, 1.0], n=400, seed=29, noise=1.0)
-        fit = fit_fpca(X, pve=0.95, estimate_noise=True)
+    def test_noise_estimation_requested(self):
+        X, _ = generate(n3_spec(29, n=40, J=2, K_rep=5, m=41, noise=1.0))
+        fit = fit_nested(X, FitConfig(levels=3))
         assert 0.5 < fit.noise_variance < 1.5
-        plain = fit_fpca(X, pve=0.95)
-        assert plain.noise_variance == 0.0

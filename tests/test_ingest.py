@@ -18,7 +18,6 @@ from mfda.errors import (
     MfdaError,
     ParseError,
 )
-from mfda.fpca import fit_fpca
 from mfda.ingest import (
     GRID_POLICIES,
     LONG_COLUMNS,
@@ -452,21 +451,15 @@ class TestFitRoundTrip:
         fits_equal(fit, read_fit(out))
 
     def test_fpca_fit(self, tmp_path):
-        from mfda.core import Grid, NestedIndex
+        # a single-level (levels 1) fit directory is refused
+        import json
 
-        rng = np.random.default_rng(5)
-        grid = Grid.uniform(21)
-        index = tuple(NestedIndex(i + 1, 1) for i in range(20))
-        X = CurveSet(grid, index, rng.normal(size=(20, 21)))
-        fit = fit_fpca(X, pve=0.9)
-        out = tmp_path / "fpca"
-        write_fit(fit, out)
-        back = read_fit(out)
-        np.testing.assert_allclose(back.mean.values, fit.mean.values, atol=1e-12)
-        np.testing.assert_allclose(
-            back.eig.eigenvalues, fit.eig.eigenvalues, atol=1e-12
-        )
-        np.testing.assert_allclose(back.scores, fit.scores, atol=1e-12)
+        X, _ = generate(n2_spec(11, n=4, J=2, m=7))
+        out = write_fit(fit_nested(X, FitConfig(levels=2)), tmp_path / "fit")
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps({**manifest, "levels": 1}))
+        with pytest.raises(ParseError, match="levels must be 2 or 3, got 1"):
+            read_fit(out)
 
     def test_zero_component_level_header_only(self, tmp_path):
         X, _ = generate(n2_spec(13, n=8, J=2, m=11, lam2=(0.0,), noise=0.0))

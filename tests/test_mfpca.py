@@ -5,29 +5,23 @@ import pytest
 
 from mfda.core import CenteringMeans, Curve, CurveSet, Grid, NestedIndex
 from mfda.errors import (
-    DimensionError,
     InsufficientDataError,
     SingularSystemError,
     UnbalancedDesignError,
 )
 import mfda.mfpca
 from mfda.core import center_rows
-from mfda.fpca import EigenSystem, eigendecompose, smooth_covariance
+from mfda.fpca import EigenSystem, eigendecompose, estimate_noise_gap, smooth_covariance
 from mfda.mfpca import (
     NOISE_BANDWIDTH,
     FitConfig,
     blup_scores,
     canonical_design,
-    estimate_noise,
     fit_nested,
     measure_means,
-    sandwich_covariance,
     sigma_B_hat,
     sigma_T_hat,
-    sigma_W_hat,
     three_level_covariances,
-    total_design_matrix,
-    two_level_covariances,
 )
 from mfda.simkl import fourier_basis, generate
 
@@ -267,31 +261,24 @@ class TestSigmaEstimators:
             sigma_B_hat(X, zero_means(small_grid))
 
     def test_sigma_W_difference_and_trimming(self):
-        s_T = np.array([[2.0, 0.0], [0.0, 2.0]])
-        s_B = np.array([[3.0, 0.0], [0.0, 1.0]])
-        s_W = sigma_W_hat(s_T, s_B)
-        np.testing.assert_array_equal(s_W, [[-1.0, 0.0], [0.0, 1.0]])
-        # eigendecomposition in pre-weighted coordinates keeps only (1, e2)
+        # one subject, two measures: total diag(1, 1), between diag(1, -1)
         grid = Grid.uniform(2)
+        X = two_level_set(np.array([[1.0, 1.0], [1.0, -1.0]]), grid, J=2)
+        means = zero_means(grid)
+        s_W = sigma_T_hat(X, means) - sigma_B_hat(X, means)
+        np.testing.assert_array_equal(s_W, [[0.0, 0.0], [0.0, 2.0]])
+        # eigendecomposition in pre-weighted coordinates keeps only (1, e2)
         inv_sqrt_w = 1.0 / np.sqrt(grid.weights)
         S = inv_sqrt_w[:, None] * np.diag([-1.0, 1.0]) * inv_sqrt_w[None, :]
         eig = eigendecompose(S, grid)
         assert eig.n_components == 1
         np.testing.assert_allclose(eig.eigenvalues, [1.0])
 
-    def test_sigma_W_zero_when_equal(self, small_grid):
-        S = np.eye(small_grid.size)
-        np.testing.assert_array_equal(sigma_W_hat(S, S), 0.0)
-
-    def test_sigma_W_dimension_error(self):
-        with pytest.raises(DimensionError):
-            sigma_W_hat(np.eye(3), np.eye(4))
-
     def test_sigma_W_eigenvalue_recovery(self):
         spec = n2_spec(41, n=500, J=4, m=41, noise=0.0)
         X, _ = generate(spec)
         means = measure_means(X)
-        s_W = sigma_W_hat(sigma_T_hat(X, means), sigma_B_hat(X, means))
+        s_W = sigma_T_hat(X, means) - sigma_B_hat(X, means)
         eig = eigendecompose(s_W, X.grid)
         np.testing.assert_allclose(eig.eigenvalues[0], 2.0, rtol=0.15)
         np.testing.assert_allclose(eig.eigenvalues[1], 1.0, rtol=0.15)
@@ -316,45 +303,23 @@ class TestSigmaEstimators:
 
 
 class TestSandwich:
-    def test_zero_design(self):
-        X = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(
-            sandwich_covariance(X, np.zeros((4, 4))), 0.0
-        )
-
-    def test_total_design_matches_direct_formula(self):
-        rng = np.random.default_rng(99)
-        X = rng.normal(size=(4, 3))
-        G = total_design_matrix(4)
-        direct = np.zeros((3, 3))
-        xbar = X.mean(axis=0)
-        for row in X:
-            direct += np.outer(row - xbar, row - xbar)
-        direct /= 4
-        assert np.max(np.abs(sandwich_covariance(X, G) - direct)) < 1e-12
-
     def test_total_design_equals_sigma_T_grand_mean_only(self, small_grid):
         spec = n2_spec(11, n=4, J=2, m=small_grid.size)
         X, _ = generate(spec)
         means = measure_means(X, center_measures=False)
         S = sigma_T_hat(X, means)
-        sand = sandwich_covariance(
-            X.sorted().values - X.values.mean(axis=0) * 0.0,
-            total_design_matrix(len(X)),
-        )
-        assert np.max(np.abs(S - sand)) < 1e-12
+        # sandwich form X^T G X with the total design G = (I - 11^T/N)/N
+        N = len(X)
+        G = (np.eye(N) - np.full((N, N), 1.0 / N)) / N
+        assert np.max(np.abs(S - X.values.T @ G @ X.values)) < 1e-12
 
-    def test_symmetric_design_gives_symmetric_output(self):
+    def test_symmetric_design_gives_symmetric_output(self, small_grid):
+        # the between surface is the sandwich of a symmetric design, so it is
+        # returned exactly symmetric, as eigendecompose requires
         rng = np.random.default_rng(7)
-        X = rng.normal(size=(6, 4))
-        A = rng.normal(size=(6, 6))
-        G = 0.5 * (A + A.T)
-        out = sandwich_covariance(X, G)
-        assert np.max(np.abs(out - out.T)) < 1e-12
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            sandwich_covariance(np.zeros((4, 3)), np.zeros((3, 3)))
+        X = two_level_set(rng.normal(size=(12, small_grid.size)), small_grid, J=3)
+        S = sigma_B_hat(X, measure_means(X))
+        np.testing.assert_array_equal(S, S.T)
 
 
 class TestThreeLevelCovariances:
@@ -423,21 +388,21 @@ class TestThreeLevelCovariances:
 class TestEstimateNoise:
     def test_equal_surfaces(self, small_grid):
         S = np.eye(small_grid.size)
-        assert estimate_noise(S, S, small_grid) == 0.0
+        assert estimate_noise_gap(S, S) == 0.0
 
     def test_shifted_diagonal(self, small_grid):
         S = np.outer(np.ones(small_grid.size), np.ones(small_grid.size))
-        assert estimate_noise(S + 2.0 * np.eye(small_grid.size), S, small_grid) == pytest.approx(2.0)
+        assert estimate_noise_gap(S + 2.0 * np.eye(small_grid.size), S) == pytest.approx(2.0)
 
     def test_clamped_at_zero(self, small_grid):
         S = np.zeros((small_grid.size, small_grid.size))
-        assert estimate_noise(S, S + np.eye(small_grid.size), small_grid) == 0.0
+        assert estimate_noise_gap(S, S + np.eye(small_grid.size)) == 0.0
 
     def test_simulation_recovery(self):
         spec = n2_spec(3001, n=200, J=4, m=101, noise=1.0)
         X, _ = generate(spec)
-        cov = two_level_covariances(X, measure_means(X))
-        assert 0.7 <= cov.noise_variance <= 1.3
+        fit = fit_nested(X, FitConfig(levels=2))
+        assert 0.7 <= fit.noise_variance <= 1.3
 
 
 class TestBlupScores:
@@ -472,7 +437,7 @@ class TestBlupScores:
         X, _ = generate(spec)
         means = measure_means(X)
         eig1 = eigendecompose(sigma_B_hat(X, means), uniform_grid).truncated(2)
-        s_W = sigma_W_hat(sigma_T_hat(X, means), sigma_B_hat(X, means))
+        s_W = sigma_T_hat(X, means) - sigma_B_hat(X, means)
         eig2 = eigendecompose(s_W, uniform_grid).truncated(2)
         prev = None
         for sigma2 in (1e-6, 0.01, 0.1, 1.0, 10.0, 100.0):
