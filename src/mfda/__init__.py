@@ -20,12 +20,7 @@ from .core import (  # noqa: F401
     same_grid,
     trapezoid_weights,
 )
-from .fpca import (  # noqa: F401
-    EigenSystem,
-    eigendecompose,
-    select_k,
-    smooth_covariance,
-)
+from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k  # noqa: F401
 from .icc import IccReport, global_icc, icc_report, pointwise_icc  # noqa: F401
 from .leveltest import (  # noqa: F401
     TestReport,

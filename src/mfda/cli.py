@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .fpca import DEFAULT_BANDWIDTH
 from .icc import icc_report
 from .ingest import (
     read_fit,
@@ -90,13 +89,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not data_path.exists():
         raise FileNotFoundError(f"data file not found: {data_path}")
     curves, report = read_long_csv(data_path, args.channel, args.grid_policy)
-    smooth = args.smooth is not None
     config = FitConfig(
-        levels=args.levels,
-        pve=args.pve,
-        smooth=smooth,
-        bandwidth=args.smooth if smooth else DEFAULT_BANDWIDTH,
-        center_measures=not args.no_measure_means,
+        levels=args.levels, pve=args.pve, center_measures=not args.no_measure_means
     )
     fit = fit_nested(curves, config)
     write_fit(
@@ -109,15 +103,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "grid_policy": args.grid_policy,
         },
     )
-    counts = curves.design_counts()
-    n = len(counts)
-    J = len(next(iter(counts.values())))
-    K_rep = next(iter(next(iter(counts.values())).values()))
+    n, rows = len(fit.units[0]), len(fit.units[1])
     lines = [
         f"levels: {fit.levels}",
         f"subjects: {n}",
-        f"measures: {J}",
-        f"replicates: {K_rep}",
+        f"measures: {rows // n}",
+        f"replicates: {len(curves) // rows}",
         f"grid_points: {fit.grid.size}",
     ]
     for level, k in enumerate(fit.retained, start=1):
@@ -169,16 +160,8 @@ def cmd_test(args: argparse.Namespace) -> int:
             f"{sorted(known, key=str)}"
         )
     label_of = {j + 1: lab for j, lab in enumerate(fit.measure_labels)}
-    rows_a = [
-        r
-        for r, unit in enumerate(fit.units[1])
-        if label_of[unit[1]] in group_a
-    ]
-    rows_b = [
-        r
-        for r, unit in enumerate(fit.units[1])
-        if label_of[unit[1]] in group_b
-    ]
+    rows_a = [r for r, unit in enumerate(fit.units[1]) if label_of[unit[1]] in group_a]
+    rows_b = [r for r, unit in enumerate(fit.units[1]) if label_of[unit[1]] in group_b]
     scores = fit.scores[1]
     report = two_sample_score_test(
         scores[rows_a],
@@ -284,15 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="channel to analyze")
     p.add_argument("--levels", type=int, choices=(2, 3), default=2)
     p.add_argument("--pve", type=float, default=0.99)
-    p.add_argument(
-        "--smooth",
-        nargs="?",
-        type=float,
-        const=DEFAULT_BANDWIDTH,
-        default=None,
-        metavar="BANDWIDTH",
-        help="smooth level surfaces (optional bandwidth, default 0.05)",
-    )
     p.add_argument("--out", required=True, help="fit output directory")
     p.add_argument(
         "--grid-policy", choices=("strict", "intersect"), default="strict"

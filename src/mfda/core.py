@@ -8,6 +8,7 @@ is pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -190,33 +191,12 @@ class CurveSet:
     def __iter__(self) -> Iterator[tuple[NestedIndex, np.ndarray]]:
         return zip(self.index, self.values)
 
-    @property
-    def n_subjects(self) -> int:
-        return len({ix.subject for ix in self.index})
-
-    @property
-    def n_measures(self) -> int:
-        return len({ix.measure for ix in self.index})
-
-    def design_counts(self) -> dict[int, dict[int, int]]:
-        """{subject: {measure: replicate count}} for the whole set."""
-        counts: dict[int, dict[int, int]] = {}
-        for ix in self.index:
-            counts.setdefault(ix.subject, {}).setdefault(ix.measure, 0)
-            counts[ix.subject][ix.measure] += 1
-        return counts
-
     def is_balanced(self) -> bool:
         """Complete rectangular design: every subject has every measure with
         the same replicate count."""
-        counts = self.design_counts()
-        if not counts:
-            return False
-        measures = {frozenset(per.keys()) for per in counts.values()}
-        if len(measures) != 1:
-            return False
-        reps = {k for per in counts.values() for k in per.values()}
-        return len(reps) == 1
+        counts = Counter((ix.subject, ix.measure) for ix in self.index)
+        subjects, measures = ({key[i] for key in counts} for i in (0, 1))
+        return len(set(counts.values())) == 1 and len(counts) == len(subjects) * len(measures)
 
     def sorted(self) -> "CurveSet":
         """Rows reordered to canonical (subject, measure, replicate) order."""

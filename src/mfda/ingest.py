@@ -115,6 +115,18 @@ def _to_float(text: str) -> float:
     return float(text)
 
 
+def _not_utf8(path: Path) -> ParseError:
+    """The error of a text file that is not UTF-8, citing its first line
+    that does not decode."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
     """Raise the error of the first data row that breaks a row rule.
 
@@ -162,38 +174,42 @@ def read_long_csv(
     if grid_policy not in GRID_POLICIES:
         raise InvalidParameterError(f"grid_policy must be one of {GRID_POLICIES}")
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or set(header) != set(LONG_COLUMNS):
-            raise ParseError(
-                f"{path}: header must contain exactly the columns "
-                f"{', '.join(LONG_COLUMNS)}"
-            )
-        columns = {name: i for i, name in enumerate(header)}
-        try:
-            codes, tables, ours = _coded_labels(
-                fh, [columns[c] for c in ("subject", "measure", "replicate", "channel")], channel
-            )
-            subjects, s = _ranked(codes[:, 0], tables[0])
-            measures, m = _ranked(codes[:, 1], tables[1])
-            rep_ints = np.array([int(x) for x in tables[2]], dtype=object)
-            replicates, r = np.unique(rep_ints, return_inverse=True)
-            r = r[codes[:, 2]]
-            del codes
-            fh.seek(0)
-            tv = _load_columns(fh, [columns["t"], columns["value"]], float, 1)[ours]
-            if not np.isfinite(tv).all():
-                raise ValueError("non-finite t or value")
-            points, tc = np.unique(tv[:, 0], return_inverse=True)
-            order = np.lexsort((tc, r, m, s))
-            s, m, r, tc = s[order], m[order], r[order], tc[order]
-            new = np.ones(order.size, dtype=bool)
-            new[1:] = (s[1:] != s[:-1]) | (m[1:] != m[:-1]) | (r[1:] != r[:-1])
-            if (~new[1:] & (tc[1:] == tc[:-1])).any():
-                raise ValueError("duplicate record")
-        except ValueError as exc:
-            _raise_row_error(path, columns, channel)
-            raise ParseError(f"{path}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or set(header) != set(LONG_COLUMNS):
+                raise ParseError(
+                    f"{path}: header must contain exactly the columns "
+                    f"{', '.join(LONG_COLUMNS)}"
+                )
+            columns = {name: i for i, name in enumerate(header)}
+            try:
+                label_columns = ("subject", "measure", "replicate", "channel")
+                codes, tables, ours = _coded_labels(
+                    fh, [columns[c] for c in label_columns], channel
+                )
+                subjects, s = _ranked(codes[:, 0], tables[0])
+                measures, m = _ranked(codes[:, 1], tables[1])
+                rep_ints = np.array([int(x) for x in tables[2]], dtype=object)
+                replicates, r = np.unique(rep_ints, return_inverse=True)
+                r = r[codes[:, 2]]
+                del codes
+                fh.seek(0)
+                tv = _load_columns(fh, [columns["t"], columns["value"]], float, 1)[ours]
+                if not np.isfinite(tv).all():
+                    raise ValueError("non-finite t or value")
+                points, tc = np.unique(tv[:, 0], return_inverse=True)
+                order = np.lexsort((tc, r, m, s))
+                s, m, r, tc = s[order], m[order], r[order], tc[order]
+                new = np.ones(order.size, dtype=bool)
+                new[1:] = (s[1:] != s[:-1]) | (m[1:] != m[:-1]) | (r[1:] != r[:-1])
+                if (~new[1:] & (tc[1:] == tc[:-1])).any():
+                    raise ValueError("duplicate record")
+            except ValueError as exc:
+                _raise_row_error(path, columns, channel)
+                raise ParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not order.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 
@@ -274,12 +290,14 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
             ))
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], values: np.ndarray, keys=None) -> None:
+    """A CSV table: the header, then per row its key cells (if any) and its
+    values in shortest round-trip form."""
+    keys = keys if keys is not None else [[]] * len(values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(key + [repr(v) for v in row] for key, row in zip(keys, values.tolist()))
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
@@ -294,11 +312,6 @@ def read_json(path: Union[str, Path]) -> dict:
             return json.load(fh)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
-
-
-def _eigen_rows(level: int, eig: EigenSystem):
-    for a, lam in enumerate(eig.eigenvalues, start=1):
-        yield [level, a, _fmt(lam)]
 
 
 def _score_header(level: int, k: int) -> list[str]:
@@ -317,59 +330,43 @@ def write_fit(
     effect, none under center_measures=False), one eigenfunctions_level{l}.csv
     per level (header only when that level kept zero components),
     eigenvalues.csv, one scores_level{l}.csv per level, noise.json,
-    manifest.json.
+    manifest.json (with per-level diagnostics: the GCV smoothing penalty
+    lambda and the retained component count).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    penalties = fit.penalties or (None,) * fit.levels
     manifest = {"format_version": FORMAT_VERSION, "library_version": __version__,
-                "levels": fit.levels, "config": asdict(fit.config)}
+                "levels": fit.levels, "config": asdict(fit.config),
+                "diagnostics": {"levels": [
+                    {"level": level, "lambda": lam, "retained": eig.n_components}
+                    for level, (lam, eig) in enumerate(zip(penalties, fit.level_eig), 1)
+                ]}}
     grid, subjects, measures = fit.grid, fit.subject_labels, fit.measure_labels
-    header = ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]]
-    effect_cols = [eff.values for eff in fit.measure_effects]
+    t = grid.points[:, None]
     _write_table(
         out / "measure_means.csv",
-        header,
-        (
-            [_fmt(t)] + [_fmt(col[s]) for col in effect_cols]
-            for s, t in enumerate(grid.points)
-        ),
+        ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]],
+        np.hstack([t, *(eff.values[:, None] for eff in fit.measure_effects)]),
     )
-    _write_table(
-        out / "mean.csv",
-        ["t", "value", "w"],
-        (
-            [_fmt(t), _fmt(v), _fmt(w)]
-            for t, v, w in zip(grid.points, fit.global_mean.values, grid.weights)
-        ),
-    )
-    eigen_rows = []
+    _write_table(out / "mean.csv", ["t", "value", "w"],
+                 np.column_stack([grid.points, fit.global_mean.values, grid.weights]))
     for level, eig in enumerate(fit.level_eig, start=1):
-        eigen_rows.extend(_eigen_rows(level, eig))
         k = eig.n_components
-        ef_header = ["t"] + [f"ef_{a}" for a in range(1, k + 1)]
-        rows = (
-            (
-                [_fmt(t)] + [_fmt(eig.functions[s, a]) for a in range(k)]
-                for s, t in enumerate(grid.points)
-            )
-            if k
-            else ()
-        )
-        _write_table(out / f"eigenfunctions_level{level}.csv", ef_header, rows)
-    _write_table(out / "eigenvalues.csv", ["level", "component", "eigenvalue"], eigen_rows)
-
+        _write_table(out / f"eigenfunctions_level{level}.csv",
+                     ["t"] + [f"ef_{a}" for a in range(1, k + 1)],
+                     np.hstack([t, eig.functions]) if k else np.zeros((0, 1)))
+    _write_table(
+        out / "eigenvalues.csv", ["level", "component", "eigenvalue"],
+        np.concatenate([eig.eigenvalues for eig in fit.level_eig])[:, None],
+        [[level, a] for level, eig in enumerate(fit.level_eig, start=1)
+         for a in range(1, eig.n_components + 1)],
+    )
     for level, (level_units, mat) in enumerate(zip(fit.units, fit.scores), start=1):
-        rows = []
-        for unit, score_row in zip(level_units, mat):
-            key = [subjects[unit[0] - 1]]
-            if level >= 2:
-                key.append(measures[unit[1] - 1])
-            if level == 3:
-                key.append(unit[2])
-            rows.append(key + [_fmt(v) for v in score_row])
-        _write_table(
-            out / f"scores_level{level}.csv", _score_header(level, mat.shape[1]), rows
-        )
+        keys = [[subjects[u[0] - 1], *([measures[u[1] - 1]] if level >= 2 else []),
+                 *u[2:]] for u in level_units]
+        _write_table(out / f"scores_level{level}.csv",
+                     _score_header(level, mat.shape[1]), mat, keys)
 
     write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
     if extra_manifest:
@@ -409,22 +406,25 @@ def _read_numeric(
     """
     if not path.exists():
         raise ParseError(f"missing fit file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if not header or len(header) < n_keys:
-                raise ValueError(f"header {header} lacks the {n_keys} key columns"
-                                 if header else "empty file")
-            skip = reader.line_num  # a quoted label may span lines
-            keyed = [(len(row), row[:n_keys]) for row in reader if row] if n_keys else []
-            fh.seek(0)
-            # without usecols the bulk parse rejects rows of unequal width
-            values = _load_columns(
-                fh, list(range(n_keys, len(header))) if n_keys else None, float, skip
-            )
-        except (ValueError, csv.Error) as exc:
-            raise _table_error(path, n_keys, str(exc)) from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, [])
+                if not header or len(header) < n_keys:
+                    raise ValueError(f"header {header} lacks the {n_keys} key columns"
+                                     if header else "empty file")
+                skip = reader.line_num  # a quoted label may span lines
+                keyed = [(len(row), row[:n_keys]) for row in reader if row] if n_keys else []
+                fh.seek(0)
+                # without usecols the bulk parse rejects rows of unequal width
+                values = _load_columns(
+                    fh, list(range(n_keys, len(header))) if n_keys else None, float, skip
+                )
+            except (ValueError, csv.Error) as exc:
+                raise _table_error(path, n_keys, str(exc)) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if n_keys:
         ok = len(keyed) == len(values) and all(w == len(header) for w, _ in keyed)
     else:
@@ -523,8 +523,10 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         config = FitConfig(
             **{key: type(v)(stored[key]) for key, v in defaults.items()}
         )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{manifest_path}: bad config: {exc}") from None
+        levels_doc = manifest.get("diagnostics", {"levels": []})["levels"]
+        penalties = tuple(float(e["lambda"]) for e in levels_doc if e["lambda"] is not None)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
     return MultilevelFit(
         grid=grid,
         levels=levels,
@@ -537,4 +539,5 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         subject_labels=tuple(subject_labels),
         measure_labels=tuple(measure_labels),
         config=config,
+        penalties=penalties,
     )

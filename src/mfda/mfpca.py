@@ -13,16 +13,17 @@ gives one cross-product surface H, shallowest first:
 
 A two-level design is the case K_rep = 1, whose replicate depth is skipped,
 so H1 is the between-subject surface and H2 the total. The level surfaces
-are K_l = H_l - H_{l-1}. Same-row products put the white-noise nugget on the
-diagonal of the deepest K only, so that surface takes its diagonal from a
-narrow off-diagonal smooth, and the diagonal gap estimates the noise. The
-eigensystem of every K feeds one BLUP solve for all subjects' scores.
+are K_l = H_l - H_{l-1}, each smoothed in one spline basis and decomposed in
+its coefficient space. Same-row products put the white-noise nugget on the
+diagonal of the deepest K only, so that surface takes its diagonal from its
+own smooth, and the diagonal gap estimates the noise. The eigensystem of
+every K feeds one BLUP solve for all subjects' scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import product
 
 import numpy as np
 
@@ -35,40 +36,22 @@ from .errors import (
     SingularSystemError,
     UnbalancedDesignError,
 )
-from .fpca import (
-    DEFAULT_BANDWIDTH,
-    EigenSystem,
-    eigendecompose,
-    estimate_noise_gap,
-    select_k,
-    smooth_covariance,
-)
+from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k
 
 # A level whose eigenvalue mass is below this fraction of the fit's total
 # variance retains zero components instead of fitting noise dust.
 DEGENERATE_LEVEL_FRACTION = 1e-10
-
-# Bandwidth of the internal smooth used for the diagonal extension and the
-# noise gap. Kept narrow: the Nadaraya-Watson curvature bias grows with the
-# squared bandwidth and would leak surface mass into the noise estimate.
-NOISE_BANDWIDTH = 0.015
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for fit_nested.
 
-    smooth applies kernel smoothing at `bandwidth` to every level surface K_l
-    before eigendecomposition; the deepest level then takes its diagonal from
-    the narrow NOISE_BANDWIDTH smooth of its raw surface, which also gives the
-    noise estimate, with or without `smooth`.
     center_measures=False skips the per-measure means (one-way layout).
     """
 
     levels: int = 2
     pve: float = 0.99
-    smooth: bool = False
-    bandwidth: float = DEFAULT_BANDWIDTH
     center_measures: bool = True
 
 
@@ -76,19 +59,28 @@ class FitConfig:
 class LevelCovariances:
     """Moment-estimated surfaces of one nested fit, one entry per level.
 
-    h holds the cross-product surfaces H_l and k the level surfaces
-    K_l = H_l - H_{l-1}, both shallowest first (two-level: H1 between
-    subjects, H2 total). The deepest K has its diagonal replaced by the
-    narrow smooth, and every K is smoothed at the fit bandwidth when asked.
+    h holds the cross-product surfaces H_l, shallowest first (two-level: H1
+    between subjects, H2 total). coef holds the level surfaces
+    K_l = H_l - H_{l-1}, smoothed at the GCV penalties `penalties`, as c x c
+    coefficient matrices of `basis`; the deepest took its diagonal from its
+    own smooth, and the gap is the noise variance.
     """
 
     h: tuple[np.ndarray, ...]
-    k: tuple[np.ndarray, ...]
+    basis: SplineBasis
+    coef: tuple[np.ndarray, ...]
+    penalties: tuple[float, ...]
     noise_variance: float
 
     h1 = property(lambda self: self.h[0])
     h2 = property(lambda self: self.h[1])
     h3 = property(lambda self: self.h[2])
+
+    @property
+    def k(self) -> tuple[np.ndarray, ...]:
+        """The smoothed level surfaces on the grid."""
+        F = self.basis.functions
+        return tuple(F @ C @ F.T for C in self.coef)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +103,7 @@ class MultilevelFit:
     subject_labels: tuple[str, ...] = ()
     measure_labels: tuple[str, ...] = ()
     config: FitConfig = field(default_factory=FitConfig)
+    penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
 
     @property
     def retained(self) -> tuple[int, ...]:
@@ -123,9 +116,7 @@ class MultilevelFit:
         """Fraction of total fitted variance per level plus the noise share."""
         sums = self.level_variance_sums()
         total = sum(sums) + self.noise_variance
-        shares = {
-            f"level{l + 1}": s / total for l, s in enumerate(sums)
-        }
+        shares = {f"level{l + 1}": s / total for l, s in enumerate(sums)}
         shares["noise"] = self.noise_variance / total
         return shares
 
@@ -262,27 +253,20 @@ def _moment_surfaces(rv: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(0.5 * (s + s.T) for s in reversed(h))
 
 
-def _replace_diagonal(surface: np.ndarray, smoothed: np.ndarray) -> np.ndarray:
-    out = surface.copy()
-    np.fill_diagonal(out, np.diag(smoothed))
-    return out
-
-
-def _level_covariances(
-    rv: np.ndarray,
-    grid: Grid,
-    noise_bandwidth: float = NOISE_BANDWIDTH,
-    bandwidth: Optional[float] = None,
-) -> LevelCovariances:
-    """H and K surfaces plus the noise gap; smooths every K at `bandwidth`."""
+def _level_covariances(rv: np.ndarray, grid: Grid) -> LevelCovariances:
+    """H surfaces, and every K smoothed in one spline basis; the deepest K,
+    which carries the nugget, also gives the noise."""
     h = _moment_surfaces(rv)
     k = (h[0],) + tuple(deep - shallow for shallow, deep in zip(h, h[1:]))
-    narrow = smooth_covariance(k[-1], grid, noise_bandwidth)
-    sigma2 = estimate_noise_gap(k[-1], narrow)
-    if bandwidth is not None:
-        k = tuple(smooth_covariance(s, grid, bandwidth) for s in k)
-    k = k[:-1] + (_replace_diagonal(k[-1], narrow),)
-    return LevelCovariances(h=h, k=k, noise_variance=sigma2)
+    basis = SplineBasis.of(grid)
+    smooths = [basis.smooth(s, nugget=l == len(k) - 1) for l, s in enumerate(k)]
+    return LevelCovariances(
+        h=h,
+        basis=basis,
+        coef=tuple(C for _, C, _ in smooths),
+        penalties=tuple(lam for lam, _, _ in smooths),
+        noise_variance=smooths[-1][2],
+    )
 
 
 def sigma_T_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
@@ -299,19 +283,15 @@ def sigma_B_hat(X: CurveSet, means: CenteringMeans) -> np.ndarray:
     return _moment_surfaces(_centred_design(X, means, levels=2))[0]
 
 
-def three_level_covariances(
-    X: CurveSet, means: CenteringMeans, noise_bandwidth: float = NOISE_BANDWIDTH
-) -> LevelCovariances:
-    """Cross-product surfaces H1/H2/H3 and level surfaces K1/K2/K3.
+def three_level_covariances(X: CurveSet, means: CenteringMeans) -> LevelCovariances:
+    """Cross-product surfaces H1/H2/H3 and smoothed level surfaces K1/K2/K3.
 
     H1 averages products across distinct measures within a subject, H2 across
     distinct replicates within a (subject, measure), H3 over same-row
-    products. K1 = H1, K2 = H2 - H1, and K3 = H3 - H2 with its diagonal
-    replaced by the smoothed off-diagonal extension; the diagonal gap gives
-    the noise variance.
+    products. K1 = H1, K2 = H2 - H1, and K3 = H3 - H2, whose diagonal comes
+    from its own smooth; the diagonal gap gives the noise variance.
     """
-    rv = _centred_design(X, means, levels=3)
-    return _level_covariances(rv, X.grid, noise_bandwidth)
+    return _level_covariances(_centred_design(X, means, levels=3), X.grid)
 
 
 def _blup(
@@ -379,17 +359,9 @@ def blup_scores(
 
 
 def _level_units(n: int, J: int, K_rep: int, levels: int):
-    u1 = tuple((i,) for i in range(1, n + 1))
-    u2 = tuple((i, j) for i in range(1, n + 1) for j in range(1, J + 1))
-    if levels == 2:
-        return (u1, u2)
-    u3 = tuple(
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(1, J + 1)
-        for k in range(1, K_rep + 1)
-    )
-    return (u1, u2, u3)
+    """Each level's unit keys in canonical order: (i,), (i, j), (i, j, k)."""
+    ranges = [range(1, size + 1) for size in (n, J, K_rep)]
+    return tuple(tuple(product(*ranges[:depth])) for depth in range(1, levels + 1))
 
 
 def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
@@ -398,19 +370,16 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     means = measure_means(X, center_measures=config.center_measures)
     rv = _centre(rv, X.grid, means)
 
-    bandwidth = config.bandwidth if config.smooth else None
-    cov = _level_covariances(rv, X.grid, bandwidth=bandwidth)
+    cov = _level_covariances(rv, X.grid)
     sigma2 = cov.noise_variance
 
-    full_eigs = [eigendecompose(surface, X.grid) for surface in cov.k]
-    scale = sum(eig.eigenvalues.sum() for eig in full_eigs) + sigma2
-    level_eigs = []
-    for eig in full_eigs:
-        if eig.eigenvalues.sum() <= DEGENERATE_LEVEL_FRACTION * scale:
-            level_eigs.append(eig.truncated(0))
-        else:
-            level_eigs.append(eig.truncated(select_k(eig, config.pve)))
-    level_eigs = tuple(level_eigs)
+    basis = cov.basis.functions
+    full_eigs = [eigendecompose(C, X.grid, basis) for C in cov.coef]
+    floor = DEGENERATE_LEVEL_FRACTION * (sum(e.eigenvalues.sum() for e in full_eigs) + sigma2)
+    level_eigs = tuple(
+        eig.truncated(select_k(eig, config.pve) if eig.eigenvalues.sum() > floor else 0)
+        for eig in full_eigs
+    )
 
     scores = _blup(rv, level_eigs, sigma2)
 
@@ -427,4 +396,5 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
         subject_labels=X.subject_labels,
         measure_labels=X.measure_labels,
         config=config,
+        penalties=cov.penalties,
     )

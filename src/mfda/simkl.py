@@ -231,6 +231,16 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
         level_cfgs = data["levels"]
     except KeyError as exc:
         raise ParseError(f"generator spec is missing section {exc.args[0]!r}") from None
+    for name, kind in (("grid", Mapping), ("design", Mapping), ("levels", list),
+                       ("measure_means", list), ("level2_shift", Mapping)):
+        value = data.get(name)
+        if value is not None and not isinstance(value, kind):
+            raise ParseError(
+                f"generator spec section {name!r} must be a "
+                f"{'mapping' if kind is Mapping else 'list'}, got {type(value).__name__}"
+            )
+    if not all(isinstance(cfg, Mapping) for cfg in level_cfgs):
+        raise ParseError("generator spec section 'levels' must list mappings")
     if "points" in grid_cfg:
         grid = Grid.from_points(np.asarray(grid_cfg["points"], dtype=float))
     elif "m" in grid_cfg:

@@ -362,3 +362,37 @@ def test_c10_round_trips(tmp_path, capsys):
         f"CSV max error = {csv_err:.2e}, fit-directory max error = "
         f"{fit_err:.2e} (both <= 1e-12)",
     )
+
+
+def test_c11_rank_and_noise_do_not_depend_on_the_grid(capsys):
+    # one seed each of the N2 design and the stride-ingest design (the
+    # benchmark's three-level workload), fitted on grids of 51 to 801 points
+    designs = {
+        "N2": (lambda m: n2_spec(1234, n=100, J=4, m=m), 2, (2, 2), 1.0),
+        "stride-ingest": (lambda m: n3_spec(1, m=m), 3, (2, 2, 1), 0.25),
+    }
+    ok, details = True, []
+    for name, (spec_of, levels, true_k, noise) in designs.items():
+        ranks, worst_eig, worst_noise = set(), 0.0, 0.0
+        for m in (51, 101, 201, 401, 801):
+            X, truth = generate(spec_of(m))
+            fit = fit_nested(X, FitConfig(levels=levels))
+            ranks.add(fit.retained)
+            ok &= all(k <= t + 1 for k, t in zip(fit.retained, true_k))
+            for level, k in enumerate(true_k):
+                realised = np.sort(np.var(truth.scores[level], axis=0, ddof=1))[::-1]
+                lam = fit.level_eig[level].eigenvalues[:k]
+                ok &= lam.size == k
+                worst_eig = max(worst_eig, float(np.max(np.abs(lam / realised - 1.0))))
+            worst_noise = max(worst_noise, abs(fit.noise_variance / noise - 1.0))
+        ok &= len(ranks) == 1 and worst_eig <= 0.25 and worst_noise <= 0.10
+        details.append(
+            f"{name}: retained {sorted(ranks)}, top-eigenvalue error "
+            f"{100 * worst_eig:.1f}% (<= 25%), noise error {100 * worst_noise:.1f}% (<= 10%)"
+        )
+    verdict(
+        capsys,
+        ok,
+        "criterion 11 (rank and noise independent of the grid, m = 51..801)",
+        "; ".join(details),
+    )

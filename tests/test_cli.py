@@ -103,6 +103,27 @@ class TestSimulate:
         assert err.startswith(f"error: cannot parse spec file {spec_path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("grid", 5), ("grid", [1, 2]), ("design", 3), ("design", "big"),
+         ("levels", {"eigenvalues": [1.0]}), ("levels", [5]), ("levels", "fourier")],
+    )
+    def test_section_of_the_wrong_type_exits_2(self, tmp_path, capsys, section, value):
+        spec = {**n2_spec_dict(5, n=4, J=2, m=11), section: value}
+        spec_path = write_spec(tmp_path, spec)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generator spec section ") and section in err
+        assert err.count("\n") == 1
+
+    def test_wrongly_typed_sections_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text("grid: 5\ndesign: {}\nlevels: []\n")
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: generator spec section 'grid' must be a mapping, got int\n"
+        )
+
     def test_negative_spec_seed_exits_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
@@ -207,35 +228,36 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_smooth_flag(self, sim_dir, tmp_path):
-        code = main(
-            [
-                "fit",
-                str(sim_dir / "data.csv"),
-                "--channel",
-                "sim",
-                "--smooth",
-                "0.08",
-                "--out",
-                str(tmp_path / "fs"),
-            ]
-        )
-        assert code == 0
-        manifest = json.loads((tmp_path / "fs" / "manifest.json").read_text())
-        assert manifest["config"]["smooth"] is True
-        assert manifest["config"]["bandwidth"] == 0.08
-
-    @pytest.mark.parametrize("bandwidth", ["nan", "inf"])
-    def test_non_finite_bandwidth_exits_2(
-        self, sim_dir, tmp_path, capsys, bandwidth
-    ):
+    def test_smooth_flag(self, sim_dir, tmp_path, capsys):
+        # every fit is the spline-smoothed fit, so --smooth is gone
         argv = ["fit", str(sim_dir / "data.csv"), "--channel", "sim",
-                "--smooth", bandwidth, "--out", str(tmp_path / "fs")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: bandwidth must be positive and finite, got {float(bandwidth)}\n"
-        )
+                "--smooth", "0.08", "--out", str(tmp_path / "fs")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --smooth" in capsys.readouterr().err
         assert not (tmp_path / "fs").exists()
+
+    def test_non_utf8_data_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"subject,measure,replicate,t,value,channel\n"
+                         b"1,1,1,0.0,1.5,sim\n1,1,1,1.0,\xff,sim\n")
+        argv = ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "f")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:3: not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f").exists()
+
+    def test_non_utf8_byte_past_the_first_chunk_exits_2(self, sim_dir, tmp_path, capsys):
+        text = (sim_dir / "data.csv").read_bytes()
+        lines = text.splitlines(keepends=True)
+        lines[500] = lines[500].replace(b",sim", b",s\xe9m")
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"".join(lines))
+        argv = ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "f")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}:501: not UTF-8 text")
 
 
 def edit_line(text: str, line: int, edit) -> str:
@@ -541,6 +563,28 @@ class TestImport:
             text=True, check=True, timeout=120,
         )
         assert out.stdout.strip() == "[]"
+
+
+    def test_fit_leaves_scipy_interpolate_unloaded(self, tmp_path):
+        # the spline basis is built in numpy; importing scipy.interpolate
+        # would cost every fit more than the fit itself on small data
+        src = str(Path(mfda.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        spec_path = write_spec(tmp_path, n2_spec_dict(3, n=6, J=2, m=41))
+        code = (
+            "import sys; from mfda.cli import main; "
+            f"assert main(['simulate', {str(spec_path)!r}, '--out', {str(tmp_path / 'd')!r}]) == 0; "
+            f"assert main(['fit', {str(tmp_path / 'd' / 'data.csv')!r}, '--channel', 'sim', "
+            f"'--out', {str(tmp_path / 'f')!r}]) == 0; "
+            "print([m for m in sys.modules if m.startswith('scipy.interpolate')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestCorrelate:

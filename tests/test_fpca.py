@@ -17,10 +17,13 @@ from mfda.errors import (
     InvalidParameterError,
 )
 from mfda.fpca import (
+    MAX_BASIS,
+    PENALTIES,
     EigenSystem,
+    SplineBasis,
+    bspline_design,
     eigendecompose,
     select_k,
-    smooth_covariance,
 )
 from mfda.mfpca import FitConfig, blup_scores, fit_nested, measure_means, sigma_T_hat
 from mfda.simkl import fourier_basis, generate
@@ -105,71 +108,178 @@ class TestEmpiricalCovariance:
             empirical_covariance(X)
 
 
+def grids():
+    """Every kind of grid Grid accepts: uniform from two points up, and
+    irregular ones with clustered points."""
+    out = [Grid.uniform(m) for m in (2, 3, 4, 5, 6, 7, 8, 11, 12, 21, 50, 101, 401)]
+    rng = np.random.default_rng(3)
+    for m in (5, 17, 59, 200):
+        out.append(Grid.from_points(np.sort(rng.uniform(0.0, 1.0, m))))
+    out.append(Grid.from_points(np.r_[np.linspace(0.0, 0.05, 40), 0.5, 1.0]))
+    return out
+
+
+class TestSplineBasis:
+    @pytest.mark.parametrize("grid", grids(), ids=lambda g: f"m{g.size}")
+    def test_design_matches_scipy(self, grid):
+        from scipy.interpolate import BSpline
+
+        t = grid.points
+        for degree in (1, 2, 3):
+            for count in (2, 3, 7):
+                # interior knots at grid quantiles, extended past both ends
+                inner = np.interp(np.linspace(0, t.size - 1, count),
+                                  np.arange(t.size), t)
+                steps = np.arange(1, degree + 1)
+                knots = np.r_[inner[0] - (inner[1] - inner[0]) * steps[::-1], inner,
+                              inner[-1] + (inner[-1] - inner[-2]) * steps]
+                ref = BSpline.design_matrix(t, knots, degree).toarray()
+                np.testing.assert_allclose(bspline_design(t, knots, degree), ref,
+                                           atol=1e-13)
+
+    @pytest.mark.parametrize("grid", grids(), ids=lambda g: f"m{g.size}")
+    def test_orthonormal_under_the_weights(self, grid):
+        basis = SplineBasis.of(grid)
+        F = basis.functions
+        c = F.shape[1]
+        assert 2 <= c <= min(MAX_BASIS, grid.size)
+        np.testing.assert_allclose(F.T @ (grid.weights[:, None] * F), np.eye(c),
+                                   atol=1e-9)
+        # constants are never penalised, and on a uniform grid (equally
+        # spaced knots) neither are straight lines
+        uniform = np.allclose(np.diff(grid.points), grid.points[1] - grid.points[0])
+        assert np.sum(basis.penalty < 1e-9) >= (2 if uniform else 1)
+        line = np.c_[np.ones(grid.size), grid.points]
+        coef = F.T @ (grid.weights[:, None] * line)
+        np.testing.assert_allclose(F @ coef, line, atol=1e-9)
+
+    def test_basis_size_does_not_grow_with_the_grid(self):
+        sizes = {SplineBasis.of(Grid.uniform(m)).functions.shape[1]
+                 for m in (90, 101, 401, 801, 2001)}
+        assert sizes == {MAX_BASIS}
+
+    def test_gcv_closed_form_matches_direct_residuals(self):
+        grid = Grid.uniform(41)
+        basis = SplineBasis.of(grid)
+        rng = np.random.default_rng(8)
+        t = grid.points
+        A = rng.normal(0.0, 0.3, (41, 41))
+        S = np.outer(np.sin(2 * np.pi * t), np.sin(2 * np.pi * t)) + A + A.T
+        lam, C, noise = basis.smooth(S)
+        F, w = basis.functions, grid.weights
+        Fw = F * w[:, None]
+        G = Fw.T @ S @ Fw
+        scores = []
+        for p in PENALTIES:
+            s = 1.0 / (1.0 + p * basis.penalty)
+            R = S - F @ (s[:, None] * G * s) @ F.T
+            trace = np.sum(s) ** 2
+            scores.append(float(w @ (R * R) @ w) / (1.0 - trace / grid.size**2) ** 2)
+        assert lam == PENALTIES[int(np.argmin(scores))]
+        s = 1.0 / (1.0 + lam * basis.penalty)
+        np.testing.assert_allclose(C, s[:, None] * G * s, atol=1e-14)
+        assert noise == 0.0
+
+
+
 class TestSmoothCovariance:
+    """SplineBasis.smooth: the sandwich smooth of one covariance surface."""
+
     def test_reproduces_constants(self, small_grid):
         S = np.full((small_grid.size, small_grid.size), 3.25)
-        sm = smooth_covariance(S, small_grid, bandwidth=0.07)
-        np.testing.assert_allclose(sm, 3.25, rtol=1e-12)
+        basis = SplineBasis.of(small_grid)
+        F = basis.functions
+        for nugget in (False, True):
+            _, C, noise = basis.smooth(S, nugget=nugget)
+            np.testing.assert_allclose(F @ C @ F.T, 3.25, rtol=1e-12)
+            assert noise == pytest.approx(0.0, abs=1e-9)
+
+    def test_reproduces_straight_lines(self):
+        grid = Grid.uniform(31)
+        t = grid.points
+        S = 3.25 + np.add.outer(t, t)
+        basis = SplineBasis.of(grid)
+        _, C, noise = basis.smooth(S, nugget=True)
+        F = basis.functions
+        np.testing.assert_allclose(F @ C @ F.T, S, atol=1e-9)
+        assert noise == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry_preserved(self, small_grid):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(small_grid.size, small_grid.size))
-        S = A + A.T
-        sm = smooth_covariance(S, small_grid, bandwidth=0.1)
-        np.testing.assert_allclose(sm, sm.T)
+        _, C, _ = SplineBasis.of(small_grid).smooth(A + A.T, nugget=True)
+        np.testing.assert_allclose(C, C.T, atol=1e-12)
 
     def test_noise_reduction(self, uniform_grid):
         t = uniform_grid.points
         e = np.sqrt(2) * np.sin(2 * np.pi * t)
         truth = np.outer(e, e)
-        wins = 0
+        basis = SplineBasis.of(uniform_grid)
+        F = basis.functions
+        off = 1.0 - np.eye(truth.shape[0])
         for rep in range(20):
             rng = np.random.default_rng(100 + rep)
             noise = rng.normal(0, 0.1, truth.shape)
             raw = truth + 0.5 * (noise + noise.T)
-            sm = smooth_covariance(raw, uniform_grid, bandwidth=0.02)
-            off = 1.0 - np.eye(truth.shape[0])
-            err_raw = np.max(np.abs((raw - truth) * off))
-            err_smooth = np.max(np.abs((sm - truth) * off))
-            wins += err_smooth < err_raw
-        assert wins == 20
+            _, C, _ = basis.smooth(raw)
+            err_smooth = np.max(np.abs((F @ C @ F.T - truth) * off))
+            assert err_smooth < np.max(np.abs((raw - truth) * off))
 
-    def test_bad_bandwidth(self, small_grid):
-        S = np.eye(small_grid.size)
-        with pytest.raises(InvalidParameterError):
-            smooth_covariance(S, small_grid, bandwidth=0.0)
-
-    def test_asymmetric_rejected(self, small_grid):
-        S = np.zeros((small_grid.size, small_grid.size))
-        S[0, 1] = 1.0
-        with pytest.raises(AsymmetricMatrixError):
-            smooth_covariance(S, small_grid, bandwidth=0.05)
+    def test_nugget_recovered_from_the_diagonal(self):
+        grid = Grid.uniform(101)
+        e = np.sqrt(2) * np.sin(2 * np.pi * grid.points)
+        truth = 2.0 * np.outer(e, e)
+        basis = SplineBasis.of(grid)
+        _, C, noise = basis.smooth(truth + 0.5 * np.eye(101), nugget=True)
+        assert noise == pytest.approx(0.5, rel=1e-3)
+        F = basis.functions
+        assert np.max(np.abs(F @ C @ F.T - truth)) < 1e-2
 
     @pytest.mark.parametrize("m", [3, 5, 11, 21, 101, 401])
-    @pytest.mark.parametrize("bandwidth", [0.015, 0.05, 0.2])
-    def test_matches_two_product_reference(self, m, bandwidth):
-        # the surface divided by the off-diagonal kernel mass K @ off @ K.T,
-        # formed literally with two matrix products
+    @pytest.mark.parametrize("penalty", [0.015, 0.05, 0.2])
+    def test_matches_two_product_reference(self, m, penalty):
+        # the coefficient-space smooth at a penalty against the literal
+        # P-spline smoother H = B (B'WB + lam D'D)^-1 B'W applied on both
+        # sides, with B from scipy and D the second-difference matrix
+        from scipy.interpolate import BSpline
+
         grid = Grid.uniform(m)
-        t = grid.points
+        t, w = grid.points, grid.weights
+        c = max(min(m, 4), min(MAX_BASIS, m // 3))
+        degree = min(3, c - 1)
+        h = 1.0 / (c - degree)
+        knots = np.linspace(-degree * h, 1.0 + degree * h, c + degree + 1)
+        B = BSpline.design_matrix(t, knots, degree).toarray()
+        D = np.diff(np.eye(c), 2, axis=0)
+        H = B @ np.linalg.solve(B.T @ (w[:, None] * B) + penalty * D.T @ D, B.T * w)
         rng = np.random.default_rng(m)
         A = rng.uniform(0.0, 1.0, (m, m))
         S = 2.0 + np.outer(t, t) + A + A.T
-        K = np.exp(-0.5 * ((t[:, None] - t[None, :]) / bandwidth) ** 2)
-        off = 1.0 - np.eye(m)
-        ref = (K @ (S * off) @ K.T) / (K @ off @ K.T)
-        np.testing.assert_allclose(
-            smooth_covariance(S, grid, bandwidth), 0.5 * (ref + ref.T), rtol=1e-13
-        )
-
-    def test_bandwidth_below_grid_resolution_rejected(self):
-        grid = Grid.uniform(2)  # spacing 1.0; kernel weights underflow
-        S = np.eye(2)
-        with pytest.raises(InvalidParameterError):
-            smooth_covariance(S, grid, bandwidth=0.015)
+        basis = SplineBasis.of(grid)
+        F = basis.functions
+        s = 1.0 / (1.0 + penalty * basis.penalty)
+        G = (F * w[:, None]).T @ S @ (F * w[:, None])
+        np.testing.assert_allclose(F @ (s[:, None] * G * s) @ F.T, H @ S @ H.T,
+                                   rtol=1e-9, atol=1e-9)
 
 
 class TestEigendecompose:
+    def test_coefficient_matrix_matches_dense_surface(self, uniform_grid):
+        basis = SplineBasis.of(uniform_grid).functions
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(basis.shape[1], 3))
+        C = A @ A.T - 0.1 * np.eye(basis.shape[1])  # three positive, rest negative
+        small = eigendecompose(C, uniform_grid, basis)
+        dense = eigendecompose(basis @ C @ basis.T, uniform_grid)
+        assert small.n_components == 3
+        np.testing.assert_allclose(small.eigenvalues, dense.eigenvalues[:3], rtol=1e-10)
+        np.testing.assert_allclose(small.functions, dense.functions[:, :3], atol=1e-8)
+
+    def test_coefficient_matrix_shape_checked(self, small_grid):
+        basis = SplineBasis.of(small_grid).functions
+        with pytest.raises(AsymmetricMatrixError):
+            eigendecompose(np.eye(small_grid.size), small_grid, basis)
+
     def test_scaled_identity_in_weighted_coordinates(self):
         grid = Grid.uniform(11)
         h = 0.1

@@ -503,6 +503,60 @@ class TestFitRoundTrip:
         assert back.config == fit.config
         fits_equal(fit, back)
 
+    def test_manifest_with_smooth_and_bandwidth_still_loads(self, tmp_path):
+        # fit directories written while --smooth existed store smooth and
+        # bandwidth under config, and no diagnostics; read_fit ignores the
+        # keys and reads no penalties
+        import json
+
+        X, _ = generate(n2_spec(14, n=4, J=2, m=7))
+        fit = fit_nested(X, FitConfig(levels=2, pve=0.9))
+        out = tmp_path / "fit"
+        write_fit(fit, out)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert not {"smooth", "bandwidth"} & set(manifest["config"])
+        manifest["config"].update(smooth=True, bandwidth=0.05)
+        del manifest["diagnostics"]
+        path.write_text(json.dumps(manifest))
+        back = read_fit(out)
+        assert back.config == fit.config
+        assert back.penalties == ()
+        fits_equal(fit, back)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_diagnostics_survive_the_round_trip(self, tmp_path, levels):
+        import json
+
+        if levels == 2:
+            X, _ = generate(n2_spec(17, n=20, J=2, m=31))
+        else:
+            X, _ = generate(n3_spec(17, n=10, J=2, K_rep=3, m=31))
+        fit = fit_nested(X, FitConfig(levels=levels))
+        assert len(fit.penalties) == levels
+        out = write_fit(fit, tmp_path / "fit")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["levels"] == [
+            {"level": level, "lambda": lam, "retained": k}
+            for level, (lam, k) in enumerate(zip(fit.penalties, fit.retained), 1)
+        ]
+        back = read_fit(out)
+        assert back.penalties == fit.penalties
+        assert back.retained == fit.retained
+
+    @pytest.mark.parametrize("diagnostics", [[], {"levels": [{"level": 1}]},
+                                             {"levels": [{"lambda": "x"}]}])
+    def test_bad_diagnostics_are_parse_errors(self, tmp_path, diagnostics):
+        import json
+
+        X, _ = generate(n2_spec(18, n=4, J=2, m=11))
+        out = write_fit(fit_nested(X, FitConfig(levels=2)), tmp_path / "fit")
+        path = out / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "diagnostics": diagnostics}))
+        with pytest.raises(ParseError, match="diagnostics"):
+            read_fit(out)
+
     def test_deterministic_bytes(self, tmp_path):
         X, _ = generate(n2_spec(15, n=4, J=2, m=7))
         fit = fit_nested(X, FitConfig(levels=2))

@@ -11,9 +11,8 @@ from mfda.errors import (
 )
 import mfda.mfpca
 from mfda.core import center_rows
-from mfda.fpca import EigenSystem, eigendecompose, estimate_noise_gap, smooth_covariance
+from mfda.fpca import EigenSystem, SplineBasis, eigendecompose
 from mfda.mfpca import (
-    NOISE_BANDWIDTH,
     FitConfig,
     blup_scores,
     canonical_design,
@@ -386,17 +385,24 @@ class TestThreeLevelCovariances:
 
 
 class TestEstimateNoise:
+    """The noise: the diagonal gap of the deepest surface's own smooth."""
+
     def test_equal_surfaces(self, small_grid):
-        S = np.eye(small_grid.size)
-        assert estimate_noise_gap(S, S) == 0.0
+        # a surface the basis reproduces carries no nugget
+        S = np.outer(small_grid.points, small_grid.points) + 1.0
+        assert SplineBasis.of(small_grid).smooth(S, nugget=True)[2] == pytest.approx(
+            0.0, abs=1e-9
+        )
 
     def test_shifted_diagonal(self, small_grid):
         S = np.outer(np.ones(small_grid.size), np.ones(small_grid.size))
-        assert estimate_noise_gap(S + 2.0 * np.eye(small_grid.size), S) == pytest.approx(2.0)
+        noise = SplineBasis.of(small_grid).smooth(S + 2.0 * np.eye(small_grid.size), nugget=True)[2]
+        assert noise == pytest.approx(2.0, rel=1e-9)
 
     def test_clamped_at_zero(self, small_grid):
-        S = np.zeros((small_grid.size, small_grid.size))
-        assert estimate_noise_gap(S, S + np.eye(small_grid.size)) == 0.0
+        S = np.outer(np.ones(small_grid.size), np.ones(small_grid.size))
+        basis = SplineBasis.of(small_grid)
+        assert basis.smooth(S - np.eye(small_grid.size), nugget=True)[2] == 0.0
 
     def test_simulation_recovery(self):
         spec = n2_spec(3001, n=200, J=4, m=101, noise=1.0)
@@ -626,10 +632,26 @@ class TestFitNested:
         assert sum(fit.variance_shares().values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_smoothed_fit_runs(self):
+        # every fit is smoothed, at one GCV penalty per level
         spec = n2_spec(54, n=40, J=2, m=41)
         X, _ = generate(spec)
-        fit = fit_nested(X, FitConfig(levels=2, smooth=True, bandwidth=0.05))
+        fit = fit_nested(X, FitConfig(levels=2))
         assert fit.retained[0] >= 1
+        assert fit.noise_variance >= 0.0
+        assert len(fit.penalties) == 2
+        assert all(lam > 0 for lam in fit.penalties)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+    def test_tiny_grids_fit(self, m):
+        # a grid too small for a cubic basis gets fewer, lower-degree
+        # functions; the fit still yields orthonormal eigenfunctions
+        grid = Grid.uniform(m)
+        rng = np.random.default_rng(m)
+        X = two_level_set(rng.normal(size=(40, m)), grid, J=2)
+        fit = fit_nested(X, FitConfig(levels=2))
+        for eig in fit.level_eig:
+            gram = eig.functions.T @ (grid.weights[:, None] * eig.functions)
+            np.testing.assert_allclose(gram, np.eye(eig.n_components), atol=1e-9)
         assert fit.noise_variance >= 0.0
 
     def test_nonuniform_grid_recovery(self):
@@ -684,9 +706,8 @@ class TestFitNested:
 
 class TestFitNestedStructure:
     @pytest.mark.parametrize("levels", [2, 3])
-    @pytest.mark.parametrize("smooth", [False, True])
-    def test_call_counts(self, monkeypatch, levels, smooth):
-        calls = {"canonical_design": 0, "smooth_covariance": 0}
+    def test_one_design_pass_and_one_basis(self, monkeypatch, levels):
+        calls = {"canonical_design": 0, "eigendecompose": 0}
 
         def counting(name):
             original = getattr(mfda.mfpca, name)
@@ -698,39 +719,56 @@ class TestFitNestedStructure:
             monkeypatch.setattr(mfda.mfpca, name, wrapper)
 
         counting("canonical_design")
-        counting("smooth_covariance")
+        counting("eigendecompose")
+        bases = []
+        original_of = SplineBasis.of.__func__
+        monkeypatch.setattr(
+            SplineBasis, "of",
+            classmethod(lambda cls, grid: bases.append(original_of(cls, grid)) or bases[-1]),
+        )
         if levels == 2:
             X, _ = generate(n2_spec(81, n=6, J=2, m=21))
         else:
             X, _ = generate(n3_spec(82, n=4, J=2, K_rep=3, m=21))
-        fit_nested(X, FitConfig(levels=levels, smooth=smooth, bandwidth=0.1))
+        fit_nested(X, FitConfig(levels=levels))
         assert calls["canonical_design"] == 1
-        assert calls["smooth_covariance"] == (levels + 1 if smooth else 1)
+        assert calls["eigendecompose"] == levels
+        assert len(bases) == 1
 
-    def test_three_level_smooth_smooths_level3(self):
-        spec = n3_spec(83, n=30, J=2, K_rep=4, m=31)
-        X, _ = generate(spec)
-        bw = 0.08
-        smoothed = fit_nested(X, FitConfig(levels=3, smooth=True, bandwidth=bw))
-        raw = fit_nested(X, FitConfig(levels=3))
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_coefficient_eigensystem_matches_dense(self, levels):
+        # the c x c eigensolve against the dense one of the smoothed surface
+        if levels == 2:
+            X, _ = generate(n2_spec(83, n=30, J=2, m=31))
+        else:
+            X, _ = generate(n3_spec(83, n=30, J=2, K_rep=4, m=31))
+        fit = fit_nested(X, FitConfig(levels=levels, pve=1.0))
+        means = measure_means(X)
+        rv, *_ = canonical_design(center_rows(X, means), levels=levels)
+        cov = mfda.mfpca._level_covariances(rv, X.grid)
+        assert cov.penalties == fit.penalties
+        assert cov.noise_variance == fit.noise_variance
+        for surface, eig in zip(cov.k, fit.level_eig):
+            dense = eigendecompose(surface, X.grid)
+            k = eig.n_components
+            assert k >= 1
+            np.testing.assert_allclose(
+                eig.eigenvalues, dense.eigenvalues[:k], rtol=1e-9, atol=1e-12
+            )
+            np.testing.assert_allclose(eig.functions, dense.functions[:, :k], atol=1e-6)
+
+    def test_noise_is_the_diagonal_gap_of_the_settled_smooth(self):
+        X, _ = generate(n3_spec(84, n=30, J=2, K_rep=4, m=41))
         cov = three_level_covariances(X, measure_means(X))
-        k3 = cov.h3 - cov.h2
-        expected = smooth_covariance(k3, X.grid, bw)
-        narrow = smooth_covariance(k3, X.grid, NOISE_BANDWIDTH)
-        np.fill_diagonal(expected, np.diag(narrow))
-        full = eigendecompose(expected, X.grid)
-        eig3 = smoothed.level_eig[2]
-        assert eig3.n_components >= 1
-        np.testing.assert_allclose(
-            eig3.eigenvalues, full.eigenvalues[: eig3.n_components], rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            eig3.functions,
-            full.functions[:, : eig3.n_components],
-            rtol=1e-8,
-            atol=1e-10,
-        )
-        unsmoothed = raw.level_eig[2]
-        assert eig3.n_components != unsmoothed.n_components or not np.allclose(
-            eig3.eigenvalues, unsmoothed.eigenvalues, rtol=1e-6
-        )
+        raw = np.diag(cov.h3 - cov.h2)
+        smooth = np.diag(cov.k[2])
+        assert cov.noise_variance == pytest.approx(np.mean(raw - smooth), rel=1e-9)
+        # the settled diagonal is its own smooth: smoothing the surface with
+        # that diagonal at the chosen penalty gives the same coefficients
+        surface = cov.h3 - cov.h2
+        np.fill_diagonal(surface, smooth)
+        basis = cov.basis
+        s = 1.0 / (1.0 + cov.penalties[2] * basis.penalty)
+        Fw = basis.functions * X.grid.weights[:, None]
+        again = s[:, None] * (Fw.T @ surface @ Fw) * s
+        np.testing.assert_allclose(again, cov.coef[2], atol=1e-9)
