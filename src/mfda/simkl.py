@@ -11,6 +11,10 @@ reproducible and independent of any parallel schedule.
 
 from __future__ import annotations
 
+import ast
+import itertools
+import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -20,7 +24,7 @@ import yaml
 from .core import CurveSet, Grid, NestedIndex
 from .errors import InvalidBasisError, InvalidParameterError, ParseError
 
-_EXPR_NAMESPACE = {
+_EXPR_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -28,27 +32,60 @@ _EXPR_NAMESPACE = {
     "log": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "pi": np.pi,
+}
+_EXPR_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
 }
 
 ORTHONORMALITY_TOL = 1e-6
 
 
+def _evaluate_node(node: ast.AST, t: np.ndarray) -> Any:
+    """Value of one node of a parsed curve expression, in float64."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.float64(node.value)
+    if isinstance(node, ast.Name) and node.id == "t":
+        return t
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return np.float64(np.pi)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        left, right = _evaluate_node(node.left, t), _evaluate_node(node.right, t)
+        return _EXPR_OPERATORS[type(node.op)](left, right)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
+        return _EXPR_OPERATORS[type(node.op)](_evaluate_node(node.operand, t))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        return _EXPR_FUNCTIONS[node.func.id](_evaluate_node(node.args[0], t))
+    shown = getattr(node, "id", None) or type(getattr(node, "op", node)).__name__
+    raise ValueError(f"{shown} is not allowed")
+
+
 def evaluate_expression(expr: str, t: np.ndarray) -> np.ndarray:
-    """Evaluate a curve expression in t with a restricted numpy namespace."""
+    """Evaluate a curve expression in t: numbers, t, pi, + - * / **, unary
+    signs and one-argument calls of sin, cos, tan, exp, log, sqrt and abs.
+
+    Arithmetic is float64 throughout, so an overflow gives inf at once; a
+    value that is not finite somewhere on the grid is rejected.
+    """
     try:
-        code = compile(expr, "<curve expression>", "eval")
-        value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t})
-    except Exception as exc:
+        with np.errstate(all="ignore"):
+            value = _evaluate_node(ast.parse(expr, mode="eval").body, t)
+    except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
         raise ParseError(f"cannot evaluate curve expression {expr!r}: {exc}") from None
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full_like(t, float(arr))
-    if arr.shape != t.shape:
-        raise ParseError(
-            f"expression {expr!r} produced shape {arr.shape}, expected {t.shape}"
-        )
-    return arr
+    if not np.all(np.isfinite(value)):
+        raise ParseError(f"curve expression {expr!r} is not finite on the grid")
+    return np.full(t.shape, value) if np.ndim(value) == 0 else value
 
 
 def fourier_basis(grid: Grid, count: int) -> np.ndarray:
@@ -101,7 +138,8 @@ class GeneratorSpec:
     levels lists the hierarchy top-down: subject, subject-measure, replicate.
     level2_shift (J x K2) adds a per-measure mean shift to the level-2 scores,
     for power studies. score_df switches Gaussian scores to scaled Student t
-    (an extension beyond the Gaussian working model).
+    (an extension beyond the Gaussian working model). raw is the plain-data
+    mapping the spec was read from.
     """
 
     grid: Grid
@@ -112,14 +150,12 @@ class GeneratorSpec:
     measure_means: Optional[np.ndarray]  # (J, m) or None
     levels: tuple[LevelSpec, ...]
     noise_variance: float
+    raw: Mapping[str, Any]
     score_df: Optional[float] = None
     level2_shift: Optional[np.ndarray] = None
     seed: int = 0
-    raw: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1 or self.n_measures < 1 or self.n_replicates < 1:
-            raise InvalidParameterError("design counts must be >= 1")
         if not 1 <= len(self.levels) <= 3:
             raise InvalidParameterError("between one and three levels supported")
         if len(self.levels) >= 2 and self.n_measures < 2:
@@ -137,19 +173,14 @@ class GeneratorSpec:
         m = self.grid.size
         if self.mean.shape != (m,):
             raise InvalidParameterError("mean must be tabulated on the grid")
-        if self.measure_means is not None and self.measure_means.shape != (
-            self.n_measures,
-            m,
-        ):
-            raise InvalidParameterError(
-                "measure means must be one curve per measure on the grid"
-            )
+        if self.measure_means is not None and self.measure_means.shape != (self.n_measures, m):
+            raise InvalidParameterError("measure means must be one curve per measure on the grid")
         for lvl, spec in enumerate(self.levels, start=1):
-            if np.any(spec.eigenvalues < 0):
-                raise InvalidParameterError(f"level {lvl} eigenvalues must be >= 0")
+            if spec.n_components < 1 or np.any(spec.eigenvalues < 0):
+                raise InvalidParameterError(f"level {lvl} needs eigenvalues, all >= 0")
             if spec.functions.shape != (m, spec.n_components):
                 raise InvalidParameterError(
-                    f"level {lvl} basis must be (m, K) on the grid"
+                    f"level {lvl} basis must be {spec.n_components} rows of {m} values"
                 )
             _check_orthonormal(spec.functions, self.grid, f"level {lvl}")
         if self.level2_shift is not None:
@@ -157,9 +188,7 @@ class GeneratorSpec:
                 raise InvalidParameterError("level2_shift needs a second level")
             expected = (self.n_measures, self.levels[1].n_components)
             if self.level2_shift.shape != expected:
-                raise InvalidParameterError(
-                    f"level2_shift must have shape {expected}"
-                )
+                raise InvalidParameterError(f"level2_shift must have shape {expected}")
 
     @property
     def n_levels(self) -> int:
@@ -176,48 +205,44 @@ class GeneratorSpec:
         return sums[0] / denom
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-data form of the spec (the raw input when available)."""
-        if self.raw is not None:
-            return dict(self.raw)
-        d: dict[str, Any] = {
-            "grid": {"points": [float(p) for p in self.grid.points]},
-            "design": {
-                "subjects": self.n_subjects,
-                "measures": self.n_measures,
-                "replicates": self.n_replicates,
-            },
-            "mean": [float(v) for v in self.mean],
-            "levels": [
-                {
-                    "eigenvalues": [float(v) for v in spec.eigenvalues],
-                    "basis": [[float(v) for v in col] for col in spec.functions.T],
-                }
-                for spec in self.levels
-            ],
-            "noise_variance": float(self.noise_variance),
-            "seed": int(self.seed),
-        }
-        if self.measure_means is not None:
-            d["measure_means"] = [[float(v) for v in row] for row in self.measure_means]
-        if self.score_df is not None:
-            d["score_distribution"] = {"kind": "student_t", "df": float(self.score_df)}
-        if self.level2_shift is not None:
-            d["level2_shift"] = {
-                str(j + 1): [float(v) for v in row]
-                for j, row in enumerate(self.level2_shift)
-                if np.any(row != 0)
-            }
-        return d
+        """Plain-data form of the spec: the mapping it was read from."""
+        return dict(self.raw)
 
 
-def _tabulate(value: Any, grid: Grid, what: str) -> np.ndarray:
+def _bad_value(where: str, kind: str, value: Any) -> ParseError:
+    return ParseError(
+        f"generator spec section {where} must be {kind}, got {reprlib.repr(value)}"
+    )
+
+
+def _integer(value: Any, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _bad_value(where, "an integer", value)
+    return value
+
+
+def _floats(value: Any, where: str, ndim: int) -> np.ndarray:
+    """value as a finite float array of ndim dimensions."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError, RecursionError):
+        arr = np.array(np.nan)
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        kind = ("a finite number", "a list of finite numbers", "rows of finite numbers")[ndim]
+        raise _bad_value(where, kind, value)
+    return arr
+
+
+def _tabulate(value: Any, grid: Grid, where: str) -> np.ndarray:
     if isinstance(value, str):
         return evaluate_expression(value, grid.points)
-    if isinstance(value, (int, float)):
-        return np.full(grid.size, float(value))
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, where, 1 if isinstance(value, list) else 0)
+    if arr.ndim == 0:
+        return np.full(grid.size, float(arr))
     if arr.shape != grid.points.shape:
-        raise ParseError(f"{what} must have one value per grid point")
+        raise ParseError(f"{where} must have one value per grid point")
     return arr
 
 
@@ -226,15 +251,14 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
     if not isinstance(data, Mapping):
         raise ParseError("generator spec must be a mapping")
     try:
-        grid_cfg = data["grid"]
-        design = data["design"]
-        level_cfgs = data["levels"]
+        grid_cfg, design, level_cfgs = data["grid"], data["design"], data["levels"]
     except KeyError as exc:
         raise ParseError(f"generator spec is missing section {exc.args[0]!r}") from None
     for name, kind in (("grid", Mapping), ("design", Mapping), ("levels", list),
                        ("measure_means", list), ("level2_shift", Mapping)):
         value = data.get(name)
-        if value is not None and not isinstance(value, kind):
+        required = name in ("grid", "design", "levels")
+        if not isinstance(value, kind) and (value is not None or required):
             raise ParseError(
                 f"generator spec section {name!r} must be a "
                 f"{'mapping' if kind is Mapping else 'list'}, got {type(value).__name__}"
@@ -242,31 +266,32 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
     if not all(isinstance(cfg, Mapping) for cfg in level_cfgs):
         raise ParseError("generator spec section 'levels' must list mappings")
     if "points" in grid_cfg:
-        grid = Grid.from_points(np.asarray(grid_cfg["points"], dtype=float))
+        grid = Grid.from_points(_floats(grid_cfg["points"], "'grid' key 'points'", 1))
     elif "m" in grid_cfg:
-        grid = Grid.uniform(int(grid_cfg["m"]))
+        grid = Grid.uniform(_integer(grid_cfg["m"], "'grid' key 'm'"))
     else:
         raise ParseError("grid section needs either 'm' or 'points'")
 
-    n = int(design.get("subjects", 0))
-    J = int(design.get("measures", 1))
-    K_rep = int(design.get("replicates", 1))
+    n, J, K_rep = (
+        _integer(design.get(key, default), f"'design' key {key!r}")
+        for key, default in (("subjects", 0), ("measures", 1), ("replicates", 1))
+    )
+    if min(n, J, K_rep) < 1:
+        raise InvalidParameterError("design counts must be >= 1")
 
-    mean = _tabulate(data.get("mean", 0.0), grid, "mean")
+    mean = _tabulate(data.get("mean", 0.0), grid, "'mean'")
     measure_means = None
     if data.get("measure_means") is not None:
-        rows = [
-            _tabulate(v, grid, f"measure mean {j + 1}")
+        measure_means = np.asarray([
+            _tabulate(v, grid, f"'measure_means' entry {j + 1}")
             for j, v in enumerate(data["measure_means"])
-        ]
-        if len(rows) != J:
-            raise ParseError(f"expected {J} measure means, got {len(rows)}")
-        measure_means = np.asarray(rows)
+        ])
 
     offset = 0
     levels = []
     for lvl, cfg in enumerate(level_cfgs, start=1):
-        evals = np.asarray(cfg["eigenvalues"], dtype=float)
+        where = f"'levels' entry {lvl} key"
+        evals = _floats(cfg.get("eigenvalues"), f"{where} 'eigenvalues'", 1)
         basis_cfg = cfg.get("basis", "fourier")
         if isinstance(basis_cfg, str):
             if basis_cfg != "fourier":
@@ -274,20 +299,13 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
             funcs = fourier_basis(grid, offset + evals.size)[:, offset:]
             offset += evals.size
         else:
-            funcs = np.asarray(basis_cfg, dtype=float).T  # rows in file -> columns
-            if funcs.shape != (grid.size, evals.size):
-                raise ParseError(
-                    f"level {lvl} tabulated basis must be {evals.size} rows "
-                    f"of {grid.size} values"
-                )
+            funcs = _floats(basis_cfg, f"{where} 'basis'", 2).T  # rows -> columns
         levels.append(LevelSpec(eigenvalues=evals, functions=funcs))
 
     score_df = None
     dist = data.get("score_distribution", "gaussian")
-    if isinstance(dist, Mapping):
-        if dist.get("kind") != "student_t":
-            raise ParseError(f"unknown score distribution {dist!r}")
-        score_df = float(dist["df"])
+    if isinstance(dist, Mapping) and dist.get("kind") == "student_t":
+        score_df = float(_floats(dist.get("df"), "'score_distribution' key 'df'", 0))
     elif dist != "gaussian":
         raise ParseError(f"unknown score distribution {dist!r}")
 
@@ -298,10 +316,10 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
         K2 = levels[1].n_components
         level2_shift = np.zeros((J, K2))
         for key, row in data["level2_shift"].items():
-            j = int(key)
+            j = int(key) if str(key).isdecimal() else 0
             if not 1 <= j <= J:
                 raise ParseError(f"level2_shift measure {key!r} outside 1..{J}")
-            arr = np.asarray(row, dtype=float)
+            arr = _floats(row, f"'level2_shift' key {key!r}", 1)
             if arr.shape != (K2,):
                 raise ParseError(f"level2_shift rows must have {K2} entries")
             level2_shift[j - 1] = arr
@@ -314,11 +332,11 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
         mean=mean,
         measure_means=measure_means,
         levels=tuple(levels),
-        noise_variance=float(data.get("noise_variance", 0.0)),
+        noise_variance=float(_floats(data.get("noise_variance", 0.0), "'noise_variance'", 0)),
+        raw=dict(data),
         score_df=score_df,
         level2_shift=level2_shift,
-        seed=int(data.get("seed", 0)),
-        raw=dict(data),
+        seed=_integer(data.get("seed", 0), "'seed'"),
     )
 
 
@@ -328,7 +346,7 @@ def load_spec(path: str, seed: Optional[int] = None) -> GeneratorSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot parse spec file {path}: {exc}") from None
     if seed is not None and isinstance(data, Mapping):
         data = {**data, "seed": seed}
@@ -346,7 +364,8 @@ class GroundTruth:
 
     scores and level_curves are ordered like the observable rows' units:
     level 1 by subject, level 2 by (subject, measure), level 3 by row.
-    noiseless + noise reproduces the observed values bitwise.
+    noiseless is mean + measure mean + the level curves, summed in that
+    order, and observed - noiseless reproduces noise bitwise.
     """
 
     spec: GeneratorSpec
@@ -357,104 +376,49 @@ class GroundTruth:
     analytic_icc: Optional[float]
 
 
-def _draw_scores(
-    rng: np.random.Generator, eigenvalues: np.ndarray, size: int, df: Optional[float]
-) -> np.ndarray:
-    sd = np.sqrt(eigenvalues)
-    if df is None:
-        z = rng.standard_normal((size, eigenvalues.size))
-    else:
-        z = rng.standard_t(df, (size, eigenvalues.size)) * np.sqrt((df - 2.0) / df)
-    return z * sd
-
-
 def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
-    """Draw one dataset plus its hidden truth, deterministically in the seed."""
-    n, J, K_rep = spec.n_subjects, spec.n_measures, spec.n_replicates
-    m = spec.grid.size
-    n_levels = spec.n_levels
-    rows_per_subject = J * K_rep
+    """Draw one dataset plus its hidden truth, deterministically in the seed.
 
-    children = np.random.SeedSequence(spec.seed).spawn(n)
+    Each subject's substream draws its scores as one block: level 1, then
+    for each measure its level-2 scores followed by its replicates' level-3
+    scores. The subject's (J * K_rep, m) noise follows.
+    """
+    n, J, K_rep, m = spec.n_subjects, spec.n_measures, spec.n_replicates, spec.grid.size
+    K1, K2, K3 = [lvl.n_components for lvl in spec.levels] + [0] * (3 - spec.n_levels)
+    df, width = spec.score_df, K1 + J * (K2 + K_rep * K3)
+    z = np.empty((n, width))
+    eps = np.empty((n, J * K_rep, m)) if spec.noise_variance > 0 else None
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n)):
+        rng = np.random.default_rng(child)
+        z[i] = rng.standard_normal(width) if df is None else rng.standard_t(df, width)
+        if eps is not None:
+            eps[i] = rng.normal(0.0, np.sqrt(spec.noise_variance), eps.shape[1:])
+    if df is not None:
+        z *= np.sqrt((df - 2.0) / df)
 
-    scores1 = np.zeros((n, spec.levels[0].n_components))
-    scores2 = (
-        np.zeros((n * J, spec.levels[1].n_components)) if n_levels >= 2 else None
-    )
-    scores3 = (
-        np.zeros((n * rows_per_subject, spec.levels[2].n_components))
-        if n_levels == 3
-        else None
-    )
-    noiseless = np.zeros((n * rows_per_subject, m))
-    noise = np.zeros_like(noiseless)
+    per_measure = z[:, K1:].reshape(n * J, K2 + K_rep * K3)
+    blocks = (z[:, :K1], per_measure[:, :K2], per_measure[:, K2:].reshape(n * J * K_rep, K3))
+    scores = [b * np.sqrt(lvl.eigenvalues) for b, lvl in zip(blocks, spec.levels)]
+    if spec.level2_shift is not None:
+        scores[1] += np.tile(spec.level2_shift, (n, 1))
+    level_curves = tuple(s @ lvl.functions.T for s, lvl in zip(scores, spec.levels))
 
     base = spec.mean if spec.measure_means is None else spec.mean + spec.measure_means
-    # base is (m,) without measure means, else (J, m); normalize to (J, m)
-    if base.ndim == 1:
-        base = np.broadcast_to(base, (J, m))
+    noiseless = np.broadcast_to(base.reshape(-1, 1, m), (n, J, K_rep, m)).copy()
+    shapes = ((n, 1, 1, m), (n, J, 1, m), (n, J, K_rep, m))
+    for curves, shape in zip(level_curves, shapes):
+        noiseless += curves.reshape(shape)
+    noiseless = noiseless.reshape(-1, m)
+    values = noiseless if eps is None else noiseless + eps.reshape(-1, m)
 
-    values = np.zeros_like(noiseless)
-    for i in range(n):
-        rng = np.random.default_rng(children[i])
-        c = _draw_scores(rng, spec.levels[0].eigenvalues, 1, spec.score_df)[0]
-        scores1[i] = c
-        z_curve = spec.levels[0].functions @ c
-        for j in range(J):
-            if n_levels >= 2:
-                d = _draw_scores(rng, spec.levels[1].eigenvalues, 1, spec.score_df)[0]
-                if spec.level2_shift is not None:
-                    d = d + spec.level2_shift[j]
-                scores2[i * J + j] = d
-                w_curve = spec.levels[1].functions @ d
-            else:
-                w_curve = np.zeros(m)
-            for k in range(K_rep):
-                row = i * rows_per_subject + j * K_rep + k
-                curve = base[j] + z_curve + w_curve
-                if n_levels == 3:
-                    u = _draw_scores(
-                        rng, spec.levels[2].eigenvalues, 1, spec.score_df
-                    )[0]
-                    scores3[row] = u
-                    curve = curve + spec.levels[2].functions @ u
-                noiseless[row] = curve
-        block = slice(i * rows_per_subject, (i + 1) * rows_per_subject)
-        if spec.noise_variance > 0:
-            eps = rng.normal(
-                0.0, np.sqrt(spec.noise_variance), (rows_per_subject, m)
-            )
-            values[block] = noiseless[block] + eps
-        else:
-            values[block] = noiseless[block]
-    # Stored as the recomputed residual so observed - noiseless == noise bitwise.
-    noise = values - noiseless
-
-    index = []
-    for i in range(1, n + 1):
-        for j in range(1, J + 1):
-            if n_levels == 3:
-                for k in range(1, K_rep + 1):
-                    index.append(NestedIndex(i, j, k))
-            else:
-                index.append(NestedIndex(i, j))
-    curves = CurveSet(spec.grid, tuple(index), values)
-
-    level_curves = [scores1 @ spec.levels[0].functions.T]
-    score_list = [scores1]
-    if n_levels >= 2:
-        level_curves.append(scores2 @ spec.levels[1].functions.T)
-        score_list.append(scores2)
-    if n_levels == 3:
-        level_curves.append(scores3 @ spec.levels[2].functions.T)
-        score_list.append(scores3)
-
+    units = [range(1, n + 1), range(1, J + 1), range(1, K_rep + 1)]
+    index = itertools.product(*units[: 3 if spec.n_levels == 3 else 2])
     truth = GroundTruth(
         spec=spec,
-        scores=tuple(score_list),
-        level_curves=tuple(level_curves),
+        scores=tuple(scores),
+        level_curves=level_curves,
         noiseless=noiseless,
-        noise=noise,
+        noise=values - noiseless,
         analytic_icc=spec.analytic_icc(),
     )
-    return curves, truth
+    return CurveSet(spec.grid, tuple(NestedIndex(*ix) for ix in index), values), truth

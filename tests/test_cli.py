@@ -1,14 +1,21 @@
 """Command-line workflows: exit codes, outputs, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfda
 import mfda.cli
@@ -31,6 +38,101 @@ def write_spec(tmp_path: Path, data: dict, name: str = "spec.yaml") -> Path:
 
 def dir_bytes(d: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+# A small three-level spec that uses every section, and the places where the
+# fuzz test below puts a mutated value (or deletes the key, for _DELETE).
+_FUZZ_BASE = {
+    "grid": {"m": 11},
+    "design": {"subjects": 3, "measures": 2, "replicates": 2},
+    "mean": "sin(2*pi*t)",
+    "measure_means": ["0.5*t", "-0.5*t"],
+    "levels": [
+        {"eigenvalues": [1.0, 0.5], "basis": "fourier"},
+        {"eigenvalues": [0.5]},
+        {"eigenvalues": [0.25]},
+    ],
+    "noise_variance": 0.1,
+    "score_distribution": {"kind": "student_t", "df": 5},
+    "level2_shift": {"2": [1.0]},
+    "seed": 1,
+}
+_FUZZ_PATHS = [
+    ("grid",), ("grid", "m"), ("grid", "points"), ("design",),
+    ("design", "subjects"), ("design", "measures"), ("design", "replicates"),
+    ("mean",), ("measure_means",), ("measure_means", 1), ("levels",),
+    ("levels", 0), ("levels", 0, "eigenvalues"), ("levels", 1, "basis"),
+    ("levels", 2, "eigenvalues"), ("noise_variance",), ("score_distribution",),
+    ("score_distribution", "df"), ("level2_shift",), ("level2_shift", "2"),
+    ("seed",),
+]
+_DELETE = object()
+_ODD_EXPRESSIONS = [
+    "9**9**9", "t**1e308", "(" * 300 + "t" + ")" * 300, "-" * 100000 + "1",
+    "+".join(["t"] * 20000), "().__class__.__base__.__subclasses__()",
+    "__import__('os').getcwd()", "sin(t, t)", "log(t)", "1/0", "1" + "0" * 400,
+    "t if t else 0", "lambda: 0", "", "\x00",
+]
+_expressions = st.recursive(
+    st.sampled_from(["t", "pi", "2", "0.5", "1e308", "nope"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda x: f"({x[0]}{x[1]}{x[2]})"
+        ),
+        st.tuples(st.sampled_from(["sin", "exp", "log", "sqrt", "abs"]), inner).map(
+            lambda x: f"{x[0]}({x[1]})"
+        ),
+        inner.map(lambda e: f"{e}**9**9"),
+    ),
+    max_leaves=8,
+)
+_numbers = st.one_of(
+    st.integers(-2, 6),
+    st.floats(-10, 10),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 2.5]),
+)
+_fuzz_values = st.one_of(
+    st.just(_DELETE),
+    st.none(),
+    st.booleans(),
+    _numbers,
+    st.text(max_size=4),
+    st.sampled_from(_ODD_EXPRESSIONS),
+    _expressions,
+    st.lists(_numbers, max_size=12),
+    st.lists(st.lists(st.floats(-2, 2), min_size=11, max_size=11), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "m", "2", "df"]), _numbers, max_size=2),
+    st.integers(1, 600).map(lambda depth: f"NESTED{depth}"),
+)
+
+
+def _spec_text(spec: dict) -> str:
+    """YAML of spec, with each NESTED<depth> placeholder written as a list
+    nested depth deep (deeper than yaml.safe_dump itself can write)."""
+    return re.sub(
+        r"NESTED(\d+)",
+        lambda match: "[" * int(match[1]) + "1" + "]" * int(match[1]),
+        yaml.safe_dump(spec),
+    )
+
+
+@st.composite
+def _mutated_specs(draw):
+    spec = copy.deepcopy(_FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(_FUZZ_PATHS))
+        value = draw(_fuzz_values)
+        try:
+            target = spec
+            for step in parents:
+                target = target[step]
+            if value is _DELETE:
+                del target[key]
+            else:
+                target[key] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced the container
+    return spec
 
 
 @pytest.fixture
@@ -106,7 +208,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "section, value",
         [("grid", 5), ("grid", [1, 2]), ("design", 3), ("design", "big"),
-         ("levels", {"eigenvalues": [1.0]}), ("levels", [5]), ("levels", "fourier")],
+         ("levels", {"eigenvalues": [1.0]}), ("levels", [5]), ("levels", "fourier"),
+         ("design", {"subjects": "abc", "measures": 2}),
+         ("levels", [{"eigenvalues": 5}, {"eigenvalues": [1.0]}]),
+         ("seed", "xyz"), ("noise_variance", [1])],
     )
     def test_section_of_the_wrong_type_exits_2(self, tmp_path, capsys, section, value):
         spec = {**n2_spec_dict(5, n=4, J=2, m=11), section: value}
@@ -115,6 +220,36 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: generator spec section ") and section in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [("design", {"subjects": "abc", "measures": 2}, "'subjects'"),
+         ("levels", [{"eigenvalues": 5}, {"eigenvalues": [1.0]}], "'eigenvalues'"),
+         ("grid", {"m": 2.5}, "'m'"), ("grid", {"points": [0, "x"]}, "'points'"),
+         ("design", {"subjects": 3, "measures": True}, "'measures'"),
+         ("score_distribution", {"kind": "student_t", "df": "six"}, "'df'"),
+         ("level2_shift", {"2": [1.0, float("nan")]}, "'2'")],
+    )
+    def test_value_of_the_wrong_type_names_its_key(
+        self, tmp_path, capsys, section, value, key
+    ):
+        spec = {**n2_spec_dict(5, n=4, J=2, m=11), section: value}
+        spec_path = write_spec(tmp_path, spec)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generator spec section '{section}'")
+        assert key in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expr", ["9**9**9", "().__class__.__base__.__subclasses__().__len__()"]
+    )
+    def test_unsafe_expression_exits_2(self, tmp_path, capsys, expr):
+        spec = {**n2_spec_dict(5, n=4, J=2, m=11), "mean": expr}
+        spec_path = write_spec(tmp_path, spec)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert expr in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_wrongly_typed_sections_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.yaml"
@@ -128,6 +263,23 @@ class TestSimulate:
         spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    @given(spec=_mutated_specs())
+    @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+    def test_fuzzed_spec_exits_cleanly(self, tmp_path_factory, spec):
+        work = tmp_path_factory.mktemp("fuzz")
+        spec_path = work / "spec.yaml"
+        spec_path.write_text(_spec_text(spec))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["simulate", str(spec_path), "--out", str(work / "out")])
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestFit:

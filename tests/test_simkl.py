@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mfda.core import Grid
+from mfda.core import Grid, NestedIndex
 from mfda.errors import InvalidBasisError, InvalidParameterError, ParseError
 from mfda.simkl import (
     evaluate_expression,
@@ -16,6 +16,78 @@ from mfda.simkl import (
 )
 
 from .conftest import n2_spec, n2_spec_dict, n3_spec, n3_spec_dict
+
+
+def _draw_scores(rng, eigenvalues, size, df):
+    sd = np.sqrt(eigenvalues)
+    if df is None:
+        z = rng.standard_normal((size, eigenvalues.size))
+    else:
+        z = rng.standard_t(df, (size, eigenvalues.size)) * np.sqrt((df - 2.0) / df)
+    return z * sd
+
+
+def _reference_generate(spec):
+    """The generator as a plain loop over subject, measure and replicate: one
+    score draw per unit and one curve product per row, in the documented
+    draw order. Returns (index, scores, level_curves, values)."""
+    n, J, K_rep = spec.n_subjects, spec.n_measures, spec.n_replicates
+    m, n_levels = spec.grid.size, spec.n_levels
+    base = spec.mean if spec.measure_means is None else spec.mean + spec.measure_means
+    base = np.broadcast_to(base, (J, m))
+    scores = [[] for _ in spec.levels]
+    values, index = [], []
+    for child in np.random.SeedSequence(spec.seed).spawn(n):
+        rng = np.random.default_rng(child)
+        rows = []
+        c = _draw_scores(rng, spec.levels[0].eigenvalues, 1, spec.score_df)[0]
+        scores[0].append(c)
+        z_curve = spec.levels[0].functions @ c
+        for j in range(J):
+            w_curve = np.zeros(m)
+            if n_levels >= 2:
+                d = _draw_scores(rng, spec.levels[1].eigenvalues, 1, spec.score_df)[0]
+                if spec.level2_shift is not None:
+                    d = d + spec.level2_shift[j]
+                scores[1].append(d)
+                w_curve = spec.levels[1].functions @ d
+            for _ in range(K_rep):
+                curve = base[j] + z_curve + w_curve
+                if n_levels == 3:
+                    u = _draw_scores(rng, spec.levels[2].eigenvalues, 1, spec.score_df)[0]
+                    scores[2].append(u)
+                    curve = curve + spec.levels[2].functions @ u
+                rows.append(curve)
+        rows = np.array(rows)
+        if spec.noise_variance > 0:
+            rows = rows + rng.normal(0.0, np.sqrt(spec.noise_variance), rows.shape)
+        values.append(rows)
+    for i in range(1, n + 1):
+        for j in range(1, J + 1):
+            for k in range(1, K_rep + 1):
+                index.append(NestedIndex(i, j, k if n_levels == 3 else None))
+    scores = [np.array(s) for s in scores]
+    curves = [s @ lvl.functions.T for s, lvl in zip(scores, spec.levels)]
+    return tuple(index), scores, curves, np.concatenate(values)
+
+
+ORACLE_SPECS = {
+    "n2": n2_spec_dict(3, n=6, J=3, m=21),
+    "n3": n3_spec_dict(4, n=4, J=2, K_rep=3, m=21),
+    "student_t": {
+        **n2_spec_dict(5, n=6, J=2, m=21),
+        "score_distribution": {"kind": "student_t", "df": 5},
+    },
+    "level2_shift": {**n2_spec_dict(6, n=6, J=3, m=21), "level2_shift": {"2": [1.5, -0.5]}},
+    "noise_free_measure_means": {
+        **n2_spec_dict(7, n=5, J=2, m=21, noise=0.0),
+        "measure_means": ["0.5*cos(2*pi*t)", "-0.5*cos(2*pi*t)"],
+    },
+    "one_level": {
+        **n2_spec_dict(8, n=5, J=3, m=21),
+        "levels": [{"eigenvalues": [4.0, 2.0], "basis": "fourier"}],
+    },
+}
 
 
 class TestFourierBasis:
@@ -54,8 +126,59 @@ class TestExpressions:
         with pytest.raises(ParseError):
             evaluate_expression("import os", small_grid.points)
 
+    def test_grammar(self, small_grid):
+        t = small_grid.points
+        out = evaluate_expression("-2**2 + abs(-t)/4 - exp(t)*sqrt(t) + +pi", t)
+        np.testing.assert_allclose(out, -4 + t / 4 - np.exp(t) * np.sqrt(t) + np.pi)
+        np.testing.assert_array_equal(evaluate_expression("10**2", t), 100.0)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "9**9**9",
+            "().__class__.__base__.__subclasses__().__len__()",
+            "__import__('os').getcwd()",
+            "t.__class__",
+            "sin.__self__",
+            "sin(t, t)",
+            "sin(x=t)",
+            "sin(*t)",
+            "t % 2",
+            "t if t else 0",
+            "True",
+            "'text'",
+            "1j",
+            "log(t)",
+            "sqrt(t - 2)",
+            "1/0",
+            "1" + "0" * 400,
+            "(" * 300 + "t" + ")" * 300,
+            "-" * 100000 + "1",
+            "+".join(["t"] * 20000),
+        ],
+    )
+    def test_rejected(self, small_grid, expr):
+        with pytest.raises(ParseError):
+            evaluate_expression(expr, small_grid.points)
+
 
 class TestGenerate:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_matches_reference_loop(self, name):
+        spec = spec_from_dict(ORACLE_SPECS[name])
+        X, truth = generate(spec)
+        index, scores, curves, values = _reference_generate(spec)
+        assert len(truth.scores) == len(scores) == spec.n_levels
+        for got, want in zip(truth.scores, scores):
+            assert np.array_equal(got, want)
+        for got, want in zip(truth.level_curves, curves):
+            assert np.array_equal(got, want)
+        assert X.index == index
+        np.testing.assert_allclose(X.values, values, rtol=0, atol=1e-13)
+        assert np.array_equal(X.values - truth.noiseless, truth.noise)
+        if spec.noise_variance == 0:
+            assert np.array_equal(X.values, truth.noiseless)
+
     def test_zero_variance_returns_means_exactly(self):
         spec = spec_from_dict(
             {
@@ -115,9 +238,7 @@ class TestGenerate:
                 + truth.level_curves[1][(i - 1) * J + (j - 1)]
                 + truth.level_curves[2][row]
             )
-            np.testing.assert_allclose(
-                assembled, truth.noiseless[row], atol=1e-12
-            )
+            assert np.array_equal(assembled, truth.noiseless[row])
 
     def test_level2_shift_moves_scores(self):
         data = n2_spec_dict(77, n=400, J=2, m=21)
