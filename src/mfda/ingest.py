@@ -62,7 +62,9 @@ class IngestReport:
     dropped_points: tuple[float, ...] = ()
 
 
-_CHUNK_ROWS = 10_000  # data rows whose label strings are held at once
+_CHUNK_ROWS = 10_000  # data rows parsed at once at the narrowest label width
+_NARROWEST = 8  # characters in every label field, until a label fills them
+_LABEL_COLUMNS = ("subject", "measure", "replicate", "channel")
 
 
 def _load_columns(src, columns: list[int], dtype, skiprows: int, max_rows=None) -> np.ndarray:
@@ -76,28 +78,50 @@ def _load_columns(src, columns: list[int], dtype, skiprows: int, max_rows=None) 
         )
 
 
-def _coded_labels(lines, columns: list[int], channel: str):
-    """Codes of the subject, measure and replicate labels on the channel's
-    rows, each column's labels by code, and which rows are the channel's.
+def _parsed_rows(fh, columns: dict[str, int], channel: str):
+    """The channel's rows as runs of one (subject, measure, replicate)
+    triple: each run's label codes and length, each label column's labels
+    by code, and the rows' t and value.
 
-    Reads _CHUNK_ROWS rows at a time from one line iterator and codes them at
-    once, so memory does not grow with label length.
+    One np.loadtxt call per chunk of rows parses fixed-width label fields and
+    float t and value, and ends the chunk after a whole record. A chunk with
+    a label that fills its field is read again at twice the width in half the
+    rows, so no label is cut and a parse holds about the same number of
+    characters; the width halves after a chunk whose labels fit in half.
     """
+    names = sorted(columns, key=columns.get)
+    usecols = sorted(columns.values())
+    width = _NARROWEST
     tables: list[dict[str, int]] = [{}, {}, {}]
-    codes, ours = [], []
+    runs, run_lengths, tv = [], [], []
     while True:
-        chunk = _load_columns(lines, columns, str, 0, _CHUNK_ROWS)
-        if (chunk == "").any():
+        size = max(1, _CHUNK_ROWS * _NARROWEST // width)
+        dtype = [(c, f"U{width}" if c in _LABEL_COLUMNS else "f8") for c in names]
+        start = fh.tell()
+        rows = _load_columns(iter(fh.readline, ""), usecols, dtype, 0, size)[:, 0]
+        lengths = [np.char.str_len(rows[c]) for c in _LABEL_COLUMNS]
+        longest = max(int(n.max(initial=0)) for n in lengths)
+        if longest == width:  # a label may be cut
+            width *= 2
+            fh.seek(start)
+            continue
+        if width > _NARROWEST and 2 * longest < width:
+            width //= 2  # so one long label does not slow the rest of the file
+        if any((n == 0).any() for n in lengths):
             raise ValueError("incomplete row")
-        ours.append(chunk[:, 3] == channel)
-        coded = []
-        for table, col in zip(tables, chunk[ours[-1], :3].T):
-            unique, inverse = np.unique(col, return_inverse=True)
-            known = [table.setdefault(x, len(table)) for x in unique.tolist()]
-            coded.append(np.array(known, dtype=np.int64)[inverse])
-        codes.append(np.stack(coded, axis=1))
-        if len(chunk) < _CHUNK_ROWS:
-            return np.concatenate(codes), [list(t) for t in tables], np.concatenate(ours)
+        mask = rows["channel"] == channel
+        tv.append(np.column_stack([rows["t"][mask], rows["value"][mask]]))
+        labels = [rows[c][mask] for c in _LABEL_COLUMNS[:3]]
+        head = np.arange(len(labels[0])) == 0
+        for col in labels:
+            head[1:] |= col[1:] != col[:-1]
+        coded = [[table.setdefault(x, len(table)) for x in col[head].tolist()]
+                 for table, col in zip(tables, labels)]
+        runs.append(np.array(coded, dtype=np.int64).T)
+        run_lengths.append(np.diff(np.flatnonzero(head), append=len(head)))
+        if len(rows) < size:
+            return (np.concatenate(runs), np.concatenate(run_lengths), [list(t) for t in tables],
+                    np.concatenate(tv))
 
 
 def _ranked(codes: np.ndarray, labels: list[str]) -> tuple[list[str], np.ndarray]:
@@ -140,6 +164,8 @@ def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
         next(reader)
         for record in filter(None, reader):
             line = reader.line_num
+            if any("\0" in cell for cell in record):
+                raise ParseError(f"{path}:{line}: NUL character")
             row = {c: record[i] if i < len(record) else "" for c, i in columns.items()}
             if "" in row.values():
                 raise ParseError(f"{path}:{line}: incomplete row")
@@ -176,7 +202,8 @@ def read_long_csv(
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
+            # readline, unlike iterating fh, leaves fh.tell() usable for _parsed_rows
+            header = next(csv.reader(iter(fh.readline, "")), None)
             if header is None or set(header) != set(LONG_COLUMNS):
                 raise ParseError(
                     f"{path}: header must contain exactly the columns "
@@ -184,18 +211,15 @@ def read_long_csv(
                 )
             columns = {name: i for i, name in enumerate(header)}
             try:
-                label_columns = ("subject", "measure", "replicate", "channel")
-                codes, tables, ours = _coded_labels(
-                    fh, [columns[c] for c in label_columns], channel
-                )
-                subjects, s = _ranked(codes[:, 0], tables[0])
-                measures, m = _ranked(codes[:, 1], tables[1])
+                with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
+                    if any(b"\0" in block for block in iter(lambda: raw.read(1 << 20), b"")):
+                        raise ValueError("NUL character")
+                runs, run_lengths, tables, tv = _parsed_rows(fh, columns, channel)
+                subjects, s = _ranked(runs[:, 0], tables[0])
+                measures, m = _ranked(runs[:, 1], tables[1])
                 rep_ints = np.array([int(x) for x in tables[2]], dtype=object)
                 replicates, r = np.unique(rep_ints, return_inverse=True)
-                r = r[codes[:, 2]]
-                del codes
-                fh.seek(0)
-                tv = _load_columns(fh, [columns["t"], columns["value"]], float, 1)[ours]
+                s, m, r = (np.repeat(x, run_lengths) for x in (s, m, r[runs[:, 2]]))
                 if not np.isfinite(tv).all():
                     raise ValueError("non-finite t or value")
                 points, tc = np.unique(tv[:, 0], return_inverse=True)
@@ -210,6 +234,8 @@ def read_long_csv(
                 raise ParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise ParseError(f"{path}: {exc}") from None
     if not order.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 

@@ -364,8 +364,10 @@ def _level_units(n: int, J: int, K_rep: int, levels: int):
     return tuple(tuple(product(*ranges[:depth])) for depth in range(1, levels + 1))
 
 
+@np.errstate(over="raise", invalid="raise")
 def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
-    """Full nested fit: means, level surfaces, eigensystems, noise, scores."""
+    """Full nested fit: means, level surfaces, eigensystems, noise, scores.
+    Data whose moment products overflow raise FloatingPointError."""
     rv, n, J, K_rep = canonical_design(X, levels=config.levels)
     means = measure_means(X, center_measures=config.center_measures)
     rv = _centre(rv, X.grid, means)

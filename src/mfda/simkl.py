@@ -44,6 +44,9 @@ _EXPR_OPERATORS = {
 }
 
 ORTHONORMALITY_TOL = 1e-6
+# Most values (subjects x measures x replicates x grid points) a generated
+# dataset may hold; one float64 copy of them is 800 MB, and generate keeps a few.
+MAX_VALUES = 10**8
 
 
 def _evaluate_node(node: ast.AST, t: np.ndarray) -> Any:
@@ -268,7 +271,11 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
     if "points" in grid_cfg:
         grid = Grid.from_points(_floats(grid_cfg["points"], "'grid' key 'points'", 1))
     elif "m" in grid_cfg:
-        grid = Grid.uniform(_integer(grid_cfg["m"], "'grid' key 'm'"))
+        m = _integer(grid_cfg["m"], "'grid' key 'm'")
+        if m > MAX_VALUES:
+            raise InvalidParameterError(f"grid of {m} points is more than the {MAX_VALUES} "
+                                        "values a generated dataset may hold")
+        grid = Grid.uniform(m)
     else:
         raise ParseError("grid section needs either 'm' or 'points'")
 
@@ -278,6 +285,12 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
     )
     if min(n, J, K_rep) < 1:
         raise InvalidParameterError("design counts must be >= 1")
+    if n * J * K_rep * grid.size > MAX_VALUES:
+        raise InvalidParameterError(
+            f"design of {n} subjects x {J} measures x {K_rep} replicates x "
+            f"{grid.size} grid points is {n * J * K_rep * grid.size} values, more "
+            f"than the {MAX_VALUES} a generated dataset may hold"
+        )
 
     mean = _tabulate(data.get("mean", 0.0), grid, "'mean'")
     measure_means = None

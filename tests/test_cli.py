@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,7 +26,7 @@ from mfda.core import Curve
 from mfda.fpca import EigenSystem
 from mfda.ingest import write_fit
 from mfda.mfpca import FitConfig, MultilevelFit
-from mfda.simkl import fourier_basis
+from mfda.simkl import MAX_VALUES, fourier_basis
 
 from .conftest import n2_spec_dict
 
@@ -133,6 +134,56 @@ def _mutated_specs(draw):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation replaced the container
     return spec
+
+
+# A small long CSV that fits cleanly (5 subjects, 2 measures, 9 grid points,
+# a second channel), and the byte-level faults the data fuzz test puts in it.
+_DATA_ROWS = [
+    [str(s).encode(), m, b"1", repr(k / 8).encode(),
+     repr(round(math.sin(1.3 * s + k) + (m == b"b") * math.cos(0.7 * s * k), 6)).encode(),
+     channel]
+    for channel in (b"sim", b"aux") for s in range(1, 6) for m in (b"a", b"b")
+    for k in range(9)
+]
+_ODD_NUMBERS = [b"1e308", b"-1e400", b"nan", b"inf", b"-inf", b"9" * 400, b"0x10",
+                b"1_0", b"", b" ", b"1e-400"]
+_ODD_BYTES = [b'"', b'""', b"\x00", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\n", b","]
+_LONG_LABELS = [b"x" * 9, b"x" * 40, "\u00e9\u4e2d".encode() * 20, b"y" * 5000,
+                b'"' + b"z" * 70 + b'"', b'"two\nlines"']
+
+
+@st.composite
+def _mutated_data(draw):
+    """The long CSV's bytes after one to four faults, with one line ending."""
+    rows = [list(row) for row in _DATA_ROWS]
+    blank = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        cell = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
+        kind = draw(st.sampled_from(["drop_cell", "double_cell", "drop_row", "double_row",
+                                     "byte", "number", "label", "blank"]))
+        if kind == "drop_cell" and rows[i]:
+            del rows[i][cell]
+        elif kind == "double_cell" and rows[i]:
+            rows[i].insert(cell, rows[i][cell])
+        elif kind == "drop_row" and len(rows) > 1:
+            del rows[i]
+        elif kind == "double_row":
+            rows.insert(i, list(rows[i]))
+        elif kind == "byte":
+            text = b",".join(rows[i])
+            at = draw(st.integers(0, len(text)))
+            rows[i] = (text[:at] + draw(st.sampled_from(_ODD_BYTES)) + text[at:]).split(b",")
+        elif kind == "number" and len(rows[i]) > 4:
+            rows[i][draw(st.sampled_from([3, 4]))] = draw(st.sampled_from(_ODD_NUMBERS))
+        elif kind == "label" and len(rows[i]) > 5:
+            rows[i][draw(st.sampled_from([0, 1, 5]))] = draw(st.sampled_from(_LONG_LABELS))
+        elif kind == "blank":
+            blank.append(i)
+    lines = [b"subject,measure,replicate,t,value,channel"] + [b",".join(r) for r in rows]
+    for i in blank:
+        lines.insert(i, b"")
+    return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines) + b"\n"
 
 
 @pytest.fixture
@@ -263,6 +314,24 @@ class TestSimulate:
         spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "grid,design,needle",
+        [({"m": 11}, {"subjects": 10**30, "measures": 2},
+          f"design of {10**30} subjects x 2 measures x 1 replicates x 11 grid points"),
+         ({"m": 10**30}, {"subjects": 4, "measures": 2}, f"grid of {10**30} points"),
+         ({"m": 11}, {"subjects": 100000, "measures": 100000},
+          "design of 100000 subjects x 100000 measures x 1 replicates x 11 grid points")],
+        ids=["subjects", "grid", "subjects_x_measures"],
+    )
+    def test_oversized_design_exits_2(self, tmp_path, capsys, grid, design, needle):
+        spec = {**n2_spec_dict(5), "grid": grid, "design": design}
+        spec_path = write_spec(tmp_path, spec)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+        assert f"more than the {MAX_VALUES}" in err
+        assert not (tmp_path / "o").exists()
 
     @given(spec=_mutated_specs())
     @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
@@ -410,6 +479,37 @@ class TestFit:
         argv = ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "f")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {data}:501: not UTF-8 text")
+
+    def test_values_too_large_for_the_moments_exit_4(self, tmp_path):
+        rows = [list(row) for row in _DATA_ROWS]
+        rows[7][4] = b"1e200"
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"subject,measure,replicate,t,value,channel\n"
+                         + b"".join(b",".join(row) + b"\n" for row in rows))
+        argv = ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "f")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        assert err.getvalue() == "error: overflow encountered in matmul\n"
+        assert not caught and not (tmp_path / "f").exists()
+
+    @given(data=_mutated_data())
+    @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+    def test_fuzzed_data_exits_cleanly(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "data.csv").write_bytes(data)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["fit", str(work / "data.csv"), "--channel", "sim",
+                         "--levels", "2", "--out", str(work / "fit")])
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+        assert not caught, [str(w.message) for w in caught]
 
 
 def edit_line(text: str, line: int, edit) -> str:

@@ -214,6 +214,20 @@ class TestReadLongCsv:
             read_long_csv(path, channel="c")
         assert ":3:" in str(err.value)
 
+    def test_nul_in_a_label_cites_its_line(self, tmp_path):
+        # a fixed-width label field would read 'a\0' as 'a'
+        path = tmp_path / "nul.csv"
+        path.write_text(HEADER + "a,m,1,0.0,1.0,c\na\0,m,1,1.0,1.0,c\n")
+        with pytest.raises(ParseError) as err:
+            read_long_csv(path, channel="c")
+        assert str(err.value) == f"{path}:3: NUL character"
+
+    def test_field_past_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(HEADER + "x" * 150_000 + ",m,1,0.0,1.0,c\na,m,1,oops,1.0,c\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            read_long_csv(path, channel="c")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("subject,t,value\n")
@@ -237,8 +251,15 @@ class TestReadLongCsv:
         assert report.dropped_points == (0.5,)
 
 
-SUBJECTS = ("1", "2", "10", "a,b", 'say "hi"', "two\nlines", " s ")
-MEASURES = ("1", "2", "pre", "post,1")
+# Long, non-ASCII and many-line labels make the reader widen its label
+# fields: the many-line label is longer than any physical line of its file,
+# and a channel named "c" plus 30 characters starts with the fitted channel.
+LONG_LABEL = "L" * 40
+MANY_LINES = "\n".join(["w" * 10] * 30)
+SUBJECTS = ("1", "2", "10", "a,b", 'say "hi"', "two\nlines", " s ", LONG_LABEL,
+            "é中", MANY_LINES)
+MEASURES = ("1", "2", "pre", "post,1", LONG_LABEL + ",m", "é中", '"' + MANY_LINES)
+OTHER_CHANNELS = ("d", "e,f", "c" + "x" * 30, LONG_LABEL, "é中")
 POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 FAULTS = (
     "none", "incomplete", "short", "bad_float", "non_finite", "bad_replicate",
@@ -290,12 +311,22 @@ class TestReaderMatchesReference:
             f"{path}:7: could not convert string to float: 'oops'"
         )
 
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 10_000])
+    def test_quote_inside_an_unquoted_label(self, tmp_path, chunk_rows):
+        # csv and loadtxt both read 'x"y' literally, so its odd quote count
+        # must not shift where a chunk ends before the quoted newlines after it
+        path = tmp_path / "stray.csv"
+        path.write_text(HEADER + 'x"y,m,1,0.0,1.0,d\n' + PREFIX, newline="")
+        with mock.patch.object(mfda.ingest, "_CHUNK_ROWS", chunk_rows):
+            assert_reads_like_reference(path, "c", "strict")
+            assert_reads_like_reference(path, "d", "intersect")
+
     @given(
         subjects=st.lists(st.sampled_from(SUBJECTS), min_size=1, max_size=3, unique=True),
         measures=st.lists(st.sampled_from(MEASURES), min_size=1, max_size=2, unique=True),
         replicates=st.integers(1, 3),
         points=st.lists(st.sampled_from(POINTS), min_size=2, max_size=5, unique=True),
-        others=st.lists(st.sampled_from(("d", "e,f")), max_size=2, unique=True),
+        others=st.lists(st.sampled_from(OTHER_CHANNELS), max_size=2, unique=True),
         fault=st.sampled_from(FAULTS),
         grid_policy=st.sampled_from(GRID_POLICIES),
         newline=st.sampled_from(("\n", "\r\n", "\r")),
@@ -367,6 +398,17 @@ class TestLongCsvRoundTrip:
         back, _ = read_long_csv(path, channel="sim")
         assert back.index == X.index
         assert np.max(np.abs(back.values - X.values)) < 1e-12
+
+    def test_long_label_round_trip(self, tmp_path):
+        X, _ = generate(n2_spec(10, n=3, J=2, m=7))
+        label = "".join(chr(0x41 + i % 26) for i in range(199)) + "é"
+        X = CurveSet(X.grid, X.index, X.values, (label, "b", "c"), X.measure_labels)
+        path = tmp_path / "long.csv"
+        write_long_csv(X, path, channel="sim")
+        back, report = read_long_csv(path, channel="sim")
+        assert back.subject_labels == (label, "b", "c") == report.subjects
+        assert back.index == X.index
+        assert back.values.tobytes() == X.values.tobytes()
 
     def test_file_level_round_trip(self, tmp_path):
         first = tmp_path / "a.csv"
