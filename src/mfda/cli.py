@@ -175,7 +175,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         {
             "method": report.method,
             "n_permutations": report.n_permutations,
-            "pvalue_method": report.pvalue_method,
+            "pvalue_method": "permutation",
             "seed": report.seed,
             "group_a": group_a,
             "group_b": group_b,

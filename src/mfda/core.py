@@ -71,11 +71,10 @@ class Grid:
             raise InvalidGridError("weights must have one entry per point")
         if np.any(weights < 0):
             raise InvalidGridError("quadrature weights must be nonnegative")
-        span = points[-1] - points[0]
-        if abs(weights.sum() - span) > 1e-12 * max(span, 1.0):
-            raise InvalidGridError(
-                f"weights sum {weights.sum()!r} != grid range {span!r}"
-            )
+        span = float(points[-1] - points[0])
+        total = float(weights.sum())
+        if abs(total - span) > 1e-12 * max(span, 1.0):
+            raise InvalidGridError(f"weights sum {total!r} != grid range {span!r}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 

@@ -36,7 +36,7 @@ def pointwise_icc(fit: MultilevelFit) -> Curve:
     denom = np.sum(variance_curves, axis=0) + fit.noise_variance
     zero = denom <= 0.0
     if np.any(zero):
-        t_bad = fit.grid.points[zero][0]
+        t_bad = float(fit.grid.points[zero][0])
         raise UndefinedIccError(f"all variance components vanish at t={t_bad!r}")
     rho = np.clip(variance_curves[0] / denom, 0.0, 1.0)
     return Curve(fit.grid, rho)

@@ -6,23 +6,28 @@ calibrated by permutation; the per-component p-values are FDR-adjusted and
 the minimum adjusted p-value is the global decision value.
 
 One kernel computes every statistic for a batch of group splits, given as a
-0/1 matrix marking group A, from one stable sort of the pooled sample and
-one cumulative count of group-A members along it, which gives the ECDF gap
-F_a - F_b at each distinct value. KS is its largest absolute value and CvM
-its multiplicity-weighted square sum. Energy distance in one dimension is
-2 * integral (F_a - F_b)^2 dt (Szekely & Rizzo 2013), a sum of the squared
-gaps times the spacings of the sorted values, so R splits of N values cost
-O(R N) after the sort, with no pairwise distances and no cancellation. The
-unpaired design relabels freely and the paired design swaps labels within
-each pair; the two differ only in how the membership rows are drawn.
+0/1 matrix marking group A. Per component it takes one stable sort of the
+pooled sample and an int32 cumulative count c_j of group-A members along it.
+At the j-th of the r_j sorted values the ECDF gap times n_a n_b is the
+integer num_j = N c_j - n_a r_j = n_a n_b (F_a - F_b), held exactly in
+float64. KS is max |num| / (n_a n_b) and CvM the multiplicity-weighted sum
+of num^2 over N^2 n_a n_b (the rank form, Anderson 1962), so splits whose
+statistics tie in exact arithmetic give equal floats: always for KS, and for
+CvM while N (n_a n_b)^2 < 2^53. Energy distance in one dimension is
+2 * integral (F_a - F_b)^2 dt (Szekely & Rizzo 2013), the squared numerators
+times the spacings of the sorted values over (n_a n_b)^2, so R splits of N
+values cost O(R N) after the sort, with no pairwise distances and no
+cancellation. The unpaired design relabels freely and the paired design
+swaps labels within each pair; the two differ only in how the membership
+rows are drawn.
 
 Each test draws its membership matrix once, from one generator seeded by
 SeedSequence(seed), and applies it to every component: a unit's whole score
 vector moves with its label, so the dependence between the components is
 kept (Westfall & Young 1993) and a seed gives the same p-values on every
 call. A permuted statistic counts as reaching the observed one when it is at
-least observed - TIE_RTOL * |observed|, so splits that tie mathematically
-count whatever the rounding of their last bits.
+least observed - TIE_RTOL * |observed|, so energy splits that tie
+mathematically count whatever the rounding of their spacing-weighted sums.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ def _observed(method: str, a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     member = _memberships(a.size, a.size + b.size)
-    return float(_batch_stats(method, np.concatenate([a, b]), member)[0])
+    return float(_batch_stats(method, np.concatenate([a, b])[:, None], member)[0, 0])
 
 
 def _memberships(
@@ -104,31 +109,48 @@ def _memberships(
             member[1:, :n_a], member[1:, n_a:] = ~swap, swap
         else:
             first = np.argpartition(rng.random((n_draws, N)), n_a - 1, axis=1)
-            np.put_along_axis(member[1:], first[:, :n_a], True, axis=1)
+            row_start = np.arange(N, N * (1 + n_draws), N)[:, None]
+            member.reshape(-1)[first[:, :n_a] + row_start] = True
     return member
 
 
 def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """The statistic for each row of the (R, N) boolean matrix marking group A."""
-    N = pooled.size
+    """(R, K) statistics of the K columns of pooled (N, K), one row for each
+    row of the (R, N) boolean matrix marking group A."""
+    if method not in METHODS:
+        raise InvalidParameterError(f"unknown method {method!r}")
+    N = pooled.shape[0]
     n_a = int(member[0].sum())
-    n_b = N - n_a
-    order = np.argsort(pooled, kind="mergesort")
-    z = pooled[order]
-    is_a = member[:, order]
-    cum_a = np.cumsum(is_a, axis=1)
-    boundary = np.r_[np.diff(z) != 0, True]
-    ranks = np.flatnonzero(boundary) + 1
-    cum_a = cum_a[:, boundary]
-    gap = cum_a / n_a - (ranks - cum_a) / n_b
-    if method == "ks":
-        return np.max(np.abs(gap), axis=1)
-    if method == "cvm":
-        return (n_a * n_b / N**2) * (gap**2 @ np.diff(ranks, prepend=0))
-    if method == "energy":
-        # 2 E|a-b| - E|a-a'| - E|b-b'| = 2 integral of (F_a - F_b)^2 dt
-        return 2.0 * (gap[:, :-1] ** 2 @ np.diff(z[boundary]))
-    raise InvalidParameterError(f"unknown method {method!r}")
+    n_ab = n_a * (N - n_a)
+    # split-major columns make the sort gather whole rows and the count a
+    # running sum of rows; the buffers serve every component
+    member_t = np.ascontiguousarray(member.T)
+    count = np.empty(member_t.shape, dtype=np.int32)
+    buffer = np.empty(member_t.shape)
+    out = np.empty((pooled.shape[1], member.shape[0]))
+    for k, column in enumerate(pooled.T):
+        order = np.argsort(column, kind="mergesort")
+        z = column[order]
+        count[...] = member_t[order]
+        np.add.accumulate(count, axis=0, out=count)
+        boundary = np.r_[np.diff(z) != 0, True]
+        ranks = np.flatnonzero(boundary) + 1
+        num = buffer[: ranks.size]
+        np.multiply(count if ranks.size == N else count[boundary], float(N), out=num)
+        num -= (n_a * ranks)[:, None]
+        if method == "ks":
+            out[k] = np.maximum(num.max(axis=0), -num.min(axis=0)) / n_ab
+            continue
+        num *= num
+        if method == "cvm":
+            # float multiplicities keep the product in BLAS
+            out[k] = np.diff(ranks, prepend=0).astype(float) @ num / (N**2 * n_ab)
+        else:
+            # 2 E|a-b| - E|a-a'| - E|b-b'| = 2 integral of (F_a - F_b)^2 dt;
+            # the last numerator is 0, so its spacing is set to 0
+            zb = z[boundary]
+            out[k] = 2.0 * (np.diff(zb, append=zb[-1]) @ num) / n_ab**2
+    return out.T
 
 
 def _pvalue(permuted: np.ndarray, observed: float) -> float:
@@ -210,7 +232,6 @@ class TestReport:
     global_p: float
     method: str
     n_permutations: int
-    pvalue_method: str = "permutation"
     seed: Optional[int] = None
 
     def raw_pvalues(self) -> np.ndarray:
@@ -223,17 +244,15 @@ def two_sample_score_test(
     method: str = "energy",
     n_permutations: int = 999,
     seed: int | np.random.SeedSequence = 0,
-    pvalue_method: str = "permutation",
     paired: bool = False,
 ) -> TestReport:
     """Componentwise two-sample test of score-distribution equality.
 
     Columns of A and B must hold the same components in the same order, and
-    every score must be finite. p-values come from permutation by default;
-    the asymptotic formula is available for the KS statistic only.
+    every score must be finite. p-values come from permutation.
     paired=True swaps the two group labels within each row pair instead of
     permuting freely (an extension beyond the unpaired default; requires
-    equal group sizes and permutation p-values).
+    equal group sizes).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -251,20 +270,7 @@ def two_sample_score_test(
         raise InvalidParameterError("scores must be finite")
     if method not in METHODS:
         raise InvalidParameterError(f"method must be one of {METHODS}")
-    if pvalue_method not in ("permutation", "asymptotic"):
-        raise InvalidParameterError(
-            "pvalue_method must be 'permutation' or 'asymptotic'"
-        )
-    asymptotic = pvalue_method == "asymptotic"
-    if asymptotic and method != "ks":
-        raise InvalidParameterError(
-            f"asymptotic p-values are only available for ks, not {method}"
-        )
-    if asymptotic and paired:
-        raise InvalidParameterError(
-            "the paired test needs permutation p-values"
-        )
-    if not asymptotic and n_permutations < MIN_PERMUTATIONS:
+    if n_permutations < MIN_PERMUTATIONS:
         raise InvalidParameterError(
             f"need at least {MIN_PERMUTATIONS} permutations"
         )
@@ -272,33 +278,20 @@ def two_sample_score_test(
         raise InsufficientDataError("paired test requires equal group sizes")
 
     K = A.shape[1]
-    n_a = A.shape[0]
     pooled = np.vstack([A, B])
-    N = pooled.shape[0]
-    member = _memberships(n_a, N, 0 if asymptotic else n_permutations, seed, paired)
+    member = _memberships(A.shape[0], pooled.shape[0], n_permutations, seed, paired)
+    stats = _batch_stats(method, pooled, member)
+    # a constant component's statistics are all 0; its p-value is 1
     degenerate = np.ptp(pooled, axis=0) == 0.0
-    statistics = np.zeros(K)
-    raw = np.ones(K)
-    for k in range(K):
-        stats = _batch_stats(
-            method, pooled[:, k], member[:1] if degenerate[k] else member
-        )
-        statistics[k] = stats[0]
-        if degenerate[k]:
-            continue
-        if asymptotic:
-            from scipy.special import kolmogorov
-
-            en = n_a * (N - n_a) / N
-            raw[k] = float(kolmogorov(stats[0] * np.sqrt(en)))
-        else:
-            raw[k] = _pvalue(stats[1:], stats[0])
-
+    raw = np.array([
+        1.0 if degenerate[k] else _pvalue(stats[1:, k], stats[0, k])
+        for k in range(K)
+    ])
     adjusted = bh_adjust(raw)
     per_score = tuple(
         ScoreTestResult(
             component=k + 1,
-            statistic=float(statistics[k]),
+            statistic=float(stats[0, k]),
             p_raw=float(raw[k]),
             p_adjusted=float(adjusted[k]),
             degenerate=bool(degenerate[k]),
@@ -309,8 +302,7 @@ def two_sample_score_test(
         per_score=per_score,
         global_p=float(np.min(adjusted)),
         method=method,
-        n_permutations=0 if asymptotic else n_permutations,
-        pvalue_method=pvalue_method,
+        n_permutations=n_permutations,
         seed=seed,
     )
 

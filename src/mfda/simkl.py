@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 import numpy as np
-import yaml
 
 from .core import CurveSet, Grid, NestedIndex
 from .errors import InvalidBasisError, InvalidParameterError, ParseError
@@ -356,6 +355,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
 def load_spec(path: str, seed: Optional[int] = None) -> GeneratorSpec:
     """Read a generator spec from a YAML file; a given seed replaces the
     spec's own."""
+    import yaml  # only simulate reads YAML; the import costs every command
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -364,11 +365,6 @@ def load_spec(path: str, seed: Optional[int] = None) -> GeneratorSpec:
     if seed is not None and isinstance(data, Mapping):
         data = {**data, "seed": seed}
     return spec_from_dict(data)
-
-
-def save_spec(spec: GeneratorSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(spec.to_dict(), fh, sort_keys=True)
 
 
 @dataclass(frozen=True, eq=False)

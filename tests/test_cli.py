@@ -800,15 +800,16 @@ class TestMultiChannel:
 
 class TestImport:
     def test_cli_import_leaves_scipy_stats_and_special_unloaded(self):
-        # Every command pays the import; only correlate and the asymptotic
-        # KS p-value need scipy.stats / scipy.special.
+        # Every command pays the import; only correlate needs scipy.stats
+        # and only simulate reads YAML.
         src = str(Path(mfda.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
         code = (
             "import sys, mfda.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+            "print([m for m in ('scipy.stats', 'scipy.special', 'yaml') "
+            "if m in sys.modules])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,

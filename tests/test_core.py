@@ -77,6 +77,12 @@ class TestGrid:
         with pytest.raises(InvalidGridError):
             Grid(np.array([0.0, 1.0]), np.array([-0.5, 1.5]))
 
+    def test_weight_sum_message_prints_plain_floats(self):
+        with pytest.raises(InvalidGridError) as err:
+            Grid(np.array([0.0, 1.0]), np.array([0.9, 0.9]))
+        assert "np.float64(" not in str(err.value)
+        assert "weights sum 1.8 != grid range 1.0" in str(err.value)
+
     def test_immutable(self, uniform_grid):
         with pytest.raises(ValueError):
             uniform_grid.points[0] = 0.5

@@ -77,6 +77,14 @@ class TestPointwise:
         with pytest.raises(UndefinedIccError):
             pointwise_icc(fit)
 
+    def test_undefined_message_prints_a_plain_float(self, small_grid):
+        empty = eig_of(small_grid, np.zeros(0), np.zeros((small_grid.size, 0)))
+        fit = handmade_fit(small_grid, [empty, empty], noise=0.0)
+        with pytest.raises(UndefinedIccError) as err:
+            pointwise_icc(fit)
+        assert "np.float64(" not in str(err.value)
+        assert f"at t={float(small_grid.points[0])!r}" in str(err.value)
+
     def test_values_clamped_to_unit_interval(self):
         spec = n2_spec(77, n=30, J=2, m=41)
         X, _ = generate(spec)

@@ -14,6 +14,8 @@ from mfda.errors import (
 )
 from mfda.leveltest import (
     METHODS,
+    _batch_stats,
+    _memberships,
     bh_adjust,
     cvm_statistic,
     energy_statistic,
@@ -79,6 +81,19 @@ def reference_pvalue(
             a_perm, b_perm = pooled[row[: a.size]], pooled[row[a.size :]]
         exceed += reference_units(method, a_perm, b_perm) >= observed
     return (1 + exceed) / (n_permutations + 1)
+
+
+def put_along_axis_memberships(
+    n_a: int, N: int, n_draws: int, seed: int | np.random.SeedSequence
+) -> np.ndarray:
+    """Unpaired membership rows scattered with np.put_along_axis: the n_a
+    smallest of each row's N uniforms, from one generator."""
+    member = np.zeros((1 + n_draws, N), dtype=bool)
+    member[0, :n_a] = True
+    rng = np.random.default_rng(seed)
+    first = np.argpartition(rng.random((n_draws, N)), n_a - 1, axis=1)
+    np.put_along_axis(member[1:], first[:, :n_a], True, axis=1)
+    return member
 
 
 def bh_reference(p: np.ndarray) -> np.ndarray:
@@ -336,18 +351,6 @@ class TestTwoSampleScoreTest:
         )
         assert report_big.global_p >= report_small.global_p - 1e-12
 
-    def test_asymptotic_ks_option(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(60, 1))
-        b = rng.normal(0.7, 1, size=(80, 1))
-        report = two_sample_score_test(a, b, method="ks", pvalue_method="asymptotic")
-        # classical limiting Kolmogorov law at sqrt(en) * D
-        d = scipy_stats.ks_2samp(a[:, 0], b[:, 0]).statistic
-        en = 60.0 * 80.0 / 140.0
-        expected = scipy_stats.distributions.kstwobign.sf(d * np.sqrt(en))
-        assert report.per_score[0].p_raw == pytest.approx(expected, rel=1e-9)
-        assert report.n_permutations == 0
-
     def test_paired_variant_runs(self):
         rng = np.random.default_rng(15)
         A = rng.normal(size=(20, 2))
@@ -416,22 +419,70 @@ class TestTwoSampleScoreTest:
         with pytest.raises(InvalidParameterError):
             two_sample_score_test(A, A, n_permutations=10)
         with pytest.raises(InvalidParameterError):
-            two_sample_score_test(A, A, method="energy", pvalue_method="asymptotic")
-        with pytest.raises(InvalidParameterError):
             two_sample_score_test(A, A, method="anova")
         with pytest.raises(InsufficientDataError):
             two_sample_score_test(np.zeros((10, 0)), np.zeros((10, 0)))
-        with pytest.raises(InvalidParameterError):
-            two_sample_score_test(
-                A, A, method="ks", pvalue_method="asymptotic", paired=True
-            )
         for bad in (np.nan, np.inf, -np.inf):
             C = np.ones((10, 2))
             C[4, 1] = bad
             with pytest.raises(InvalidParameterError):
                 two_sample_score_test(C, A)
-            with pytest.raises(InvalidParameterError):
-                two_sample_score_test(A, C, method="ks", pvalue_method="asymptotic")
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "n_a, N, seed",
+        [(5, 10, 0), (20, 33, 7), (400, 800, 1), (3, 50, np.random.SeedSequence(4))],
+    )
+    def test_memberships_match_put_along_axis(self, n_a, N, seed):
+        member = _memberships(n_a, N, 99, seed)
+        np.testing.assert_array_equal(
+            member, put_along_axis_memberships(n_a, N, 99, seed)
+        )
+        assert np.all(member.sum(axis=1) == n_a)
+
+    @pytest.mark.parametrize("method", ["ks", "cvm"])
+    def test_integer_numerators_are_exact(self, method):
+        # tied integer samples at a scale that is inexact in binary: every
+        # split's statistic is its integer numerator divided once by the
+        # method's denominator, so splits that tie give equal floats
+        rng = np.random.default_rng(21)
+        n_a, n_b = 17, 23
+        N = n_a + n_b
+        pooled = rng.integers(0, 6, N)
+        member = _memberships(n_a, N, 199, seed=5)
+        stats = _batch_stats(method, 0.37 * pooled[:, None], member)[:, 0]
+        units = np.array(
+            [reference_units(method, pooled[row], pooled[~row]) for row in member]
+        )
+        denominator = n_a * n_b if method == "ks" else N**2 * n_a * n_b
+        np.testing.assert_array_equal(stats, units / denominator)
+        if method == "ks":
+            np.testing.assert_array_equal(np.rint(stats * n_a * n_b), units)
+            assert np.max(np.abs(stats * n_a * n_b - units)) < 1e-9
+
+    def test_large_unpaired_sample_matches_scipy(self):
+        # N^2 > 2^31 and N * n_a > 2^31, so an int32 product would overflow
+        rng = np.random.default_rng(50)
+        a = rng.normal(size=45_000)
+        b = rng.normal(0.02, 1.1, size=5_000)
+        R = 99
+        expected = {
+            "ks": scipy_stats.ks_2samp(a, b).statistic,
+            "cvm": scipy_stats.cramervonmises_2samp(a, b).statistic,
+            "energy": scipy_stats.energy_distance(a, b) ** 2,
+        }
+        for method in METHODS:
+            report = two_sample_score_test(
+                a[:, None], b[:, None], method=method, n_permutations=R, seed=3
+            )
+            result = report.per_score[0]
+            assert result.statistic == pytest.approx(
+                expected[method], rel=1e-9, abs=0.0
+            )
+            lattice = result.p_raw * (R + 1)
+            assert abs(lattice - round(lattice)) < 1e-9
+            assert 1 <= round(lattice) <= R + 1
 
 
 class TestScoreCovariateCorrelation:
