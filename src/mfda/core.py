@@ -8,8 +8,8 @@ is pure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -145,77 +145,79 @@ class NestedIndex:
 
 @dataclass(frozen=True, eq=False)
 class CurveSet:
-    """A stack of curves on one Grid, indexed by NestedIndex.
+    """A stack of curves on one Grid, one per row of values.
 
-    values holds one curve per row, in the same order as `index`.
+    codes holds each row's (subject, measure, replicate) as 1-based integers,
+    replicate 0 for a two-level row; a sequence of NestedIndex keys in its
+    place is coded, and `index` views the codes as NestedIndex keys.
     Label tuples map 1-based subject/measure indices back to the external
     string ids they came from (defaults to the index itself).
     """
 
     grid: Grid
-    index: tuple[NestedIndex, ...]
+    codes: np.ndarray
     values: np.ndarray
     subject_labels: tuple[str, ...] = ()
     measure_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        codes = self.codes
+        if not isinstance(codes, np.ndarray):
+            codes = [(ix.subject, ix.measure, ix.replicate or 0) for ix in codes]
+        codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
+        codes.setflags(write=False)
         values = _readonly(self.values)
-        if values.ndim != 2 or values.shape != (len(self.index), self.grid.size):
+        if values.ndim != 2 or values.shape != (len(codes), self.grid.size):
             raise GridMismatchError(
-                f"values must be ({len(self.index)}, {self.grid.size}), "
+                f"values must be ({len(codes)}, {self.grid.size}), "
                 f"got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise InvalidGridError("curve values must be finite")
-        if len(set(self.index)) != len(self.index):
+        if (codes[:, :2] < 1).any() or (codes[:, 2] < 0).any():
+            raise EmptyDataError("subject, measure and replicate indices start at 1")
+        keys = codes[np.lexsort(codes.T[::-1])]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
             raise DuplicateKeyError("nested indices must be unique")
-        n_sub = max((ix.subject for ix in self.index), default=0)
-        n_meas = max((ix.measure for ix in self.index), default=0)
-        subject_labels = self.subject_labels or tuple(
-            str(i) for i in range(1, n_sub + 1)
-        )
-        measure_labels = self.measure_labels or tuple(
-            str(j) for j in range(1, n_meas + 1)
-        )
+        n_sub, n_meas = codes[:, :2].max(axis=0, initial=0).tolist()
+        subject_labels = self.subject_labels or tuple(map(str, range(1, n_sub + 1)))
+        measure_labels = self.measure_labels or tuple(map(str, range(1, n_meas + 1)))
         if len(subject_labels) != n_sub or len(measure_labels) != n_meas:
             raise EmptyDataError("label tuples must cover every index")
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index", tuple(self.index))
         object.__setattr__(self, "subject_labels", tuple(subject_labels))
         object.__setattr__(self, "measure_labels", tuple(measure_labels))
 
+    @cached_property
+    def index(self) -> tuple[NestedIndex, ...]:
+        return tuple(NestedIndex(s, m, r or None) for s, m, r in self.codes.tolist())
+
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[tuple[NestedIndex, np.ndarray]]:
         return zip(self.index, self.values)
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (subject, measure) pairs in sorted order, and the
+        number of rows of each."""
+        pairs = self.codes[np.lexsort(self.codes.T[1::-1]), :2]
+        first = np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
+        return pairs[first], np.diff(first, append=len(pairs))
+
     def is_balanced(self) -> bool:
         """Complete rectangular design: every subject has every measure with
         the same replicate count."""
-        counts = Counter((ix.subject, ix.measure) for ix in self.index)
-        subjects, measures = ({key[i] for key in counts} for i in (0, 1))
-        return len(set(counts.values())) == 1 and len(counts) == len(subjects) * len(measures)
+        cells, counts = self.cells()
+        n, J = (np.unique(cells[:, i]).size for i in (0, 1))
+        return np.unique(counts).size == 1 and len(cells) == n * J
 
     def sorted(self) -> "CurveSet":
         """Rows reordered to canonical (subject, measure, replicate) order."""
-        order = np.array(
-            sorted(
-                range(len(self.index)),
-                key=lambda r: (
-                    self.index[r].subject,
-                    self.index[r].measure,
-                    self.index[r].replicate or 0,
-                ),
-            )
-        )
-        return CurveSet(
-            self.grid,
-            tuple(self.index[r] for r in order),
-            self.values[order],
-            self.subject_labels,
-            self.measure_labels,
-        )
+        order = np.lexsort(self.codes.T[::-1])
+        return CurveSet(self.grid, self.codes[order], self.values[order],
+                        self.subject_labels, self.measure_labels)
 
 
 @dataclass(frozen=True)
@@ -240,13 +242,10 @@ def center_rows(X: CurveSet, means: CenteringMeans) -> CurveSet:
             raise GridMismatchError("measure effects live on a different grid")
     centered = X.values - means.global_mean.values
     if means.measure_effects:
-        rows = []
-        for ix, row in zip(X.index, centered):
-            eff = means.measure_effects.get(ix.measure)
+        measure = X.codes[:, 1]
+        for j in dict.fromkeys(measure.tolist()):  # in the order of first rows
+            eff = means.measure_effects.get(j)
             if eff is None:
-                raise MissingMeanError(
-                    f"no mean supplied for measure {ix.measure}"
-                )
-            rows.append(row - eff.values)
-        centered = np.asarray(rows)
-    return CurveSet(X.grid, X.index, centered, X.subject_labels, X.measure_labels)
+                raise MissingMeanError(f"no mean supplied for measure {j}")
+            centered[measure == j] -= eff.values
+    return CurveSet(X.grid, X.codes, centered, X.subject_labels, X.measure_labels)

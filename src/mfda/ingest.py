@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .core import Curve, CurveSet, Grid, NestedIndex
+from .core import Curve, CurveSet, Grid
 from .errors import (
     DuplicateKeyError,
     EmptyDataError,
@@ -99,19 +99,21 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
         dtype = [(c, f"U{width}" if c in _LABEL_COLUMNS else "f8") for c in names]
         start = fh.tell()
         rows = _load_columns(iter(fh.readline, ""), usecols, dtype, 0, size)[:, 0]
-        lengths = [np.char.str_len(rows[c]) for c in _LABEL_COLUMNS]
-        longest = max(int(n.max(initial=0)) for n in lengths)
-        if longest == width:  # a label may be cut
+        # each row's UCS-4 characters; a label's field is padded with 0 characters
+        chars = rows.view(np.uint32).reshape(-1, rows.dtype.itemsize // 4)
+        first = [rows.dtype.fields[c][1] // 4 for c in _LABEL_COLUMNS]
+        if any(chars[:, f + width - 1].any() for f in first):  # a label may be cut
             width *= 2
             fh.seek(start)
             continue
-        if width > _NARROWEST and 2 * longest < width:
+        if width > _NARROWEST and not any(chars[:, f + width // 2 - 1].any() for f in first):
             width //= 2  # so one long label does not slow the rest of the file
-        if any((n == 0).any() for n in lengths):
+        if not all(chars[:, f].all() for f in first):
             raise ValueError("incomplete row")
         mask = rows["channel"] == channel
-        tv.append(np.column_stack([rows["t"][mask], rows["value"][mask]]))
-        labels = [rows[c][mask] for c in _LABEL_COLUMNS[:3]]
+        ours = rows if mask.all() else rows[mask]
+        tv.append(np.column_stack([ours["t"], ours["value"]]))
+        labels = [ours[c] for c in _LABEL_COLUMNS[:3]]
         head = np.arange(len(labels[0])) == 0
         for col in labels:
             head[1:] |= col[1:] != col[:-1]
@@ -217,69 +219,74 @@ def read_long_csv(
                 runs, run_lengths, tables, tv = _parsed_rows(fh, columns, channel)
                 subjects, s = _ranked(runs[:, 0], tables[0])
                 measures, m = _ranked(runs[:, 1], tables[1])
-                rep_ints = np.array([int(x) for x in tables[2]], dtype=object)
+                rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
                 replicates, r = np.unique(rep_ints, return_inverse=True)
-                s, m, r = (np.repeat(x, run_lengths) for x in (s, m, r[runs[:, 2]]))
                 if not np.isfinite(tv).all():
                     raise ValueError("non-finite t or value")
-                points, tc = np.unique(tv[:, 0], return_inverse=True)
-                order = np.lexsort((tc, r, m, s))
-                s, m, r, tc = s[order], m[order], r[order], tc[order]
-                new = np.ones(order.size, dtype=bool)
-                new[1:] = (s[1:] != s[:-1]) | (m[1:] != m[:-1]) | (r[1:] != r[:-1])
-                if (~new[1:] & (tc[1:] == tc[:-1])).any():
+                # each run's (subject, measure) unit and curve, numbered in canonical order
+                units, unit_first, unit = np.unique(
+                    s * len(measures) + m, return_index=True, return_inverse=True)
+                keys, curve_first, curve = np.unique(
+                    unit * len(replicates) + r[runs[:, 2]], return_index=True,
+                    return_inverse=True)
+                # code t by the first run's points, or by all points if one is missing there
+                t = tv[:, 0]
+                points = np.unique(t[: run_lengths[0] if run_lengths.size else 0])
+                tc = np.searchsorted(points, t)
+                if not (tc < points.size).all() or (points[tc] != t).any():
+                    points, tc = np.unique(t, return_inverse=True)
+                row_curve = np.repeat(curve, run_lengths)
+                key = row_curve * points.size + tc
+                order = np.argsort(key, kind="stable")  # linear on a file in canonical order
+                if (np.diff(key[order]) == 0).any():
                     raise ValueError("duplicate record")
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 _raise_row_error(path, columns, channel)
                 raise ParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except csv.Error as exc:  # a field past csv's size limit, say
         raise ParseError(f"{path}: {exc}") from None
-    if not order.size:
+    if not key.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 
-    starts = np.flatnonzero(new)
-    curve = np.cumsum(new) - 1
-    sub = [subjects[i] for i in s[starts]]
-    meas = [measures[j] for j in m[starts]]
-    rep = replicates[r[starts]].tolist()
-    # curves in the order of their first row in the file
-    appearance = np.argsort(np.minimum.reduceat(order, starts))
+    n_curves = keys.size
+    unit_of_curve = keys // len(replicates)
+    sub, meas = np.divmod(units[unit_of_curve], len(measures))
+    rep = replicates[keys % len(replicates)]
     if grid_policy == "strict":
-        first = appearance[0]
-        keep = np.zeros(points.size, dtype=bool)
-        keep[tc[curve == first]] = True
-        per_curve = np.bincount(curve)
-        off = (per_curve != per_curve[first]) | (np.bincount(curve, ~keep[tc]) > 0)
+        first = curve[0]  # the curve of the file's first row sets the grid
+        keep = np.bincount(tc[row_curve == first], minlength=points.size) > 0
+        per_curve = np.bincount(row_curve, minlength=n_curves)
+        off = (per_curve != per_curve[first]) | (np.bincount(row_curve, ~keep[tc]) > 0)
         if off.any():
-            c = appearance[off[appearance]][0]
+            c = next(c for c in np.argsort(curve_first) if off[c])  # first in the file
             raise IncompleteCurveError(
-                f"subject={sub[c]!r} measure={meas[c]!r} replicate={rep[c]} "
-                f"does not cover the shared grid"
+                f"subject={subjects[sub[c]]!r} measure={measures[meas[c]]!r} "
+                f"replicate={rep[c]} does not cover the shared grid"
             )
     else:
-        keep = np.bincount(tc, minlength=points.size) == starts.size
+        keep = np.bincount(tc, minlength=points.size) == n_curves
         if keep.sum() < 2:
             raise IncompleteCurveError(
                 "grid intersection across curves has fewer than two points"
             )
 
     grid = Grid.from_points(points[keep])
-    values = tv[order, 1][keep[tc]].reshape(starts.size, grid.size)
+    values = tv[order, 1][keep[tc[order]]].reshape(n_curves, grid.size)
     single_replicate = replicates.tolist() == [1]
-    index = tuple(
-        NestedIndex(int(a) + 1, int(b) + 1, None if single_replicate else k)
-        for a, b, k in zip(s[starts], m[starts], rep)
-    )
-    curves = CurveSet(grid, index, values, tuple(subjects), tuple(measures))
+    if not single_replicate and replicates[0] < 1:
+        raise EmptyDataError("replicate indices start at 1")
+    codes = np.column_stack([sub + 1, meas + 1, np.where(single_replicate, 0, rep)])
+    curves = CurveSet(grid, codes, values, tuple(subjects), tuple(measures))
+    reps = np.bincount(unit_of_curve)
     counts: dict[str, dict[str, int]] = {}
-    for c in appearance:
-        per = counts.setdefault(sub[c], {})
-        per[meas[c]] = per.get(meas[c], 0) + 1
+    for u in np.argsort(unit_first).tolist():  # units in the order of their first row
+        i, j = divmod(int(units[u]), len(measures))
+        counts.setdefault(subjects[i], {})[measures[j]] = int(reps[u])
     report = IngestReport(
-        n_rows=int(order.size),
-        n_curves=int(starts.size),
+        n_rows=int(key.size),
+        n_curves=int(n_curves),
         subjects=tuple(subjects),
         measures=tuple(measures),
         counts=counts,
@@ -297,23 +304,20 @@ def _csv_fields(*fields) -> str:
 
 
 def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
-    """Write a CurveSet as long-format CSV (rows sorted canonically)."""
-    path = Path(path)
-    ordered = X.sorted()
-    points = [_fmt(t) for t in ordered.grid.points]
-    tail = _csv_fields("", channel) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a CurveSet as long-format CSV, curves in canonical order.
+
+    Each curve's rows come from one `%` template of its label cells and the
+    grid's t cells, filled with the reprs of its values.
+    """
+    cells = [f"{_fmt(t)},%r" for t in X.grid.points]
+    tail = _csv_fields("", channel).replace("%", "%%") + "\n"
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
-        for ix, row in ordered:
-            head = _csv_fields(
-                ordered.subject_labels[ix.subject - 1],
-                ordered.measure_labels[ix.measure - 1],
-                1 if ix.replicate is None else ix.replicate,
-                "",
-            )
-            fh.write("".join(
-                f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
-            ))
+        for row in np.lexsort(X.codes.T[::-1]).tolist():
+            s, m, r = X.codes[row].tolist()
+            head = _csv_fields(X.subject_labels[s - 1], X.measure_labels[m - 1], r or 1, "")
+            head = head.replace("%", "%%")
+            fh.write((head + (tail + head).join(cells) + tail) % tuple(X.values[row].tolist()))
 
 
 def _write_table(path: Path, header: list[str], values: np.ndarray, keys=None) -> None:
@@ -517,30 +521,20 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
         level_eigs.append(EigenSystem(grid, lam, funcs, pve))
 
-    scores = []
-    units = []
-    subject_labels: list[str] = []
-    measure_labels: list[str] = []
+    scores, units, labels = [], [], []  # labels: the subjects', then the measures'
     for level in range(1, levels + 1):
         path = d / f"scores_level{level}.csv"
         _, keys, mat = _read_numeric(path, n_keys=level)
         scores.append(mat)
-        if level == 1:
-            subject_labels = [key[0] for key in keys]
-            units.append(tuple((i + 1,) for i in range(len(keys))))
-            continue
-        if level == 2:
-            measure_labels = list(dict.fromkeys(key[1] for key in keys))
-        sub_of = {lab: i + 1 for i, lab in enumerate(subject_labels)}
-        meas_of = {lab: j + 1 for j, lab in enumerate(measure_labels)}
-        try:
-            units.append(tuple(
-                (sub_of[key[0]], meas_of[key[1]]) if level == 2
-                else (sub_of[key[0]], meas_of[key[1]], int(key[2]))
-                for key in keys
-            ))
-        except (KeyError, IndexError, ValueError) as exc:
+        if level <= 2:
+            labels.append(list(dict.fromkeys(key[level - 1] for key in keys)))
+        code_of = [{lab: j for j, lab in enumerate(labs, start=1)} for labs in labels]
+        codes = [[code_of[i].get(key[i], 0) for key in keys] for i in range(min(level, 2))]
+        try:  # a label the fit lacks is code 0, which MultilevelFit refuses
+            codes += [[int(key[2]) for key in keys]] if level == 3 else []
+        except ValueError as exc:
             raise ParseError(f"{path}: unit key not in the fit: {exc}") from None
+        units.append(tuple(zip(*codes)))
     _, _, mm_table = _read_numeric(d / "measure_means.csv")
     effects = tuple(Curve(grid, col) for col in mm_table[:, 1:].T)
     defaults = asdict(FitConfig(levels=levels))
@@ -553,7 +547,8 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         penalties = tuple(float(e["lambda"]) for e in levels_doc if e["lambda"] is not None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
-    return MultilevelFit(
+    try:
+        return MultilevelFit(
         grid=grid,
         levels=levels,
         global_mean=Curve(grid, mean_values),
@@ -562,8 +557,10 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         scores=tuple(scores),
         units=tuple(units),
         noise_variance=noise,
-        subject_labels=tuple(subject_labels),
-        measure_labels=tuple(measure_labels),
+        subject_labels=tuple(labels[0]),
+        measure_labels=tuple(labels[1]),
         config=config,
         penalties=penalties,
-    )
+        )
+    except InvalidParameterError as exc:  # units that are not a full design
+        raise ParseError(f"{d}/scores_level{exc.level}.csv: {exc}") from None

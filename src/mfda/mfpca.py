@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     EmptyDataError,
     GridMismatchError,
     InsufficientDataError,
+    InvalidParameterError,
     MissingMeanError,
     SingularSystemError,
     UnbalancedDesignError,
@@ -105,6 +107,21 @@ class MultilevelFit:
     config: FitConfig = field(default_factory=FitConfig)
     penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
 
+    def __post_init__(self) -> None:
+        """Each level's units are the full product of its depth's
+        (subject, measure, replicate) counts in canonical order, one per score
+        row; if not, an InvalidParameterError whose `level` is the first at fault."""
+        shape: list[int] = []
+        for depth, (units, scores) in enumerate(zip(self.units, self.scores), start=1):
+            shape.append(len(units) // max(1, prod(shape)))
+            full = product(*(range(1, size + 1) for size in shape))
+            if tuple(units) != tuple(full) or len(scores) != len(units):
+                error = InvalidParameterError(
+                    f"level {depth} has {len(units)} units and {len(scores)} score rows, "
+                    f"not one per unit of a full design in canonical order")
+                error.level = depth
+                raise error
+
     @property
     def retained(self) -> tuple[int, ...]:
         return tuple(eig.n_components for eig in self.level_eig)
@@ -132,30 +149,18 @@ def measure_means(X: CurveSet, center_measures: bool = True) -> CenteringMeans:
     grand = X.values.mean(axis=0)
     effects: dict[int, Curve] = {}
     if center_measures:
-        measures = sorted({ix.measure for ix in X.index})
-        for j in measures:
-            rows = [r for r, ix in enumerate(X.index) if ix.measure == j]
-            if not rows:
-                raise EmptyDataError(f"measure {j} has no rows")
+        order = np.argsort(X.codes[:, 1], kind="stable")  # each measure's rows, in row order
+        measures, starts = np.unique(X.codes[order, 1], return_index=True)
+        for j, rows in zip(measures.tolist(), np.split(order, starts[1:])):
             effects[j] = Curve(X.grid, X.values[rows].mean(axis=0) - grand)
     return CenteringMeans(Curve(X.grid, grand), effects)
 
 
-def _rows_by_subject_measure(X: CurveSet) -> dict[int, dict[int, list[int]]]:
-    table: dict[int, dict[int, list[int]]] = {}
-    for r, ix in enumerate(X.index):
-        table.setdefault(ix.subject, {}).setdefault(ix.measure, []).append(r)
-    return table
-
-
-def _balance_report(table: dict[int, dict[int, list[int]]]) -> str:
-    parts = []
-    for i in sorted(table):
-        per = ", ".join(
-            f"measure {j}: {len(rows)}" for j, rows in sorted(table[i].items())
-        )
-        parts.append(f"subject {i} [{per}]")
-    return "; ".join(parts)
+def _balance_report(cells: np.ndarray, counts: np.ndarray) -> str:
+    per: dict[int, list[str]] = {}
+    for (i, j), count in zip(cells.tolist(), counts.tolist()):
+        per.setdefault(i, []).append(f"measure {j}: {count}")
+    return "; ".join(f"subject {i} [{', '.join(parts)}]" for i, parts in per.items())
 
 
 def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, int]:
@@ -167,26 +172,16 @@ def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, in
     """
     if levels not in (2, 3):
         raise InsufficientDataError("nested fits support levels 2 or 3")
-    table = _rows_by_subject_measure(X)
-    if not table:
+    if not len(X):
         raise EmptyDataError("empty curve set")
-    subjects = sorted(table)
-    measure_sets = {frozenset(per.keys()) for per in table.values()}
-    rep_counts = {len(rows) for per in table.values() for rows in per.values()}
-    if len(measure_sets) != 1 or len(rep_counts) != 1:
-        raise UnbalancedDesignError(
-            "design is not balanced: " + _balance_report(table)
-        )
-    measures = sorted(next(iter(measure_sets)))
-    if measures != list(range(1, len(measures) + 1)) or subjects != list(
-        range(1, len(subjects) + 1)
-    ):
-        raise UnbalancedDesignError(
-            "subject/measure indices must be contiguous from 1: "
-            + _balance_report(table)
-        )
-    K_rep = rep_counts.pop()
-    n, J = len(subjects), len(measures)
+    cells, counts = X.cells()
+    if not X.is_balanced():
+        raise UnbalancedDesignError("design is not balanced: " + _balance_report(cells, counts))
+    n, J = cells[-1].tolist()  # the largest keys, which a full product of 1..n and 1..J ends at
+    if len(cells) != n * J:
+        raise UnbalancedDesignError("subject/measure indices must be contiguous from 1: "
+                                    + _balance_report(cells, counts))
+    K_rep = int(counts[0])
     if J < 2:
         raise InsufficientDataError("nested fits need at least two measures")
     if levels == 2 and K_rep != 1:
@@ -198,14 +193,8 @@ def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, in
         raise InsufficientDataError(
             "three-level fit needs at least two replicates per measure"
         )
-    m = X.grid.size
-    values = np.empty((n, J, K_rep, m))
-    for i in subjects:
-        for j in measures:
-            rows = table[i][j]
-            rows_sorted = sorted(rows, key=lambda r: X.index[r].replicate or 0)
-            values[i - 1, j - 1] = X.values[rows_sorted]
-    return values, n, J, K_rep
+    values = X.values[np.lexsort(X.codes.T[::-1])]
+    return values.reshape(n, J, K_rep, X.grid.size), n, J, K_rep
 
 
 def _centre(rv: np.ndarray, grid: Grid, means: CenteringMeans) -> np.ndarray:

@@ -12,7 +12,6 @@ reproducible and independent of any parallel schedule.
 from __future__ import annotations
 
 import ast
-import itertools
 import operator
 import reprlib
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .core import CurveSet, Grid, NestedIndex
+from .core import CurveSet, Grid
 from .errors import InvalidBasisError, InvalidParameterError, ParseError
 
 _EXPR_FUNCTIONS = {
@@ -42,6 +41,8 @@ _EXPR_OPERATORS = {
     ast.USub: operator.neg,
 }
 
+_SPEC_KEYS = ("grid", "design", "mean", "measure_means", "levels", "noise_variance",
+              "score_distribution", "level2_shift", "seed")
 ORTHONORMALITY_TOL = 1e-6
 # Most values (subjects x measures x replicates x grid points) a generated
 # dataset may hold; one float64 copy of them is 800 MB, and generate keeps a few.
@@ -267,6 +268,18 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
             )
     if not all(isinstance(cfg, Mapping) for cfg in level_cfgs):
         raise ParseError("generator spec section 'levels' must list mappings")
+    sections = [(data, "", _SPEC_KEYS), (grid_cfg, " section 'grid'", ("m", "points")),
+                (design, " section 'design'", ("subjects", "measures", "replicates"))]
+    sections += [(cfg, f" section 'levels' entry {lvl}", ("eigenvalues", "basis"))
+                 for lvl, cfg in enumerate(level_cfgs, start=1)]
+    if isinstance(data.get("score_distribution"), Mapping):
+        sections.append((data["score_distribution"], " section 'score_distribution'",
+                         ("kind", "df")))
+    for mapping, where, known in sections:
+        unknown = [key for key in mapping if key not in known]
+        if unknown:
+            raise ParseError(f"generator spec{where} has unknown key {unknown[0]!r}; "
+                             f"known keys: {', '.join(known)}")
     if "points" in grid_cfg:
         grid = Grid.from_points(_floats(grid_cfg["points"], "'grid' key 'points'", 1))
     elif "m" in grid_cfg:
@@ -420,8 +433,9 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
     noiseless = noiseless.reshape(-1, m)
     values = noiseless if eps is None else noiseless + eps.reshape(-1, m)
 
-    units = [range(1, n + 1), range(1, J + 1), range(1, K_rep + 1)]
-    index = itertools.product(*units[: 3 if spec.n_levels == 3 else 2])
+    codes = np.indices((n, J, K_rep)).reshape(3, -1).T + 1
+    if spec.n_levels < 3:
+        codes[:, 2] = 0
     truth = GroundTruth(
         spec=spec,
         scores=tuple(scores),
@@ -430,4 +444,4 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
         noise=values - noiseless,
         analytic_icc=spec.analytic_icc(),
     )
-    return CurveSet(spec.grid, tuple(NestedIndex(*ix) for ix in index), values), truth
+    return CurveSet(spec.grid, codes, values), truth

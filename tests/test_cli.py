@@ -292,6 +292,27 @@ class TestSimulate:
         assert key in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "path, key, where",
+        [((), "noise_varaince", "generator spec has"),
+         (("design",), "replicate", "generator spec section 'design' has"),
+         (("grid",), "point", "generator spec section 'grid' has"),
+         (("levels", 1), "eigenvalue", "generator spec section 'levels' entry 2 has"),
+         (("score_distribution",), "dof",
+          "generator spec section 'score_distribution' has")],
+    )
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, path, key, where):
+        spec = copy.deepcopy(_FUZZ_BASE)
+        target = spec
+        for step in path:
+            target = target[step]
+        target[key] = 20
+        spec_path = write_spec(tmp_path, spec)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} unknown key {key!r}")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "expr", ["9**9**9", "().__class__.__base__.__subclasses__().__len__()"]
     )
     def test_unsafe_expression_exits_2(self, tmp_path, capsys, expr):
@@ -622,6 +643,25 @@ class TestIcc:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("edit", ["delete", "duplicate", "relabel"])
+    def test_score_rows_must_list_the_full_design(self, tmp_path, capsys, edit):
+        fit_dir = handmade_fit_dir(tmp_path)
+        path = fit_dir / "scores_level2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "delete":
+            del lines[3]
+        elif edit == "duplicate":
+            lines.insert(3, lines[3])
+        else:  # a measure label no other row has, which would make a third measure
+            subject, _, scores = lines[3].split(",", 2)
+            lines[3] = f"{subject},99,{scores}"
+        path.write_text("".join(lines))
+        for argv in (["icc", str(fit_dir)],
+                     ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: level 2 has ") and err.count("\n") == 1
 
     def test_dataset_dir_is_not_a_fit_dir(self, sim_dir, capsys):
         # a simulate output dir has its own manifest.json without 'levels'

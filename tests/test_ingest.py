@@ -285,6 +285,32 @@ ROW_FAULTS = [
 ]
 
 
+ORDERS = ("shuffled", "canonical", "reversed_curve", "split_curve")
+
+
+def _ordered(rows, order, rng):
+    """The rows shuffled, or in canonical order (channel, then subject,
+    measure, replicate and t), with one curve's rows reversed or with the
+    second half of one curve moved to the end of the file."""
+    if order == "shuffled":
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    def curve(row):
+        return row[5], _label_key(row[0]), _label_key(row[1]), int(row[2])
+
+    rows = sorted(rows, key=lambda row: (*curve(row), float(row[3])))
+    picked = curve(rows[int(rng.integers(len(rows)))])
+    at = [j for j, row in enumerate(rows) if curve(row) == picked]
+    part = [rows[j] for j in at]
+    if order == "reversed_curve":
+        for j, row in zip(at, reversed(part)):
+            rows[j] = row
+    elif order == "split_curve":
+        moved = set(at[len(at) // 2:])
+        rows = [row for j, row in enumerate(rows) if j not in moved] + part[len(at) // 2:]
+    return rows
+
+
 class TestReaderMatchesReference:
     @pytest.mark.parametrize(
         "row,channel,error,line",
@@ -328,6 +354,7 @@ class TestReaderMatchesReference:
         points=st.lists(st.sampled_from(POINTS), min_size=2, max_size=5, unique=True),
         others=st.lists(st.sampled_from(OTHER_CHANNELS), max_size=2, unique=True),
         fault=st.sampled_from(FAULTS),
+        order=st.sampled_from(ORDERS),
         grid_policy=st.sampled_from(GRID_POLICIES),
         newline=st.sampled_from(("\n", "\r\n", "\r")),
         chunk_rows=st.sampled_from((1, 3, 10_000)),
@@ -336,7 +363,7 @@ class TestReaderMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_property(
         self, tmp_path_factory, subjects, measures, replicates, points, others,
-        fault, grid_policy, newline, chunk_rows, seed,
+        fault, order, grid_policy, newline, chunk_rows, seed,
     ):
         rng = np.random.default_rng(seed)
         rows = [
@@ -348,7 +375,7 @@ class TestReaderMatchesReference:
             for k in range(1, replicates + 1)
             for t in points
         ]
-        rows = [rows[i] for i in rng.permutation(len(rows))]
+        rows = _ordered(rows, order, rng)
         i = int(rng.integers(len(rows)))
         ours = [j for j, row in enumerate(rows) if row[5] == "c"]
         if fault == "incomplete":
@@ -380,7 +407,42 @@ class TestReaderMatchesReference:
             assert_reads_like_reference(path, channel, grid_policy)
 
 
+def _reference_write_long_csv(X, path, channel):
+    """The row-at-a-time writer, kept as the byte oracle of write_long_csv."""
+    ordered = X.sorted()
+    points = [repr(float(t)) for t in ordered.grid.points]
+    tail = mfda.ingest._csv_fields("", channel) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(mfda.ingest._csv_fields(*LONG_COLUMNS) + "\n")
+        for ix, row in ordered:
+            head = mfda.ingest._csv_fields(
+                ordered.subject_labels[ix.subject - 1],
+                ordered.measure_labels[ix.measure - 1],
+                1 if ix.replicate is None else ix.replicate,
+                "",
+            )
+            fh.write("".join(
+                f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
+            ))
+
+
 class TestLongCsvRoundTrip:
+    @pytest.mark.parametrize("replicates", [None, (3, 1)])
+    def test_bytes_match_the_row_writer(self, tmp_path, replicates):
+        # labels with %, a comma, a quote and a newline; rows out of order
+        rng = np.random.default_rng(5)
+        index = [NestedIndex(i, j, k) for i in (2, 1, 3) for j in (2, 1)
+                 for k in (replicates or (None,))]
+        X = CurveSet(
+            Grid.uniform(5), tuple(index), rng.normal(size=(len(index), 5)),
+            ("a%s", 'b,"%d"', "c\n%%"), ("m%r", 'n,"1"\n'),
+        )
+        for channel in ("sim", 'k%,"x"'):
+            got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+            write_long_csv(X, got, channel=channel)
+            _reference_write_long_csv(X, expected, channel=channel)
+            assert got.read_bytes() == expected.read_bytes()
+
     def test_two_level_values_and_index(self, tmp_path):
         X, _ = generate(n2_spec(7, n=4, J=2, m=21))
         path = tmp_path / "rt.csv"

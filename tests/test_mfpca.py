@@ -570,6 +570,16 @@ class TestFitNested:
             fit_nested(X, FitConfig(levels=2))
         assert "subject" in str(err.value)
 
+    def test_non_contiguous_indices_rejected_with_counts(self, small_grid):
+        index = tuple(NestedIndex(i, j) for i in (1, 3) for j in (1, 2))
+        X = CurveSet(small_grid, index, np.zeros((4, small_grid.size)), ("a", "b", "c"))
+        with pytest.raises(UnbalancedDesignError) as err:
+            fit_nested(X, FitConfig(levels=2))
+        assert str(err.value) == (
+            "subject/measure indices must be contiguous from 1: "
+            "subject 1 [measure 1: 1, measure 2: 1]; subject 3 [measure 1: 1, measure 2: 1]"
+        )
+
     def test_levels_mismatch_rejected(self, small_grid):
         spec = n3_spec(7, n=3, J=2, K_rep=2, m=small_grid.size)
         X, _ = generate(spec)
