@@ -14,9 +14,7 @@ from .core import (  # noqa: F401
     Curve,
     CurveSet,
     Grid,
-    NestedIndex,
     center_rows,
-    inner_product,
     same_grid,
     trapezoid_weights,
 )

@@ -103,12 +103,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "grid_policy": args.grid_policy,
         },
     )
-    n, rows = len(fit.units[0]), len(fit.units[1])
+    n, J, K_rep = fit.shape
     lines = [
         f"levels: {fit.levels}",
         f"subjects: {n}",
-        f"measures: {rows // n}",
-        f"replicates: {len(curves) // rows}",
+        f"measures: {J}",
+        f"replicates: {K_rep}",
         f"grid_points: {fit.grid.size}",
     ]
     for level, k in enumerate(fit.retained, start=1):
@@ -159,13 +159,11 @@ def cmd_test(args: argparse.Namespace) -> int:
             f"unknown measure ids {unknown}; known ids: "
             f"{sorted(known, key=str)}"
         )
-    label_of = {j + 1: lab for j, lab in enumerate(fit.measure_labels)}
-    rows_a = [r for r, unit in enumerate(fit.units[1]) if label_of[unit[1]] in group_a]
-    rows_b = [r for r, unit in enumerate(fit.units[1]) if label_of[unit[1]] in group_b]
+    measure = np.tile(fit.measure_labels, len(fit.subject_labels))  # of each level-2 row
     scores = fit.scores[1]
     report = two_sample_score_test(
-        scores[rows_a],
-        scores[rows_b],
+        scores[np.isin(measure, group_a)],
+        scores[np.isin(measure, group_b)],
         method=args.method,
         n_permutations=args.perms,
         seed=args.seed,
@@ -217,12 +215,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     missing = [s for s in fit.subject_labels if s not in by_subject]
     if missing:
         raise ParseError(f"covariate file lacks subjects: {missing}")
-    level = args.level
-    scores = fit.scores[level - 1]
-    units = fit.units[level - 1]
-    covariate = np.array(
-        [by_subject[fit.subject_labels[u[0] - 1]] for u in units]
-    )
+    scores = fit.scores[args.level - 1]
+    rows_per_subject = (1, fit.shape[1])[args.level - 1]
+    covariate = np.repeat([by_subject[s] for s in fit.subject_labels], rows_per_subject)
     results = score_covariate_correlation(scores, covariate)
     out_path = Path(args.fit_dir) / "score_correlation.csv"
     lines = ["component,spearman_rho,p_value"]

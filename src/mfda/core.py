@@ -1,4 +1,4 @@
-"""Grids, curves, nested indices, and the quadrature primitives.
+"""Grids, curves, coded curve sets, and the quadrature primitives.
 
 Everything downstream works on a common evaluation grid over [0, 1] with
 trapezoid quadrature weights, so that L2 inner products reduce to weighted
@@ -9,8 +9,7 @@ is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -118,38 +117,12 @@ class Curve:
         object.__setattr__(self, "values", values)
 
 
-def inner_product(f: Curve, g: Curve) -> float:
-    """Quadrature L2 inner product sum_j w_j f(t_j) g(t_j)."""
-    if not same_grid(f.grid, g.grid):
-        raise GridMismatchError("curves live on different grids")
-    return float(np.sum(f.grid.weights * f.values * g.values))
-
-
-@dataclass(frozen=True, order=True)
-class NestedIndex:
-    """Position of one curve in the hierarchy: subject, measure, replicate.
-
-    replicate is None for two-level data.
-    """
-
-    subject: int
-    measure: int
-    replicate: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.subject < 1 or self.measure < 1:
-            raise EmptyDataError("subject and measure indices start at 1")
-        if self.replicate is not None and self.replicate < 1:
-            raise EmptyDataError("replicate indices start at 1")
-
-
 @dataclass(frozen=True, eq=False)
 class CurveSet:
     """A stack of curves on one Grid, one per row of values.
 
     codes holds each row's (subject, measure, replicate) as 1-based integers,
-    replicate 0 for a two-level row; a sequence of NestedIndex keys in its
-    place is coded, and `index` views the codes as NestedIndex keys.
+    replicate 0 for a two-level row.
     Label tuples map 1-based subject/measure indices back to the external
     string ids they came from (defaults to the index itself).
     """
@@ -161,10 +134,7 @@ class CurveSet:
     measure_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        codes = self.codes
-        if not isinstance(codes, np.ndarray):
-            codes = [(ix.subject, ix.measure, ix.replicate or 0) for ix in codes]
-        codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
+        codes = np.array(self.codes, dtype=np.int64).reshape(-1, 3)
         codes.setflags(write=False)
         values = _readonly(self.values)
         if values.ndim != 2 or values.shape != (len(codes), self.grid.size):
@@ -189,15 +159,8 @@ class CurveSet:
         object.__setattr__(self, "subject_labels", tuple(subject_labels))
         object.__setattr__(self, "measure_labels", tuple(measure_labels))
 
-    @cached_property
-    def index(self) -> tuple[NestedIndex, ...]:
-        return tuple(NestedIndex(s, m, r or None) for s, m, r in self.codes.tolist())
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __iter__(self) -> Iterator[tuple[NestedIndex, np.ndarray]]:
-        return zip(self.index, self.values)
 
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (subject, measure) pairs in sorted order, and the

@@ -14,6 +14,7 @@ import io
 import json
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Union
 
@@ -323,11 +324,11 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
 def _write_table(path: Path, header: list[str], values: np.ndarray, keys=None) -> None:
     """A CSV table: the header, then per row its key cells (if any) and its
     values in shortest round-trip form."""
-    keys = keys if keys is not None else [[]] * len(values)
+    keys = keys if keys is not None else [()] * len(values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(key + [repr(v) for v in row] for key, row in zip(keys, values.tolist()))
+        writer.writerows([*key, *map(repr, row)] for key, row in zip(keys, values.tolist()))
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
@@ -347,6 +348,13 @@ def read_json(path: Union[str, Path]) -> dict:
 def _score_header(level: int, k: int) -> list[str]:
     keys = [["subject"], ["subject", "measure"], ["subject", "measure", "replicate"]]
     return keys[level - 1] + [f"score_{a}" for a in range(1, k + 1)]
+
+
+def _score_keys(fit: MultilevelFit, level: int) -> list[tuple[str, ...]]:
+    """The key cells of each row of scores_level{level}.csv: the level's
+    units of the full design in canonical order, replicates numbered from 1."""
+    replicates = [str(k) for k in range(1, fit.shape[2] + 1)]
+    return list(product(*(fit.subject_labels, fit.measure_labels, replicates)[:level]))
 
 
 def write_fit(
@@ -372,7 +380,7 @@ def write_fit(
                     {"level": level, "lambda": lam, "retained": eig.n_components}
                     for level, (lam, eig) in enumerate(zip(penalties, fit.level_eig), 1)
                 ]}}
-    grid, subjects, measures = fit.grid, fit.subject_labels, fit.measure_labels
+    grid, measures = fit.grid, fit.measure_labels
     t = grid.points[:, None]
     _write_table(
         out / "measure_means.csv",
@@ -392,11 +400,9 @@ def write_fit(
         [[level, a] for level, eig in enumerate(fit.level_eig, start=1)
          for a in range(1, eig.n_components + 1)],
     )
-    for level, (level_units, mat) in enumerate(zip(fit.units, fit.scores), start=1):
-        keys = [[subjects[u[0] - 1], *([measures[u[1] - 1]] if level >= 2 else []),
-                 *u[2:]] for u in level_units]
+    for level, mat in enumerate(fit.scores, start=1):
         _write_table(out / f"scores_level{level}.csv",
-                     _score_header(level, mat.shape[1]), mat, keys)
+                     _score_header(level, mat.shape[1]), mat, _score_keys(fit, level))
 
     write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
     if extra_manifest:
@@ -521,20 +527,11 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
         level_eigs.append(EigenSystem(grid, lam, funcs, pve))
 
-    scores, units, labels = [], [], []  # labels: the subjects', then the measures'
+    scores, keys = [], []
     for level in range(1, levels + 1):
-        path = d / f"scores_level{level}.csv"
-        _, keys, mat = _read_numeric(path, n_keys=level)
+        _, level_keys, mat = _read_numeric(d / f"scores_level{level}.csv", n_keys=level)
         scores.append(mat)
-        if level <= 2:
-            labels.append(list(dict.fromkeys(key[level - 1] for key in keys)))
-        code_of = [{lab: j for j, lab in enumerate(labs, start=1)} for labs in labels]
-        codes = [[code_of[i].get(key[i], 0) for key in keys] for i in range(min(level, 2))]
-        try:  # a label the fit lacks is code 0, which MultilevelFit refuses
-            codes += [[int(key[2]) for key in keys]] if level == 3 else []
-        except ValueError as exc:
-            raise ParseError(f"{path}: unit key not in the fit: {exc}") from None
-        units.append(tuple(zip(*codes)))
+        keys.append(level_keys)
     _, _, mm_table = _read_numeric(d / "measure_means.csv")
     effects = tuple(Curve(grid, col) for col in mm_table[:, 1:].T)
     defaults = asdict(FitConfig(levels=levels))
@@ -548,19 +545,26 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
     try:
-        return MultilevelFit(
-        grid=grid,
-        levels=levels,
-        global_mean=Curve(grid, mean_values),
-        measure_effects=effects,
-        level_eig=tuple(level_eigs),
-        scores=tuple(scores),
-        units=tuple(units),
-        noise_variance=noise,
-        subject_labels=tuple(labels[0]),
-        measure_labels=tuple(labels[1]),
-        config=config,
-        penalties=penalties,
+        fit = MultilevelFit(
+            grid=grid,
+            levels=levels,
+            global_mean=Curve(grid, mean_values),
+            measure_effects=effects,
+            level_eig=tuple(level_eigs),
+            scores=tuple(scores),
+            noise_variance=noise,
+            subject_labels=tuple(dict.fromkeys(key[0] for key in keys[0])),
+            measure_labels=tuple(dict.fromkeys(key[1] for key in keys[1])),
+            config=config,
+            penalties=penalties,
         )
-    except InvalidParameterError as exc:  # units that are not a full design
-        raise ParseError(f"{d}/scores_level{exc.level}.csv: {exc}") from None
+    except InvalidParameterError as exc:  # a file at odds with the design or the others
+        name = {"scores": f"scores_level{exc.level}.csv", "noise_variance": "noise.json",
+                "measure_effects": "measure_means.csv"}[exc.field]
+        raise ParseError(f"{d}/{name}: {exc}") from None
+    for level, level_keys in enumerate(keys, start=1):
+        for row, (got, want) in enumerate(zip(level_keys, _score_keys(fit, level)), start=1):
+            if tuple(got) != want:
+                raise ParseError(f"{d}/scores_level{level}.csv: level {level} has score row "
+                                 f"{row} keyed {tuple(got)}, where the full design has {want}")
+    return fit

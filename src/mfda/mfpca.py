@@ -23,8 +23,6 @@ every K feeds one BLUP solve for all subjects' scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from math import prod
 
 import numpy as np
 
@@ -43,6 +41,12 @@ from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k
 # A level whose eigenvalue mass is below this fraction of the fit's total
 # variance retains zero components instead of fitting noise dust.
 DEGENERATE_LEVEL_FRACTION = 1e-10
+
+
+def _invalid(message: str, name: str, level: int | None = None) -> InvalidParameterError:
+    error = InvalidParameterError(message)
+    error.field, error.level = name, level
+    return error
 
 
 @dataclass(frozen=True)
@@ -78,20 +82,15 @@ class LevelCovariances:
     h2 = property(lambda self: self.h[1])
     h3 = property(lambda self: self.h[2])
 
-    @property
-    def k(self) -> tuple[np.ndarray, ...]:
-        """The smoothed level surfaces on the grid."""
-        F = self.basis.functions
-        return tuple(F @ C @ F.T for C in self.coef)
-
 
 @dataclass(frozen=True, eq=False)
 class MultilevelFit:
     """Fitted nested model: means, per-level eigensystems, scores, noise.
 
-    scores[l] has one row per level-(l+1) unit, listed in `units[l]` as
-    (subject,), (subject, measure), or (subject, measure, replicate) keys in
-    canonical sorted order.
+    The design is the full product of the n subject labels, the J measure
+    labels and K_rep replicates (`shape`). scores[l] has one row per
+    level-(l+1) unit, subject, (subject, measure) or (subject, measure,
+    replicate), in canonical order, and one column per retained component.
     """
 
     grid: Grid
@@ -100,27 +99,42 @@ class MultilevelFit:
     measure_effects: tuple[Curve, ...]
     level_eig: tuple[EigenSystem, ...]
     scores: tuple[np.ndarray, ...]
-    units: tuple[tuple[tuple[int, ...], ...], ...]
     noise_variance: float
-    subject_labels: tuple[str, ...] = ()
-    measure_labels: tuple[str, ...] = ()
+    subject_labels: tuple[str, ...]
+    measure_labels: tuple[str, ...]
     config: FitConfig = field(default_factory=FitConfig)
     penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
 
     def __post_init__(self) -> None:
-        """Each level's units are the full product of its depth's
-        (subject, measure, replicate) counts in canonical order, one per score
-        row; if not, an InvalidParameterError whose `level` is the first at fault."""
-        shape: list[int] = []
-        for depth, (units, scores) in enumerate(zip(self.units, self.scores), start=1):
-            shape.append(len(units) // max(1, prod(shape)))
-            full = product(*(range(1, size + 1) for size in shape))
-            if tuple(units) != tuple(full) or len(scores) != len(units):
-                error = InvalidParameterError(
-                    f"level {depth} has {len(units)} units and {len(scores)} score rows, "
-                    f"not one per unit of a full design in canonical order")
-                error.level = depth
-                raise error
+        """Each level has one score row per unit of the full design and one
+        score column per component, there is one measure effect per measure
+        or none, and the noise variance is finite and >= 0. If not, an
+        InvalidParameterError whose `field` names the field at fault and,
+        for the scores, whose `level` is the first level at fault."""
+        n, J, K_rep = self.shape
+        for level, (mat, eig) in enumerate(zip(self.scores, self.level_eig), start=1):
+            units = (n, n * J, n * J * K_rep)[level - 1]
+            if len(mat) != units:
+                fault = f"{len(mat)} score rows, not one per unit of the full design ({units})"
+            elif mat.shape[1] != eig.n_components:
+                fault = f"{mat.shape[1]} score columns but {eig.n_components} components"
+            else:
+                continue
+            raise _invalid(f"level {level} has {fault}", "scores", level)
+        if len(self.measure_effects) not in (0, J):
+            raise _invalid(f"{len(self.measure_effects)} measure effects for {J} measures; "
+                           "need one per measure or none", "measure_effects")
+        noise = float(self.noise_variance)
+        if not np.isfinite(noise) or noise < 0:
+            raise _invalid(f"noise variance must be finite and >= 0, got {noise!r}",
+                           "noise_variance")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n, J, K_rep): subjects, measures, and the replicates per (subject,
+        measure), which the deepest score table's rows give (1 for two levels)."""
+        n, J = len(self.subject_labels), len(self.measure_labels)
+        return n, J, max(1, len(self.scores[-1]) // max(1, n * J))
 
     @property
     def retained(self) -> tuple[int, ...]:
@@ -347,17 +361,11 @@ def blup_scores(
     return _blup(_centred_design(X, means, levels), level_eig, noise_variance)
 
 
-def _level_units(n: int, J: int, K_rep: int, levels: int):
-    """Each level's unit keys in canonical order: (i,), (i, j), (i, j, k)."""
-    ranges = [range(1, size + 1) for size in (n, J, K_rep)]
-    return tuple(tuple(product(*ranges[:depth])) for depth in range(1, levels + 1))
-
-
 @np.errstate(over="raise", invalid="raise")
 def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     """Full nested fit: means, level surfaces, eigensystems, noise, scores.
     Data whose moment products overflow raise FloatingPointError."""
-    rv, n, J, K_rep = canonical_design(X, levels=config.levels)
+    rv = canonical_design(X, levels=config.levels)[0]
     means = measure_means(X, center_measures=config.center_measures)
     rv = _centre(rv, X.grid, means)
 
@@ -382,7 +390,6 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
         measure_effects=tuple(means.measure_effects[j] for j in measures),
         level_eig=level_eigs,
         scores=scores,
-        units=_level_units(n, J, K_rep, config.levels),
         noise_variance=sigma2,
         subject_labels=X.subject_labels,
         measure_labels=X.measure_labels,

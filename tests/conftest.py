@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfda.core import CurveSet, Grid, NestedIndex
+from mfda.core import CurveSet, Grid
 from mfda.simkl import GeneratorSpec, spec_from_dict
 
 
@@ -68,10 +68,8 @@ def n3_spec(seed: int, **kwargs) -> GeneratorSpec:
 def two_level_set(values: np.ndarray, grid: Grid, J: int) -> CurveSet:
     """Rows laid out subject-major with J measures each."""
     n = values.shape[0] // J
-    index = tuple(
-        NestedIndex(i, j) for i in range(1, n + 1) for j in range(1, J + 1)
-    )
-    return CurveSet(grid, index, values)
+    codes = [(i, j, 0) for i in range(1, n + 1) for j in range(1, J + 1)]
+    return CurveSet(grid, codes, values)
 
 
 @pytest.fixture

@@ -186,6 +186,56 @@ def _mutated_data(draw):
     return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines) + b"\n"
 
 
+# The fit-directory files the fit fuzz test below edits, and the noise.json
+# values it writes, each with whether the fit must refuse it.
+_FIT_TABLES = ["scores_level1.csv", "scores_level2.csv", "scores_level3.csv",
+               "measure_means.csv"]
+_NOISE_TEXTS = {"0": False, "-0.0": False, "2.5": False, "1e308": False, "NaN": True,
+                "Infinity": True, "-5": True, "-1e-300": True, '"x"': True, "null": True}
+
+
+@st.composite
+def _mutated_fit_file(draw):
+    """One edit of one file of a written three-level fit: the file's name, and
+    a function that maps the file's text to the edited text and to whether
+    the edit breaks an invariant of the fit."""
+    name = draw(st.sampled_from(_FIT_TABLES + ["noise.json"]))
+    if name == "noise.json":
+        value = draw(st.sampled_from(sorted(_NOISE_TEXTS)))
+        return name, lambda text: (f'{{"noise_variance": {value}}}\n', _NOISE_TEXTS[value])
+    n_keys = int(name[-5]) if name.startswith("scores") else 0
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "relabel", "add_column",
+                                 "drop_column", "value"]))
+    i, j, cell = (draw(st.integers(0, 1000)) for _ in range(3))
+    new = draw(st.sampled_from(["zz", "01", "1", "2", "nan", "-1e308", "", "x,y"]))
+
+    def edit(text):
+        header, *rows = text.splitlines()
+        a, b = i % len(rows), j % len(rows)
+        breaks = n_keys > 0
+        if kind == "delete":
+            del rows[a]
+        elif kind == "duplicate":
+            rows.insert(a, rows[a])
+        elif kind == "swap":  # rows of a score table differ in their keys
+            rows[a], rows[b] = rows[b], rows[a]
+            breaks = n_keys > 0 and a != b
+        elif kind == "add_column":
+            header, rows, breaks = header + ",9", [row + ",0.5" for row in rows], True
+        elif kind == "drop_column":
+            header, *rows = (line.rsplit(",", 1)[0] for line in [header, *rows])
+            breaks = True
+        else:  # a key cell, or a value cell, gets another text
+            cells = rows[a].split(",")
+            keyed = kind == "relabel" and n_keys > 0
+            at = cell % n_keys if keyed else n_keys + cell % (len(cells) - n_keys)
+            cells[at] = new if cells[at] != new else new + "0"
+            rows[a], breaks = ",".join(cells), keyed
+        return "\n".join([header, *rows]) + "\n", breaks
+
+    return name, edit
+
+
 @pytest.fixture
 def sim_dir(tmp_path):
     spec_path = write_spec(tmp_path, n2_spec_dict(21, n=12, J=4, m=21))
@@ -540,7 +590,9 @@ def edit_line(text: str, line: int, edit) -> str:
     return "\n".join(lines)
 
 
-def handmade_fit_dir(tmp_path: Path) -> Path:
+def handmade_fit_dir(tmp_path: Path, levels: int = 2) -> Path:
+    """A written fit of 6 subjects, measures HIIT1 and HIIT2, and, for three
+    levels, 2 replicates; every level keeps two components."""
     from mfda.core import Grid
 
     grid = Grid.uniform(21)
@@ -550,28 +602,24 @@ def handmade_fit_dir(tmp_path: Path) -> Path:
         lams = np.asarray(lams, dtype=float)
         return EigenSystem(grid, lams, basis, np.cumsum(lams) / lams.sum())
 
-    n, J = 6, 2
+    n, J, K_rep = 6, 2, 2
     fit = MultilevelFit(
         grid=grid,
-        levels=2,
+        levels=levels,
         global_mean=Curve(grid, np.zeros(grid.size)),
         measure_effects=(
             Curve(grid, np.zeros(grid.size)),
             Curve(grid, np.zeros(grid.size)),
         ),
-        level_eig=(eig([4.0, 2.0]), eig([2.0, 1.0])),
-        scores=(
-            np.linspace(-1, 1, n * 2).reshape(n, 2),
-            np.linspace(-1, 1, n * J * 2).reshape(n * J, 2),
-        ),
-        units=(
-            tuple((i,) for i in range(1, n + 1)),
-            tuple((i, j) for i in range(1, n + 1) for j in range(1, J + 1)),
+        level_eig=(eig([4.0, 2.0]), eig([2.0, 1.0]), eig([1.0, 0.5]))[:levels],
+        scores=tuple(
+            np.linspace(-1, 1, units * 2).reshape(units, 2)
+            for units in (n, n * J, n * J * K_rep)[:levels]
         ),
         noise_variance=1.0,
         subject_labels=tuple(str(i) for i in range(1, n + 1)),
         measure_labels=("HIIT1", "HIIT2"),
-        config=FitConfig(levels=2),
+        config=FitConfig(levels=levels),
     )
     out = tmp_path / "handmade_fit"
     write_fit(fit, out)
@@ -631,6 +679,15 @@ class TestIcc:
             ("scores_level1.csv",
              lambda text: edit_line(text, 2, lambda row: row.rsplit(",", 1)[0]),
              "scores_level1.csv:2: 2 cells, the header has 3"),
+            ("scores_level2.csv", lambda text: text.replace("\n", ",9\n"),
+             "scores_level2.csv: level 2 has 3 score columns but 2 components"),
+            ("measure_means.csv",
+             lambda text: "\n".join(row.rsplit(",", 1)[0] for row in text.split("\n")),
+             "measure_means.csv: 1 measure effects for 2 measures"),
+            ("noise.json", lambda text: text.replace("1.0", "NaN"),
+             "noise.json: noise variance must be finite and >= 0, got nan"),
+            ("noise.json", lambda text: text.replace("1.0", "-5"),
+             "noise.json: noise variance must be finite and >= 0, got -5.0"),
         ],
     )
     def test_hand_edited_fit_file_exits_2(self, tmp_path, capsys, name, edit, needle):
@@ -639,29 +696,57 @@ class TestIcc:
         text = path.read_text()
         assert edit(text) != text
         path.write_text(edit(text))
-        assert main(["icc", str(fit_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert needle in err
+        for argv in (["icc", str(fit_dir)],
+                     ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert needle in err
 
-    @pytest.mark.parametrize("edit", ["delete", "duplicate", "relabel"])
+    @pytest.mark.parametrize("edit", ["delete", "duplicate", "relabel", "swap", "replicate"])
     def test_score_rows_must_list_the_full_design(self, tmp_path, capsys, edit):
-        fit_dir = handmade_fit_dir(tmp_path)
-        path = fit_dir / "scores_level2.csv"
+        levels = 3 if edit == "replicate" else 2
+        fit_dir = handmade_fit_dir(tmp_path, levels)
+        path = fit_dir / f"scores_level{levels}.csv"
         lines = path.read_text().splitlines(keepends=True)
         if edit == "delete":
             del lines[3]
         elif edit == "duplicate":
             lines.insert(3, lines[3])
-        else:  # a measure label no other row has, which would make a third measure
+        elif edit == "relabel":  # a measure label no other row has: a third measure
             subject, _, scores = lines[3].split(",", 2)
             lines[3] = f"{subject},99,{scores}"
+        elif edit == "swap":  # the measure cells of subject 1's two rows
+            (s1, m1, rest1), (s2, m2, rest2) = (line.split(",", 2) for line in lines[1:3])
+            lines[1:3] = [f"{s1},{m2},{rest1}", f"{s2},{m1},{rest2}"]
+        else:  # replicate 1 written as 01, which int() reads as 1
+            subject, measure, _, scores = lines[3].split(",", 3)
+            lines[3] = f"{subject},{measure},01,{scores}"
         path.write_text("".join(lines))
         for argv in (["icc", str(fit_dir)],
                      ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2"]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: level 2 has ") and err.count("\n") == 1
+            assert err.startswith(f"error: {path}: level {levels} has ") and err.count("\n") == 1
+
+    @given(mutation=_mutated_fit_file())
+    @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+    def test_fuzzed_fit_dir_exits_cleanly(self, tmp_path_factory, mutation):
+        name, edit = mutation
+        fit_dir = handmade_fit_dir(tmp_path_factory.mktemp("fuzz"), levels=3)
+        path = fit_dir / name
+        text, breaks = edit(path.read_text())
+        path.write_text(text)
+        for argv in (["icc", str(fit_dir)],
+                     ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2",
+                      "--perms", "99"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+            assert code == 2 or not breaks, (argv[0], text)
 
     def test_dataset_dir_is_not_a_fit_dir(self, sim_dir, capsys):
         # a simulate output dir has its own manifest.json without 'levels'

@@ -10,15 +10,12 @@ from mfda.core import (
     Curve,
     CurveSet,
     Grid,
-    NestedIndex,
     center_rows,
-    inner_product,
     same_grid,
     trapezoid_weights,
 )
 from mfda.errors import (
     DuplicateKeyError,
-    GridMismatchError,
     InvalidGridError,
     MissingMeanError,
 )
@@ -94,56 +91,16 @@ class TestGrid:
         assert not same_grid(a, Grid.uniform(12))
 
 
-class TestInnerProduct:
-    def test_constant_one(self, uniform_grid):
-        one = Curve(uniform_grid, np.ones(uniform_grid.size))
-        assert inner_product(one, one) == pytest.approx(1.0)
-
-    def test_fourier_orthogonality(self, uniform_grid):
-        t = uniform_grid.points
-        f = Curve(uniform_grid, np.sin(2 * np.pi * t))
-        g = Curve(uniform_grid, np.cos(2 * np.pi * t))
-        assert abs(inner_product(f, g)) < 1e-3
-
-    def test_normalized_fourier(self, uniform_grid):
-        t = uniform_grid.points
-        f = Curve(uniform_grid, np.sqrt(2) * np.sin(2 * np.pi * t))
-        assert inner_product(f, f) == pytest.approx(1.0, abs=1e-3)
-
-    def test_grid_mismatch(self):
-        f = Curve(Grid.uniform(5), np.ones(5))
-        g = Curve(Grid.uniform(6), np.ones(6))
-        with pytest.raises(GridMismatchError):
-            inner_product(f, g)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetric_bilinear_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        grid = Grid.uniform(31)
-        f = Curve(grid, rng.normal(size=31))
-        g = Curve(grid, rng.normal(size=31))
-        h = Curve(grid, rng.normal(size=31))
-        a = float(rng.normal())
-        assert inner_product(f, g) == pytest.approx(inner_product(g, f))
-        fg = Curve(grid, a * f.values + g.values)
-        assert inner_product(fg, h) == pytest.approx(
-            a * inner_product(f, h) + inner_product(g, h), rel=1e-9, abs=1e-12
-        )
-        assert inner_product(f, f) >= 0.0
-
-
 class TestCurveSet:
     def test_duplicate_index_rejected(self, small_grid):
-        index = (NestedIndex(1, 1), NestedIndex(1, 1))
         with pytest.raises(DuplicateKeyError):
-            CurveSet(small_grid, index, np.zeros((2, small_grid.size)))
+            CurveSet(small_grid, [(1, 1, 0), (1, 1, 0)], np.zeros((2, small_grid.size)))
 
     def test_balance_detection(self, small_grid):
         X = two_level_set(np.zeros((4, small_grid.size)), small_grid, J=2)
         assert X.is_balanced()
-        index = (NestedIndex(1, 1), NestedIndex(1, 2), NestedIndex(2, 1))
-        Y = CurveSet(small_grid, index, np.zeros((3, small_grid.size)))
+        codes = [(1, 1, 0), (1, 2, 0), (2, 1, 0)]
+        Y = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
         assert not Y.is_balanced()
 
 
@@ -156,7 +113,7 @@ class TestCenterRows:
 
     def test_single_curve_absorbed_by_measure_mean(self, small_grid):
         c = np.linspace(0, 2, small_grid.size)
-        X = CurveSet(small_grid, (NestedIndex(1, 1),), c[None, :])
+        X = CurveSet(small_grid, [(1, 1, 0)], c[None, :])
         means = CenteringMeans(
             Curve(small_grid, np.zeros(small_grid.size)),
             {1: Curve(small_grid, c)},
@@ -169,7 +126,7 @@ class TestCenterRows:
         X = two_level_set(rng.normal(size=(30, small_grid.size)), small_grid, J=3)
         centered = center_rows(X, measure_means(X))
         for j in (1, 2, 3):
-            rows = [r for r, ix in enumerate(centered.index) if ix.measure == j]
+            rows = centered.codes[:, 1] == j
             np.testing.assert_allclose(
                 centered.values[rows].mean(axis=0), 0.0, atol=1e-10
             )
@@ -195,12 +152,7 @@ class TestCenterRows:
     def test_row_order_preserved(self, small_grid):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(4, small_grid.size))
-        index = (
-            NestedIndex(2, 1),
-            NestedIndex(1, 2),
-            NestedIndex(1, 1),
-            NestedIndex(2, 2),
-        )
-        X = CurveSet(small_grid, index, values)
+        codes = [(2, 1, 0), (1, 2, 0), (1, 1, 0), (2, 2, 0)]
+        X = CurveSet(small_grid, codes, values)
         centered = center_rows(X, measure_means(X))
-        assert centered.index == index
+        assert centered.codes.tolist() == [list(c) for c in codes]

@@ -8,7 +8,7 @@ the total surface of sigma_T_hat, and the zero-noise BLUP projection.
 import numpy as np
 import pytest
 
-from mfda.core import CenteringMeans, Curve, CurveSet, Grid, NestedIndex
+from mfda.core import CenteringMeans, Curve, CurveSet, Grid
 from mfda.errors import (
     AsymmetricMatrixError,
     DegenerateSpectrumError,
@@ -32,8 +32,8 @@ from .conftest import n2_spec, n3_spec
 
 
 def independent_rows(values: np.ndarray, grid: Grid) -> CurveSet:
-    index = tuple(NestedIndex(1, i + 1) for i in range(values.shape[0]))
-    return CurveSet(grid, index, values)
+    codes = [(1, i + 1, 0) for i in range(values.shape[0])]
+    return CurveSet(grid, codes, values)
 
 
 def mean_curve(X: CurveSet) -> Curve:

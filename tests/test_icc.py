@@ -21,11 +21,6 @@ def eig_of(grid: Grid, lam, funcs) -> EigenSystem:
 
 
 def handmade_fit(grid: Grid, level_eigs, noise: float) -> MultilevelFit:
-    units = [
-        tuple((i,) for i in range(1, 3)),
-        tuple((i, j) for i in range(1, 3) for j in range(1, 3)),
-        tuple((i, j, k) for i in range(1, 3) for j in range(1, 3) for k in (1, 2)),
-    ]
     levels = len(level_eigs)
     return MultilevelFit(
         grid=grid,
@@ -34,11 +29,12 @@ def handmade_fit(grid: Grid, level_eigs, noise: float) -> MultilevelFit:
         measure_effects=(),
         level_eig=tuple(level_eigs),
         scores=tuple(
-            np.zeros((len(units[l]), level_eigs[l].n_components))
+            np.zeros((2 ** (l + 1), level_eigs[l].n_components))
             for l in range(levels)
         ),
-        units=tuple(units[:levels]),
         noise_variance=noise,
+        subject_labels=("1", "2"),
+        measure_labels=("1", "2"),
         config=FitConfig(levels=levels),
     )
 
@@ -146,7 +142,7 @@ class TestProperties:
         X, _ = generate(spec)
         fit = fit_nested(X, FitConfig(levels=2))
         scaled = CurveSet(
-            X.grid, X.index, 3.0 * X.values, X.subject_labels, X.measure_labels
+            X.grid, X.codes, 3.0 * X.values, X.subject_labels, X.measure_labels
         )
         fit_scaled = fit_nested(scaled, FitConfig(levels=2))
         assert global_icc(fit_scaled) == pytest.approx(global_icc(fit), rel=1e-6)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mfda
 import mfda.ingest
-from mfda.core import CurveSet, Grid, NestedIndex
+from mfda.core import CurveSet, Grid
 from mfda.errors import (
     DuplicateKeyError,
     EmptyDataError,
@@ -107,17 +107,17 @@ def _reference_read_long_csv(path, channel, grid_policy="strict"):
     single_replicate = all(
         key[2] == 1 for key in groups
     ) and len({(k[0], k[1]) for k in groups}) == len(groups)
-    index = []
+    codes = []
     values = np.empty((len(groups), grid.size))
     for row, key in enumerate(sorted(groups, key=lambda k: (
         subject_of[k[0]], measure_of[k[1]], k[2]
     ))):
         values[row] = [groups[key][t] for t in shared]
-        index.append(NestedIndex(
+        codes.append((
             subject_of[key[0]], measure_of[key[1]],
-            None if single_replicate else key[2],
+            0 if single_replicate else key[2],
         ))
-    curves = CurveSet(grid, tuple(index), values, tuple(subjects), tuple(measures))
+    curves = CurveSet(grid, codes, values, tuple(subjects), tuple(measures))
     counts = {}
     for key in groups:
         counts.setdefault(key[0], {}).setdefault(key[1], 0)
@@ -147,7 +147,7 @@ def assert_reads_like_reference(path, channel, grid_policy):
     (curves, report), (ref_curves, ref_report) = read_long_csv(
         path, channel, grid_policy
     ), expected
-    assert curves.index == ref_curves.index
+    assert np.array_equal(curves.codes, ref_curves.codes)
     assert curves.values.tobytes() == ref_curves.values.tobytes()
     assert curves.grid.points.tobytes() == ref_curves.grid.points.tobytes()
     assert curves.grid.weights.tobytes() == ref_curves.grid.weights.tobytes()
@@ -414,12 +414,9 @@ def _reference_write_long_csv(X, path, channel):
     tail = mfda.ingest._csv_fields("", channel) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(mfda.ingest._csv_fields(*LONG_COLUMNS) + "\n")
-        for ix, row in ordered:
+        for (s, m, r), row in zip(ordered.codes.tolist(), ordered.values):
             head = mfda.ingest._csv_fields(
-                ordered.subject_labels[ix.subject - 1],
-                ordered.measure_labels[ix.measure - 1],
-                1 if ix.replicate is None else ix.replicate,
-                "",
+                ordered.subject_labels[s - 1], ordered.measure_labels[m - 1], r or 1, ""
             )
             fh.write("".join(
                 f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
@@ -431,10 +428,9 @@ class TestLongCsvRoundTrip:
     def test_bytes_match_the_row_writer(self, tmp_path, replicates):
         # labels with %, a comma, a quote and a newline; rows out of order
         rng = np.random.default_rng(5)
-        index = [NestedIndex(i, j, k) for i in (2, 1, 3) for j in (2, 1)
-                 for k in (replicates or (None,))]
+        codes = [(i, j, k) for i in (2, 1, 3) for j in (2, 1) for k in (replicates or (0,))]
         X = CurveSet(
-            Grid.uniform(5), tuple(index), rng.normal(size=(len(index), 5)),
+            Grid.uniform(5), codes, rng.normal(size=(len(codes), 5)),
             ("a%s", 'b,"%d"', "c\n%%"), ("m%r", 'n,"1"\n'),
         )
         for channel in ("sim", 'k%,"x"'):
@@ -448,7 +444,7 @@ class TestLongCsvRoundTrip:
         path = tmp_path / "rt.csv"
         write_long_csv(X, path, channel="sim")
         back, report = read_long_csv(path, channel="sim")
-        assert back.index == X.index
+        assert np.array_equal(back.codes, X.codes)
         assert np.max(np.abs(back.values - X.values)) < 1e-12
         assert np.max(np.abs(back.grid.points - X.grid.points)) < 1e-12
         assert report.balanced
@@ -458,18 +454,18 @@ class TestLongCsvRoundTrip:
         path = tmp_path / "rt3.csv"
         write_long_csv(X, path, channel="sim")
         back, _ = read_long_csv(path, channel="sim")
-        assert back.index == X.index
+        assert np.array_equal(back.codes, X.codes)
         assert np.max(np.abs(back.values - X.values)) < 1e-12
 
     def test_long_label_round_trip(self, tmp_path):
         X, _ = generate(n2_spec(10, n=3, J=2, m=7))
         label = "".join(chr(0x41 + i % 26) for i in range(199)) + "é"
-        X = CurveSet(X.grid, X.index, X.values, (label, "b", "c"), X.measure_labels)
+        X = CurveSet(X.grid, X.codes, X.values, (label, "b", "c"), X.measure_labels)
         path = tmp_path / "long.csv"
         write_long_csv(X, path, channel="sim")
         back, report = read_long_csv(path, channel="sim")
         assert back.subject_labels == (label, "b", "c") == report.subjects
-        assert back.index == X.index
+        assert np.array_equal(back.codes, X.codes)
         assert back.values.tobytes() == X.values.tobytes()
 
     def test_file_level_round_trip(self, tmp_path):
@@ -483,11 +479,9 @@ class TestLongCsvRoundTrip:
 
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(3)
-        index = tuple(
-            NestedIndex(i, j, k) for i in (1, 2, 3) for j in (1, 2) for k in (1, 2)
-        )
+        codes = [(i, j, k) for i in (1, 2, 3) for j in (1, 2) for k in (1, 2)]
         X = CurveSet(
-            Grid.uniform(4), index, rng.normal(size=(12, 4)),
+            Grid.uniform(4), codes, rng.normal(size=(12, 4)),
             ("a,b", 'say "hi"', "two\nlines"), ('p"o,st', "pre"),
         )
         channel = 'k,"x"'
@@ -497,16 +491,16 @@ class TestLongCsvRoundTrip:
         with open(expected, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(LONG_COLUMNS)
-            for ix, row in X.sorted():
+            ordered = X.sorted()
+            for (s, m, r), row in zip(ordered.codes.tolist(), ordered.values):
                 for t, v in zip(X.grid.points, row):
                     writer.writerow([
-                        X.subject_labels[ix.subject - 1],
-                        X.measure_labels[ix.measure - 1],
-                        ix.replicate, repr(float(t)), repr(float(v)), channel,
+                        X.subject_labels[s - 1], X.measure_labels[m - 1],
+                        r, repr(float(t)), repr(float(v)), channel,
                     ])
         assert path.read_bytes() == expected.read_bytes()
         back, _ = read_long_csv(path, channel=channel)
-        assert back.index == X.sorted().index
+        assert np.array_equal(back.codes, X.sorted().codes)
         assert back.values.tobytes() == X.sorted().values.tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
@@ -532,7 +526,7 @@ def fits_equal(a, b) -> None:
         np.testing.assert_allclose(ea.functions, eb.functions, atol=1e-12)
     for sa, sb in zip(a.scores, b.scores):
         np.testing.assert_allclose(sa, sb, atol=1e-12)
-    assert a.units == b.units
+    assert a.shape == b.shape
     assert a.subject_labels == b.subject_labels
     assert a.measure_labels == b.measure_labels
 
@@ -553,6 +547,23 @@ class TestFitRoundTrip:
         out = tmp_path / "fit3"
         write_fit(fit, out)
         fits_equal(fit, read_fit(out))
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("center_measures", [True, False])
+    def test_rewriting_a_read_fit_reproduces_every_file(self, tmp_path, levels, center_measures):
+        if levels == 2:
+            X, _ = generate(n2_spec(19, n=5, J=2, m=11))
+        else:
+            X, _ = generate(n3_spec(19, n=4, J=2, K_rep=3, m=11))
+        subjects = ('a,"b', *X.subject_labels[1:])
+        X = CurveSet(X.grid, X.codes, X.values, subjects, X.measure_labels)
+        fit = fit_nested(X, FitConfig(levels=levels, center_measures=center_measures))
+        first = write_fit(fit, tmp_path / "first")
+        second = write_fit(read_fit(first), tmp_path / "second")
+        files = sorted(p.name for p in first.iterdir())
+        assert files == sorted(p.name for p in second.iterdir())
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_fpca_fit(self, tmp_path):
         # a single-level (levels 1) fit directory is refused

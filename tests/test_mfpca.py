@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfda.core import CenteringMeans, Curve, CurveSet, Grid, NestedIndex
+from mfda.core import CenteringMeans, Curve, CurveSet, Grid
 from mfda.errors import (
     InsufficientDataError,
     SingularSystemError,
@@ -33,13 +33,19 @@ def zero_means(grid: Grid) -> CenteringMeans:
 
 def three_level_set(values: np.ndarray, grid: Grid, J: int, K: int) -> CurveSet:
     n = values.shape[0] // (J * K)
-    index = tuple(
-        NestedIndex(i, j, k)
+    codes = [
+        (i, j, k)
         for i in range(1, n + 1)
         for j in range(1, J + 1)
         for k in range(1, K + 1)
-    )
-    return CurveSet(grid, index, values)
+    ]
+    return CurveSet(grid, codes, values)
+
+
+def level_surfaces(cov) -> tuple[np.ndarray, ...]:
+    """The smoothed level surfaces of a LevelCovariances on the grid."""
+    F = cov.basis.functions
+    return tuple(F @ C @ F.T for C in cov.coef)
 
 
 # -- independent brute-force oracles (plain loops, no shared code paths) -----
@@ -254,8 +260,7 @@ class TestSigmaEstimators:
         assert rel < 0.10
 
     def test_sigma_B_insufficient_measures(self, small_grid):
-        index = (NestedIndex(1, 1), NestedIndex(2, 1))
-        X = CurveSet(small_grid, index, np.zeros((2, small_grid.size)))
+        X = CurveSet(small_grid, [(1, 1, 0), (2, 1, 0)], np.zeros((2, small_grid.size)))
         with pytest.raises(InsufficientDataError):
             sigma_B_hat(X, zero_means(small_grid))
 
@@ -360,7 +365,7 @@ class TestThreeLevelCovariances:
                 noise=0.0,
             )
             X, _ = generate(spec)
-            reps.append(three_level_covariances(X, measure_means(X)).k[2])
+            reps.append(level_surfaces(three_level_covariances(X, measure_means(X)))[2])
         reps = np.asarray(reps)
         mean_k3 = reps.mean(axis=0)
         sd = reps.std(axis=0, ddof=1)
@@ -372,7 +377,7 @@ class TestThreeLevelCovariances:
             spec = n3_spec(seed, n=200, J=2, K_rep=20, m=41)
             X, _ = generate(spec)
             cov = three_level_covariances(X, measure_means(X))
-            for l, surface in enumerate(cov.k):
+            for l, surface in enumerate(level_surfaces(cov)):
                 tops[l].append(eigendecompose(surface, X.grid).eigenvalues[0])
         for l, true_top in zip(range(3), (4.0, 2.0, 1.0)):
             assert np.mean(tops[l]) == pytest.approx(true_top, rel=0.20)
@@ -564,15 +569,15 @@ class TestFitNested:
                 assert ip >= 0.9
 
     def test_unbalanced_rejected_with_counts(self, small_grid):
-        index = (NestedIndex(1, 1), NestedIndex(1, 2), NestedIndex(2, 1))
-        X = CurveSet(small_grid, index, np.zeros((3, small_grid.size)))
+        codes = [(1, 1, 0), (1, 2, 0), (2, 1, 0)]
+        X = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
         with pytest.raises(UnbalancedDesignError) as err:
             fit_nested(X, FitConfig(levels=2))
         assert "subject" in str(err.value)
 
     def test_non_contiguous_indices_rejected_with_counts(self, small_grid):
-        index = tuple(NestedIndex(i, j) for i in (1, 3) for j in (1, 2))
-        X = CurveSet(small_grid, index, np.zeros((4, small_grid.size)), ("a", "b", "c"))
+        codes = [(i, j, 0) for i in (1, 3) for j in (1, 2)]
+        X = CurveSet(small_grid, codes, np.zeros((4, small_grid.size)), ("a", "b", "c"))
         with pytest.raises(UnbalancedDesignError) as err:
             fit_nested(X, FitConfig(levels=2))
         assert str(err.value) == (
@@ -633,7 +638,7 @@ class TestFitNested:
         assert fit.scores[0].shape[0] == 10
         assert fit.scores[1].shape[0] == 20
         assert fit.scores[2].shape[0] == 80
-        assert fit.units[2][0] == (1, 1, 1)
+        assert fit.shape == (10, 2, 4)
 
     def test_variance_shares_sum_to_one(self):
         spec = n2_spec(53, n=30, J=2, m=21)
@@ -758,7 +763,7 @@ class TestFitNestedStructure:
         cov = mfda.mfpca._level_covariances(rv, X.grid)
         assert cov.penalties == fit.penalties
         assert cov.noise_variance == fit.noise_variance
-        for surface, eig in zip(cov.k, fit.level_eig):
+        for surface, eig in zip(level_surfaces(cov), fit.level_eig):
             dense = eigendecompose(surface, X.grid)
             k = eig.n_components
             assert k >= 1
@@ -771,7 +776,7 @@ class TestFitNestedStructure:
         X, _ = generate(n3_spec(84, n=30, J=2, K_rep=4, m=41))
         cov = three_level_covariances(X, measure_means(X))
         raw = np.diag(cov.h3 - cov.h2)
-        smooth = np.diag(cov.k[2])
+        smooth = np.diag(level_surfaces(cov)[2])
         assert cov.noise_variance == pytest.approx(np.mean(raw - smooth), rel=1e-9)
         # the settled diagonal is its own smooth: smoothing the surface with
         # that diagonal at the chosen penalty gives the same coefficients

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mfda.core import Grid, NestedIndex
+from mfda.core import Grid
 from mfda.errors import InvalidBasisError, InvalidParameterError, ParseError
 from mfda.simkl import (
     evaluate_expression,
@@ -29,13 +29,13 @@ def _draw_scores(rng, eigenvalues, size, df):
 def _reference_generate(spec):
     """The generator as a plain loop over subject, measure and replicate: one
     score draw per unit and one curve product per row, in the documented
-    draw order. Returns (index, scores, level_curves, values)."""
+    draw order. Returns (codes, scores, level_curves, values)."""
     n, J, K_rep = spec.n_subjects, spec.n_measures, spec.n_replicates
     m, n_levels = spec.grid.size, spec.n_levels
     base = spec.mean if spec.measure_means is None else spec.mean + spec.measure_means
     base = np.broadcast_to(base, (J, m))
     scores = [[] for _ in spec.levels]
-    values, index = [], []
+    values, codes = [], []
     for child in np.random.SeedSequence(spec.seed).spawn(n):
         rng = np.random.default_rng(child)
         rows = []
@@ -64,10 +64,10 @@ def _reference_generate(spec):
     for i in range(1, n + 1):
         for j in range(1, J + 1):
             for k in range(1, K_rep + 1):
-                index.append(NestedIndex(i, j, k if n_levels == 3 else None))
+                codes.append((i, j, k if n_levels == 3 else 0))
     scores = [np.array(s) for s in scores]
     curves = [s @ lvl.functions.T for s, lvl in zip(scores, spec.levels)]
-    return tuple(index), scores, curves, np.concatenate(values)
+    return np.array(codes), scores, curves, np.concatenate(values)
 
 
 ORACLE_SPECS = {
@@ -166,13 +166,13 @@ class TestGenerate:
     def test_matches_reference_loop(self, name):
         spec = spec_from_dict(ORACLE_SPECS[name])
         X, truth = generate(spec)
-        index, scores, curves, values = _reference_generate(spec)
+        codes, scores, curves, values = _reference_generate(spec)
         assert len(truth.scores) == len(scores) == spec.n_levels
         for got, want in zip(truth.scores, scores):
             assert np.array_equal(got, want)
         for got, want in zip(truth.level_curves, curves):
             assert np.array_equal(got, want)
-        assert X.index == index
+        assert np.array_equal(X.codes, codes)
         np.testing.assert_allclose(X.values, values, rtol=0, atol=1e-13)
         assert np.array_equal(X.values - truth.noiseless, truth.noise)
         if spec.noise_variance == 0:
@@ -197,8 +197,8 @@ class TestGenerate:
         t = spec.grid.points
         mu = 2 * np.sin(2 * np.pi * t)
         nus = [0.5 * np.cos(2 * np.pi * t), -0.5 * np.cos(2 * np.pi * t)]
-        for ix, row in X:
-            np.testing.assert_array_equal(row, mu + nus[ix.measure - 1])
+        for j, row in zip(X.codes[:, 1].tolist(), X.values):
+            np.testing.assert_array_equal(row, mu + nus[j - 1])
 
     def test_score_variance_law_of_large_numbers(self):
         spec = n2_spec(808, n=2000, J=2, m=51)
@@ -229,8 +229,7 @@ class TestGenerate:
         assert np.array_equal(residual, truth.noise)
         # and the noiseless part decomposes into the stored level curves
         J, K = spec.n_measures, spec.n_replicates
-        for row, ix in enumerate(X.index):
-            i, j, k = ix.subject, ix.measure, ix.replicate
+        for row, (i, j, k) in enumerate(X.codes.tolist()):
             assembled = (
                 spec.mean
                 + truth.level_curves[0][i - 1]
