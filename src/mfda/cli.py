@@ -26,6 +26,7 @@ from .errors import (
 )
 from .icc import icc_report
 from .ingest import (
+    _fmt,
     read_fit,
     read_long_csv,
     write_fit,
@@ -42,10 +43,6 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
 SIMULATED_CHANNEL = "sim"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

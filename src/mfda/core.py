@@ -62,6 +62,8 @@ class Grid:
         weights = _readonly(self.weights)
         if points.ndim != 1 or points.size < 2:
             raise InvalidGridError("grid needs at least two points")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise InvalidGridError("grid points and weights must be finite")
         if np.any(np.diff(points) <= 0):
             raise InvalidGridError("grid points must be strictly increasing")
         if points[0] < -_DOMAIN_EPS or points[-1] > 1.0 + _DOMAIN_EPS:

@@ -37,6 +37,14 @@ class InvalidParameterError(InputError, ValueError):
     """A user-supplied parameter is out of its admissible range."""
 
 
+def field_error(message: str, field: str, level: int | None = None) -> InvalidParameterError:
+    """An InvalidParameterError marked with the container field at fault and,
+    for a per-level field, the level, so a reader can name the file it came from."""
+    error = InvalidParameterError(message)
+    error.field, error.level = field, level
+    return error
+
+
 class MissingMeanError(InputError, KeyError):
     """A row's measure index has no supplied mean curve."""
 

@@ -21,9 +21,9 @@ from .core import Grid
 from .errors import (
     AsymmetricMatrixError,
     DegenerateSpectrumError,
-    GridMismatchError,
     InvalidGridError,
     InvalidParameterError,
+    field_error,
 )
 
 # Eigenvalues below RELATIVE_EIGENVALUE_CUTOFF * lambda_1 are snapped to zero
@@ -50,26 +50,30 @@ class EigenSystem:
     """Ordered nonnegative eigenvalues with L2-orthonormal eigenfunctions.
 
     functions has one eigenfunction per column (shape m x K); pve is the
-    cumulative proportion of variance explained.
+    cumulative proportion of variance explained. Both arrays must be finite.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
     functions: np.ndarray
-    pve: np.ndarray
+    pve: Optional[np.ndarray] = None  # by default computed from the eigenvalues
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=float)
         fn = np.asarray(self.functions, dtype=float)
-        if ev.ndim != 1 or fn.shape != (self.grid.size, ev.size):
-            raise GridMismatchError("eigenfunctions must be (m, K) on the grid")
-        if ev.size and (np.any(ev < 0) or np.any(np.diff(ev) > 0)):
-            raise InvalidParameterError("eigenvalues must be nonincreasing, >= 0")
-        for arr in (ev, fn, np.asarray(self.pve, dtype=float)):
+        if fn.ndim != 2 or len(fn) != self.grid.size or not np.isfinite(fn).all():
+            raise field_error("eigenfunctions must be finite, (m, K) on the grid", "functions")
+        if ev.shape != fn.shape[1:] or not (
+                np.isfinite(ev).all() and np.all(ev >= 0) and np.all(np.diff(ev) <= 0)):
+            raise field_error("need one eigenvalue per eigenfunction, finite, nonincreasing "
+                              "and >= 0", "eigenvalues")
+        if self.pve is None:
+            share = np.cumsum(ev) / ev.sum() if ev.sum() > 0 else np.zeros_like(ev)
+            object.__setattr__(self, "pve", share)
+        pve = np.asarray(self.pve, dtype=float)
+        for name, arr in (("eigenvalues", ev), ("functions", fn), ("pve", pve)):
             arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "functions", fn)
-        object.__setattr__(self, "pve", np.asarray(self.pve, dtype=float))
+            object.__setattr__(self, name, arr)
 
     @property
     def n_components(self) -> int:
@@ -220,9 +224,7 @@ def eigendecompose(
         peak = int(np.argmax(np.abs(funcs[:, a])))
         if funcs[peak, a] < 0:
             funcs[:, a] = -funcs[:, a]
-    total = evals.sum()
-    pve = np.cumsum(evals) / total if total > 0 else np.zeros_like(evals)
-    return EigenSystem(grid, evals, funcs, pve)
+    return EigenSystem(grid, evals, funcs)
 
 
 def select_k(eig: EigenSystem, pve_threshold: float) -> int:

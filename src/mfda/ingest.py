@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from typing import Union
 
@@ -321,14 +322,11 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
             fh.write((head + (tail + head).join(cells) + tail) % tuple(X.values[row].tolist()))
 
 
-def _write_table(path: Path, header: list[str], values: np.ndarray, keys=None) -> None:
-    """A CSV table: the header, then per row its key cells (if any) and its
-    values in shortest round-trip form."""
-    keys = keys if keys is not None else [()] * len(values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([*key, *map(repr, row)] for key, row in zip(keys, values.tolist()))
+def _cells(keys: list, values: np.ndarray) -> list[list[str]]:
+    """Each row of a fit table as write_fit writes it: its key cells (if
+    any), then its values in shortest round-trip form."""
+    return [[*key, *map(repr, row)] for key, row in zip(keys or [()] * len(values),
+                                                         values.tolist())]
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
@@ -345,16 +343,32 @@ def read_json(path: Union[str, Path]) -> dict:
             raise ParseError(f"{path}: {exc}") from None
 
 
-def _score_header(level: int, k: int) -> list[str]:
-    keys = [["subject"], ["subject", "measure"], ["subject", "measure", "replicate"]]
-    return keys[level - 1] + [f"score_{a}" for a in range(1, k + 1)]
-
-
-def _score_keys(fit: MultilevelFit, level: int) -> list[tuple[str, ...]]:
-    """The key cells of each row of scores_level{level}.csv: the level's
-    units of the full design in canonical order, replicates numbered from 1."""
-    replicates = [str(k) for k in range(1, fit.shape[2] + 1)]
-    return list(product(*(fit.subject_labels, fit.measure_labels, replicates)[:level]))
+def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], list[tuple[str, ...]], np.ndarray]]:
+    """The fit directory's CSV tables by file name: each one's header, key
+    cells per row (none for a table without keys) and value matrix. A level's
+    score keys are its units of the full design in canonical order; the score
+    tables come first, as read_fit takes the design's labels from them."""
+    grid, measures, t = fit.grid, fit.measure_labels, fit.grid.points[:, None]
+    labels = (fit.subject_labels, measures, [str(r) for r in range(1, fit.shape[2] + 1)])
+    tables, eigenvalue_keys = {}, []
+    for level, (mat, eig) in enumerate(zip(fit.scores, fit.level_eig), start=1):
+        components = [str(a) for a in range(1, eig.n_components + 1)]
+        tables[f"scores_level{level}.csv"] = (
+            ["subject", "measure", "replicate"][:level] + [f"score_{a}" for a in components],
+            list(product(*labels[:level])), mat)
+        tables[f"eigenfunctions_level{level}.csv"] = (
+            ["t"] + [f"ef_{a}" for a in components], [],
+            np.hstack([t, eig.functions]) if components else np.zeros((0, 1)))
+        eigenvalue_keys += [(str(level), a) for a in components]
+    tables["eigenvalues.csv"] = (
+        ["level", "component", "eigenvalue"], eigenvalue_keys,
+        np.concatenate([eig.eigenvalues for eig in fit.level_eig])[:, None])
+    tables["mean.csv"] = (["t", "value", "w"], [],
+                          np.column_stack([grid.points, fit.global_mean.values, grid.weights]))
+    tables["measure_means.csv"] = (
+        ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]], [],
+        np.hstack([t, *(eff.values[:, None] for eff in fit.measure_effects)]))
+    return tables
 
 
 def write_fit(
@@ -362,15 +376,9 @@ def write_fit(
     out_dir: Union[str, Path],
     extra_manifest: dict | None = None,
 ) -> Path:
-    """Write a two- or three-level fit as CSV files plus manifest.json.
-
-    Files: mean.csv (t, value, w), measure_means.csv (one column per measure
-    effect, none under center_measures=False), one eigenfunctions_level{l}.csv
-    per level (header only when that level kept zero components),
-    eigenvalues.csv, one scores_level{l}.csv per level, noise.json,
-    manifest.json (with per-level diagnostics: the GCV smoothing penalty
-    lambda and the retained component count).
-    """
+    """Write a two- or three-level fit: the tables of `_tables`, noise.json,
+    and manifest.json with per-level diagnostics (the GCV smoothing penalty
+    lambda and the retained component count)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     penalties = fit.penalties or (None,) * fit.levels
@@ -380,30 +388,11 @@ def write_fit(
                     {"level": level, "lambda": lam, "retained": eig.n_components}
                     for level, (lam, eig) in enumerate(zip(penalties, fit.level_eig), 1)
                 ]}}
-    grid, measures = fit.grid, fit.measure_labels
-    t = grid.points[:, None]
-    _write_table(
-        out / "measure_means.csv",
-        ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]],
-        np.hstack([t, *(eff.values[:, None] for eff in fit.measure_effects)]),
-    )
-    _write_table(out / "mean.csv", ["t", "value", "w"],
-                 np.column_stack([grid.points, fit.global_mean.values, grid.weights]))
-    for level, eig in enumerate(fit.level_eig, start=1):
-        k = eig.n_components
-        _write_table(out / f"eigenfunctions_level{level}.csv",
-                     ["t"] + [f"ef_{a}" for a in range(1, k + 1)],
-                     np.hstack([t, eig.functions]) if k else np.zeros((0, 1)))
-    _write_table(
-        out / "eigenvalues.csv", ["level", "component", "eigenvalue"],
-        np.concatenate([eig.eigenvalues for eig in fit.level_eig])[:, None],
-        [[level, a] for level, eig in enumerate(fit.level_eig, start=1)
-         for a in range(1, eig.n_components + 1)],
-    )
-    for level, mat in enumerate(fit.scores, start=1):
-        _write_table(out / f"scores_level{level}.csv",
-                     _score_header(level, mat.shape[1]), mat, _score_keys(fit, level))
-
+    for name, (header, keys, values) in _tables(fit).items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(_cells(keys, values))
     write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
     if extra_manifest:
         manifest.update(extra_manifest)
@@ -432,7 +421,7 @@ def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
 
 def _read_numeric(
     path: Path, n_keys: int = 0
-) -> tuple[list[str], list[list[str]], np.ndarray]:
+) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
     """A fit table's header, its first n_keys columns as label rows, and its
     other columns as one float matrix, parsed in one bulk pass.
 
@@ -451,7 +440,7 @@ def _read_numeric(
                     raise ValueError(f"header {header} lacks the {n_keys} key columns"
                                      if header else "empty file")
                 skip = reader.line_num  # a quoted label may span lines
-                keyed = [(len(row), row[:n_keys]) for row in reader if row] if n_keys else []
+                keyed = [(len(r), tuple(r[:n_keys])) for r in reader if r] if n_keys else []
                 fh.seek(0)
                 # without usecols the bulk parse rejects rows of unequal width
                 values = _load_columns(
@@ -472,13 +461,26 @@ def _read_numeric(
     return header, [key for _, key in keyed], values
 
 
+@contextmanager
+def _naming(d: Path, name: str, **by_field: str):
+    """Re-raise a ValueError raised while building part of a fit as a
+    ParseError naming its fit file: by_field[f] for an error marked with field
+    f (`field_error`), else `name`, with "{level}" the error's level."""
+    try:
+        yield
+    except ValueError as exc:
+        name = by_field.get(getattr(exc, "field", None), name)
+        raise ParseError(f"{d / name.format(level=getattr(exc, 'level', None))}: {exc}") from None
+
+
 def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     """Load a fit directory written by write_fit.
 
-    Every table and JSON file is parsed in full before any value is used, and
-    a fault in one, or a manifest whose levels is not 2 or 3, is a ParseError
-    naming that file.
-    """
+    Every file is parsed in full before any value is used, and the fit is
+    built through its containers, which check that every value is finite. A
+    fault in a file, a manifest whose levels is not 2 or 3, and a table whose
+    header, key cells or values differ from those write_fit writes for the
+    fit read are each a ParseError naming the file."""
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
@@ -498,42 +500,29 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         ) from None
     if levels not in (2, 3):
         raise ParseError(f"{manifest_path}: levels must be 2 or 3, got {levels}")
-    header, _, mean_table = _read_numeric(d / "mean.csv")
-    if header != ["t", "value", "w"]:
-        raise ParseError(f"{d}/mean.csv: unexpected header {header}")
-    points, mean_values, weights = mean_table.T
-    grid = Grid(points, weights)
+    n_keys = {"mean.csv": 0, "eigenvalues.csv": 2, "measure_means.csv": 0}
+    for level in range(1, levels + 1):
+        n_keys.update({f"eigenfunctions_level{level}.csv": 0, f"scores_level{level}.csv": level})
+    tables = {name: _read_numeric(d / name, k) for name, k in n_keys.items()}
     noise_doc = read_json(d / "noise.json")
     try:
         noise = float(noise_doc["noise_variance"])
     except (KeyError, TypeError, ValueError):
         raise ParseError(f"{d}/noise.json: no numeric 'noise_variance'") from None
-
-    _, eig_keys, eig_values = _read_numeric(d / "eigenvalues.csv", n_keys=2)
-    eig_levels = np.array([key[0] for key in eig_keys], dtype=str)
-
-    level_eigs = []
+    with _naming(d, "mean.csv"):
+        points, mean_values, weights = tables["mean.csv"][2].T
+        grid = Grid(points, weights)
+        global_mean = Curve(grid, mean_values)
+    # each level takes the next eigenvalues, one per eigenfunction column; a missing or
+    # extra eigenvalue column passes the slice and is refused by the count or the header
+    eigenvalues, used, level_eigs = tables["eigenvalues.csv"][2][:, :1].ravel(), 0, []
     for level in range(1, levels + 1):
-        ef_header, _, ef_table = _read_numeric(d / f"eigenfunctions_level{level}.csv")
-        k = len(ef_header) - 1
-        lam = eig_values[eig_levels == str(level), 0]
-        if lam.size != k:
-            raise ParseError(
-                f"{d}: level {level} has {lam.size} eigenvalues but "
-                f"{k} eigenfunction columns"
-            )
-        funcs = ef_table[:, 1:] if k else np.zeros((grid.size, 0))
-        total = lam.sum()
-        pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
-        level_eigs.append(EigenSystem(grid, lam, funcs, pve))
-
-    scores, keys = [], []
-    for level in range(1, levels + 1):
-        _, level_keys, mat = _read_numeric(d / f"scores_level{level}.csv", n_keys=level)
-        scores.append(mat)
-        keys.append(level_keys)
-    _, _, mm_table = _read_numeric(d / "measure_means.csv")
-    effects = tuple(Curve(grid, col) for col in mm_table[:, 1:].T)
+        name = f"eigenfunctions_level{level}.csv"
+        k = len(tables[name][0]) - 1
+        funcs = tables[name][2][:, 1:] if k else np.zeros((grid.size, 0))
+        lam, used = eigenvalues[used : used + k], used + k
+        with _naming(d, "eigenvalues.csv", functions=name):
+            level_eigs.append(EigenSystem(grid, lam, funcs))
     defaults = asdict(FitConfig(levels=levels))
     try:
         stored = {**defaults, **manifest.get("config", {})}
@@ -544,27 +533,32 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         penalties = tuple(float(e["lambda"]) for e in levels_doc if e["lambda"] is not None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
-    try:
+    with _naming(d, "measure_means.csv", scores="scores_level{level}.csv",
+                 noise_variance="noise.json"):
+        effects = tuple(Curve(grid, col) for col in tables["measure_means.csv"][2][:, 1:].T)
         fit = MultilevelFit(
             grid=grid,
             levels=levels,
-            global_mean=Curve(grid, mean_values),
+            global_mean=global_mean,
             measure_effects=effects,
             level_eig=tuple(level_eigs),
-            scores=tuple(scores),
+            scores=tuple(tables[f"scores_level{level}.csv"][2] for level in range(1, levels + 1)),
             noise_variance=noise,
-            subject_labels=tuple(dict.fromkeys(key[0] for key in keys[0])),
-            measure_labels=tuple(dict.fromkeys(key[1] for key in keys[1])),
+            subject_labels=tuple(dict.fromkeys(key[0] for key in tables["scores_level1.csv"][1])),
+            measure_labels=tuple(dict.fromkeys(key[1] for key in tables["scores_level2.csv"][1])),
             config=config,
             penalties=penalties,
         )
-    except InvalidParameterError as exc:  # a file at odds with the design or the others
-        name = {"scores": f"scores_level{exc.level}.csv", "noise_variance": "noise.json",
-                "measure_effects": "measure_means.csv"}[exc.field]
-        raise ParseError(f"{d}/{name}: {exc}") from None
-    for level, level_keys in enumerate(keys, start=1):
-        for row, (got, want) in enumerate(zip(level_keys, _score_keys(fit, level)), start=1):
-            if tuple(got) != want:
-                raise ParseError(f"{d}/scores_level{level}.csv: level {level} has score row "
-                                 f"{row} keyed {tuple(got)}, where the full design has {want}")
+    for name, (header, keys, values) in _tables(fit).items():
+        got_header, got_keys, got_values = tables[name]
+        if got_header != header:
+            raise ParseError(f"{d / name}: header {got_header}, where the fit has {header}")
+        if got_keys == keys and np.array_equal(got_values.view(np.int64), values.view(np.int64)):
+            continue  # the same bits in every value
+        # the first cell that differs, row by row; a row one side lacks reads "nothing"
+        cells = zip_longest(chain(*_cells(got_keys, got_values)), chain(*_cells(keys, values)),
+                            fillvalue="nothing")
+        at, (a, b) = next((at, pair) for at, pair in enumerate(cells) if pair[0] != pair[1])
+        raise ParseError(f"{d / name}: row {at // len(header) + 1} has "
+                         f"{header[at % len(header)]} {a}, where the fit has {b}")
     return fit

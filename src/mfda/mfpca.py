@@ -31,22 +31,16 @@ from .errors import (
     EmptyDataError,
     GridMismatchError,
     InsufficientDataError,
-    InvalidParameterError,
     MissingMeanError,
     SingularSystemError,
     UnbalancedDesignError,
+    field_error,
 )
 from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k
 
 # A level whose eigenvalue mass is below this fraction of the fit's total
 # variance retains zero components instead of fitting noise dust.
 DEGENERATE_LEVEL_FRACTION = 1e-10
-
-
-def _invalid(message: str, name: str, level: int | None = None) -> InvalidParameterError:
-    error = InvalidParameterError(message)
-    error.field, error.level = name, level
-    return error
 
 
 @dataclass(frozen=True)
@@ -106,11 +100,11 @@ class MultilevelFit:
     penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
 
     def __post_init__(self) -> None:
-        """Each level has one score row per unit of the full design and one
-        score column per component, there is one measure effect per measure
-        or none, and the noise variance is finite and >= 0. If not, an
-        InvalidParameterError whose `field` names the field at fault and,
-        for the scores, whose `level` is the first level at fault."""
+        """Each level has one score row per unit of the full design, one
+        score column per component and finite scores, there is one measure
+        effect per measure or none, and the noise variance is finite and >= 0.
+        If not, an InvalidParameterError marked (`field_error`) with the field at
+        fault and, for the scores, the first level at fault."""
         n, J, K_rep = self.shape
         for level, (mat, eig) in enumerate(zip(self.scores, self.level_eig), start=1):
             units = (n, n * J, n * J * K_rep)[level - 1]
@@ -118,16 +112,18 @@ class MultilevelFit:
                 fault = f"{len(mat)} score rows, not one per unit of the full design ({units})"
             elif mat.shape[1] != eig.n_components:
                 fault = f"{mat.shape[1]} score columns but {eig.n_components} components"
+            elif not np.isfinite(mat).all():
+                fault = "non-finite scores"
             else:
                 continue
-            raise _invalid(f"level {level} has {fault}", "scores", level)
+            raise field_error(f"level {level} has {fault}", "scores", level)
         if len(self.measure_effects) not in (0, J):
-            raise _invalid(f"{len(self.measure_effects)} measure effects for {J} measures; "
-                           "need one per measure or none", "measure_effects")
+            raise field_error(f"{len(self.measure_effects)} measure effects for {J} measures; "
+                              "need one per measure or none", "measure_effects")
         noise = float(self.noise_variance)
         if not np.isfinite(noise) or noise < 0:
-            raise _invalid(f"noise variance must be finite and >= 0, got {noise!r}",
-                           "noise_variance")
+            raise field_error(f"noise variance must be finite and >= 0, got {noise!r}",
+                              "noise_variance")
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -186,51 +186,70 @@ def _mutated_data(draw):
     return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines) + b"\n"
 
 
-# The fit-directory files the fit fuzz test below edits, and the noise.json
-# values it writes, each with whether the fit must refuse it.
-_FIT_TABLES = ["scores_level1.csv", "scores_level2.csv", "scores_level3.csv",
-               "measure_means.csv"]
+# The fit-directory files the fit fuzz test below edits, the noise.json
+# values it writes, each with whether the fit must refuse it, and the texts it
+# writes into a table cell, the first four of which are not a finite number.
+_FIT_TABLES = ["mean.csv", "measure_means.csv", "eigenvalues.csv",
+               *(f"{stem}_level{level}.csv" for stem in ("eigenfunctions", "scores")
+                 for level in (1, 2, 3))]
 _NOISE_TEXTS = {"0": False, "-0.0": False, "2.5": False, "1e308": False, "NaN": True,
                 "Infinity": True, "-5": True, "-1e-300": True, '"x"': True, "null": True}
+_CELL_TEXTS = ["zz", "", "x,y", "nan", "01", "1", "2", "-1e308"]
+
+
+def _same_number(a: str, b: str) -> bool:
+    try:
+        return float(a) == float(b)
+    except ValueError:
+        return False
 
 
 @st.composite
 def _mutated_fit_file(draw):
     """One edit of one file of a written three-level fit: the file's name, and
     a function that maps the file's text to the edited text and to whether
-    the edit breaks an invariant of the fit."""
+    the edit breaks the directory's layout or an invariant of the fit.
+
+    Every table's rows differ in their keys or their t, so deleting, adding
+    or moving a row breaks the layout, as does any header edit, any added or
+    dropped column, and any key or t cell that reads as another label or
+    number; a value cell breaks the fit when it is not a finite number."""
     name = draw(st.sampled_from(_FIT_TABLES + ["noise.json"]))
     if name == "noise.json":
         value = draw(st.sampled_from(sorted(_NOISE_TEXTS)))
         return name, lambda text: (f'{{"noise_variance": {value}}}\n', _NOISE_TEXTS[value])
-    n_keys = int(name[-5]) if name.startswith("scores") else 0
-    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "relabel", "add_column",
-                                 "drop_column", "value"]))
+    n_keys = {"eigenvalues.csv": 2, **{f"scores_level{l}.csv": l for l in (1, 2, 3)}}.get(name, 0)
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "cell", "header", "add_column",
+                                 "drop_column"]))
     i, j, cell = (draw(st.integers(0, 1000)) for _ in range(3))
-    new = draw(st.sampled_from(["zz", "01", "1", "2", "nan", "-1e308", "", "x,y"]))
+    new = draw(st.sampled_from(_CELL_TEXTS))
 
     def edit(text):
         header, *rows = text.splitlines()
         a, b = i % len(rows), j % len(rows)
-        breaks = n_keys > 0
+        breaks = True
         if kind == "delete":
             del rows[a]
         elif kind == "duplicate":
             rows.insert(a, rows[a])
-        elif kind == "swap":  # rows of a score table differ in their keys
+        elif kind == "swap":
             rows[a], rows[b] = rows[b], rows[a]
-            breaks = n_keys > 0 and a != b
+            breaks = a != b
         elif kind == "add_column":
-            header, rows, breaks = header + ",9", [row + ",0.5" for row in rows], True
+            header, rows = header + ",9", [row + ",0.5" for row in rows]
         elif kind == "drop_column":
             header, *rows = (line.rsplit(",", 1)[0] for line in [header, *rows])
-            breaks = True
-        else:  # a key cell, or a value cell, gets another text
-            cells = rows[a].split(",")
-            keyed = kind == "relabel" and n_keys > 0
-            at = cell % n_keys if keyed else n_keys + cell % (len(cells) - n_keys)
-            cells[at] = new if cells[at] != new else new + "0"
-            rows[a], breaks = ",".join(cells), keyed
+        else:  # a header cell, or a key or value cell of a row, gets another text
+            cells = (header if kind == "header" else rows[a]).split(",")
+            at = cell % len(cells)
+            old, cells[at] = cells[at], new if cells[at] != new else new + "0"
+            if kind == "header":
+                header = ",".join(cells)
+            else:
+                rows[a] = ",".join(cells)
+                t_cell = header.split(",")[at] == "t"
+                breaks = at < n_keys or not _same_number(old, cells[at]) and (
+                    t_cell or new in _CELL_TEXTS[:4])
         return "\n".join([header, *rows]) + "\n", breaks
 
     return name, edit
@@ -688,6 +707,55 @@ class TestIcc:
              "noise.json: noise variance must be finite and >= 0, got nan"),
             ("noise.json", lambda text: text.replace("1.0", "-5"),
              "noise.json: noise variance must be finite and >= 0, got -5.0"),
+            ("measure_means.csv", lambda text: text.replace("m_HIIT1", "m_FOO"),
+             "measure_means.csv: header ['t', 'm_FOO', 'm_HIIT2'], where the fit has "
+             "['t', 'm_HIIT1', 'm_HIIT2']"),
+            ("eigenfunctions_level1.csv", lambda text: text.replace("ef_1", "ef_7"),
+             "eigenfunctions_level1.csv: header ['t', 'ef_7', 'ef_2']"),
+            ("scores_level1.csv", lambda text: text.replace("score_1", "score_7"),
+             "scores_level1.csv: header ['subject', 'score_7', 'score_2']"),
+            ("measure_means.csv", lambda text: edit_line(text, 3, lambda row: "0.06" + row[4:]),
+             "measure_means.csv: row 2 has t 0.06, where the fit has 0.05\n"),
+            ("eigenfunctions_level1.csv",
+             lambda text: edit_line(text, 3, lambda row: "0.06" + row[4:]),
+             "eigenfunctions_level1.csv: row 2 has t 0.06, where the fit has 0.05\n"),
+            ("eigenvalues.csv", lambda text: text.replace("\n1,1,", "\n1,7,"),
+             "eigenvalues.csv: row 1 has component 7, where the fit has 1\n"),
+            ("eigenvalues.csv", lambda text: text.replace("\n2,1,", "\n7,1,"),
+             "eigenvalues.csv: row 3 has level 7, where the fit has 2\n"),
+            ("eigenvalues.csv", lambda text: text.replace("1,1,4.0", "1,1,1.0"),
+             "eigenvalues.csv: need one eigenvalue per eigenfunction, finite, nonincreasing"),
+            ("eigenvalues.csv", lambda text: text.replace("1,2,2.0", "1,2,nan"),
+             "eigenvalues.csv: need one eigenvalue per eigenfunction, finite, nonincreasing"),
+            # every level-2 row with the other measure: the scores then list the
+            # measures as HIIT2, HIIT1, and the effects' header disagrees
+            ("scores_level2.csv",
+             lambda text: text.replace("HIIT1", "HIIT0").replace("HIIT2", "HIIT1")
+             .replace("HIIT0", "HIIT2"),
+             "measure_means.csv: header ['t', 'm_HIIT1', 'm_HIIT2'], where the fit has "
+             "['t', 'm_HIIT2', 'm_HIIT1']"),
+            ("measure_means.csv", lambda text: edit_line(text, 4, lambda row: ""),
+             "measure_means.csv: curve values must match the grid length"),
+            ("eigenfunctions_level1.csv", lambda text: edit_line(text, 4, lambda row: ""),
+             "eigenfunctions_level1.csv: eigenfunctions must be finite, (m, K) on the grid"),
+            ("eigenfunctions_level1.csv",
+             lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",nan"),
+             "eigenfunctions_level1.csv: eigenfunctions must be finite"),
+            ("scores_level2.csv",
+             lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",nan"),
+             "scores_level2.csv: level 2 has non-finite scores"),
+            ("mean.csv", lambda text: edit_line(text, 4, lambda row: "0.0" + row[3:]),
+             "mean.csv: grid points must be strictly increasing"),
+            ("mean.csv", lambda text: edit_line(text, 22, lambda row: "1.5" + row[3:]),
+             "mean.csv: grid points must lie in [0, 1]"),
+            ("mean.csv",
+             lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",0.07"),
+             "mean.csv: weights sum 1.02 != grid range 1.0"),
+            ("mean.csv", lambda text: edit_line(text, 4, lambda row: "nan" + row[3:]),
+             "mean.csv: grid points and weights must be finite"),
+            ("mean.csv",
+             lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",nan"),
+             "mean.csv: grid points and weights must be finite"),
         ],
     )
     def test_hand_edited_fit_file_exits_2(self, tmp_path, capsys, name, edit, needle):
@@ -705,6 +773,10 @@ class TestIcc:
 
     @pytest.mark.parametrize("edit", ["delete", "duplicate", "relabel", "swap", "replicate"])
     def test_score_rows_must_list_the_full_design(self, tmp_path, capsys, edit):
+        fault = {"delete": "level 2 has 11 score rows", "duplicate": "level 2 has 13 score rows",
+                 "relabel": "level 2 has 12 score rows",
+                 "swap": "row 3 has measure HIIT1, where the fit has HIIT2\n",
+                 "replicate": "row 3 has replicate 01, where the fit has 1\n"}[edit]
         levels = 3 if edit == "replicate" else 2
         fit_dir = handmade_fit_dir(tmp_path, levels)
         path = fit_dir / f"scores_level{levels}.csv"
@@ -727,7 +799,7 @@ class TestIcc:
                      ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2"]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: level {levels} has ") and err.count("\n") == 1
+            assert err.startswith(f"error: {path}: {fault}") and err.count("\n") == 1
 
     @given(mutation=_mutated_fit_file())
     @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
@@ -865,7 +937,7 @@ class TestLevelTest:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: scores must be finite\n"
+        assert err == f"error: {path}: level 2 has non-finite scores\n"
 
     def test_unknown_measure_lists_known(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)

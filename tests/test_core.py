@@ -74,6 +74,14 @@ class TestGrid:
         with pytest.raises(InvalidGridError):
             Grid(np.array([0.0, 1.0]), np.array([-0.5, 1.5]))
 
+    @pytest.mark.parametrize("points, weights", [
+        ([0.0, np.nan, 1.0], [0.25, 0.5, 0.25]),
+        ([0.0, 0.5, 1.0], [0.25, np.nan, 0.25]),
+    ])
+    def test_non_finite_refused(self, points, weights):
+        with pytest.raises(InvalidGridError, match="must be finite"):
+            Grid(np.array(points), np.array(weights))
+
     def test_weight_sum_message_prints_plain_floats(self):
         with pytest.raises(InvalidGridError) as err:
             Grid(np.array([0.0, 1.0]), np.array([0.9, 0.9]))

@@ -354,6 +354,33 @@ class TestEigendecompose:
         assert eig.functions[peak, 0] > 0
 
 
+class TestEigenSystem:
+    @pytest.mark.parametrize("eigenvalues, functions, field", [
+        ([2.0, np.nan], None, "eigenvalues"),
+        ([np.inf, 1.0], None, "eigenvalues"),
+        ([1.0, 2.0], None, "eigenvalues"),
+        ([1.0, -1.0], None, "eigenvalues"),
+        ([1.0], None, "eigenvalues"),
+        ([2.0, 1.0], np.nan, "functions"),
+        ([2.0, 1.0], "short", "functions"),
+    ])
+    def test_refusal_names_the_field_at_fault(self, small_grid, eigenvalues, functions, field):
+        funcs = fourier_basis(small_grid, 2)
+        if functions == "short":
+            funcs = funcs[1:]
+        elif functions is not None:
+            funcs[3, 1] = functions
+        with pytest.raises(ValueError) as err:
+            EigenSystem(small_grid, np.array(eigenvalues), funcs)
+        assert (err.value.field, err.value.level) == (field, None)
+
+    @pytest.mark.parametrize("lam, pve", [([3.0, 1.0], [0.75, 1.0]), ([0.0, 0.0], [0.0, 0.0])])
+    def test_pve_defaults_to_the_cumulative_share(self, small_grid, lam, pve):
+        eig = EigenSystem(small_grid, np.array(lam), fourier_basis(small_grid, 2))
+        assert eig.pve.tolist() == pve
+        assert not eig.pve.flags.writeable
+
+
 class TestSelectK:
     def test_examples(self, small_grid):
         def eig_of(lam):

@@ -1,11 +1,14 @@
 """Multilevel estimators against brute-force oracles and simulations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfda.core import CenteringMeans, Curve, CurveSet, Grid
 from mfda.errors import (
     InsufficientDataError,
+    InvalidParameterError,
     SingularSystemError,
     UnbalancedDesignError,
 )
@@ -545,6 +548,16 @@ class TestBlupMatchesReference:
 
 
 class TestFitNested:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scores_refused_naming_the_level(self, value):
+        X, _ = generate(n2_spec(11, n=10, J=2, m=21))
+        fit = fit_nested(X, FitConfig(levels=2))
+        bad = fit.scores[1].copy()
+        bad[3, 0] = value
+        with pytest.raises(InvalidParameterError, match="level 2 has non-finite scores") as err:
+            dataclasses.replace(fit, scores=(fit.scores[0], bad))
+        assert (err.value.field, err.value.level) == ("scores", 2)
+
     def test_degenerate_level2_retains_zero(self, small_grid):
         spec = n2_spec(5, n=8, J=2, m=small_grid.size, lam2=(0.0,), noise=0.0)
         X, _ = generate(spec)
