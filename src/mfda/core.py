@@ -123,8 +123,7 @@ class Curve:
 class CurveSet:
     """A stack of curves on one Grid, one per row of values.
 
-    codes holds each row's (subject, measure, replicate) as 1-based integers,
-    replicate 0 for a two-level row.
+    codes holds each row's (subject, measure, replicate) as 1-based integers.
     Label tuples map 1-based subject/measure indices back to the external
     string ids they came from (defaults to the index itself).
     """
@@ -146,7 +145,7 @@ class CurveSet:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidGridError("curve values must be finite")
-        if (codes[:, :2] < 1).any() or (codes[:, 2] < 0).any():
+        if (codes < 1).any():
             raise EmptyDataError("subject, measure and replicate indices start at 1")
         keys = codes[np.lexsort(codes.T[::-1])]
         if (keys[1:] == keys[:-1]).all(axis=1).any():

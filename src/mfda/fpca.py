@@ -13,11 +13,10 @@ components are selected by proportion of variance explained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, _readonly
 from .errors import (
     AsymmetricMatrixError,
     DegenerateSpectrumError,
@@ -49,31 +48,24 @@ DIAGONAL_MAX_STEPS = 1000
 class EigenSystem:
     """Ordered nonnegative eigenvalues with L2-orthonormal eigenfunctions.
 
-    functions has one eigenfunction per column (shape m x K); pve is the
-    cumulative proportion of variance explained. Both arrays must be finite.
+    functions has one eigenfunction per column (shape m x K). Both arrays
+    must be finite; the system holds its own read-only copies.
     """
 
     grid: Grid
     eigenvalues: np.ndarray
     functions: np.ndarray
-    pve: Optional[np.ndarray] = None  # by default computed from the eigenvalues
 
     def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        fn = np.asarray(self.functions, dtype=float)
+        ev, fn = _readonly(self.eigenvalues), _readonly(self.functions)
         if fn.ndim != 2 or len(fn) != self.grid.size or not np.isfinite(fn).all():
             raise field_error("eigenfunctions must be finite, (m, K) on the grid", "functions")
         if ev.shape != fn.shape[1:] or not (
                 np.isfinite(ev).all() and np.all(ev >= 0) and np.all(np.diff(ev) <= 0)):
             raise field_error("need one eigenvalue per eigenfunction, finite, nonincreasing "
                               "and >= 0", "eigenvalues")
-        if self.pve is None:
-            share = np.cumsum(ev) / ev.sum() if ev.sum() > 0 else np.zeros_like(ev)
-            object.__setattr__(self, "pve", share)
-        pve = np.asarray(self.pve, dtype=float)
-        for name, arr in (("eigenvalues", ev), ("functions", fn), ("pve", pve)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "functions", fn)
 
     @property
     def n_components(self) -> int:
@@ -82,9 +74,7 @@ class EigenSystem:
     def truncated(self, k: int) -> "EigenSystem":
         if k < 0 or k > self.n_components:
             raise InvalidParameterError(f"cannot keep {k} of {self.n_components}")
-        return EigenSystem(
-            self.grid, self.eigenvalues[:k], self.functions[:, :k], self.pve[:k]
-        )
+        return EigenSystem(self.grid, self.eigenvalues[:k], self.functions[:, :k])
 
     def variance_curve(self) -> np.ndarray:
         """Pointwise variance sum_k lambda_k e_k(t)^2."""
@@ -184,32 +174,23 @@ class SplineBasis:
         return float(PENALTIES[best]), s[best][:, None] * G * s[best]
 
 
-def eigendecompose(
-    S: np.ndarray, grid: Grid, basis: Optional[np.ndarray] = None
-) -> EigenSystem:
-    """Quadrature-weighted eigendecomposition of a covariance surface.
+def eigendecompose(S: np.ndarray, grid: Grid, basis: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a covariance surface in a basis of the grid.
 
-    With `basis` (m x c, orthonormal under the weights), S is the c x c
-    coefficient matrix of the surface basis S basis', decomposed as it is and
-    mapped to the grid by `basis`. Without, S is the m x m surface on the
-    grid: W^{1/2} S W^{1/2} is decomposed and mapped back by W^{-1/2}. Either
-    way the eigenfunctions are orthonormal in L2 and the eigenvalues are those
-    of the integral operator. Negative eigenpairs are trimmed; each retained
-    eigenfunction is signed so its largest-magnitude entry is positive.
+    S is the c x c coefficient matrix of the surface basis S basis', where
+    basis (m x c) is orthonormal under the quadrature weights, so S is
+    decomposed as it is and mapped to the grid by `basis`: the eigenfunctions
+    are orthonormal in L2 and the eigenvalues are those of the integral
+    operator. Negative eigenpairs are trimmed; each retained eigenfunction is
+    signed so its largest-magnitude entry is positive.
     """
     S = np.asarray(S, dtype=float)
-    n = grid.size if basis is None else basis.shape[1]
+    n = basis.shape[1]
     if S.shape != (n, n):
         raise AsymmetricMatrixError(f"expected a {n}x{n} matrix, got {S.shape}")
     scale = max(1.0, float(np.max(np.abs(S), initial=0.0)))
     if np.max(np.abs(S - S.T), initial=0.0) > 1e-8 * scale:
         raise AsymmetricMatrixError("surface must be symmetric within 1e-8")
-    if basis is None:
-        w = grid.weights
-        if np.any(w <= 0):
-            raise InvalidGridError("quadrature weights must be strictly positive")
-        sqrt_w = np.sqrt(w)
-        S = sqrt_w[:, None] * S * sqrt_w[None, :]
     evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -219,7 +200,7 @@ def eigendecompose(
     evecs = evecs[:, keep]
     if evals.size:
         evals = np.where(evals < RELATIVE_EIGENVALUE_CUTOFF * evals[0], 0.0, evals)
-    funcs = evecs / sqrt_w[:, None] if basis is None else basis @ evecs
+    funcs = basis @ evecs
     for a in range(funcs.shape[1]):
         peak = int(np.argmax(np.abs(funcs[:, a])))
         if funcs[peak, a] < 0:
@@ -228,9 +209,11 @@ def eigendecompose(
 
 
 def select_k(eig: EigenSystem, pve_threshold: float) -> int:
-    """Smallest K whose cumulative proportion of variance reaches the threshold."""
+    """Smallest K whose cumulative proportion of the system's variance
+    reaches the threshold."""
     if not 0.0 < pve_threshold <= 1.0:
         raise InvalidParameterError("pve threshold must be in (0, 1]")
-    if eig.n_components == 0 or eig.eigenvalues.sum() <= 0.0:
+    ev = eig.eigenvalues
+    if ev.sum() <= 0.0:  # no components, or all zero
         raise DegenerateSpectrumError("all eigenvalues are zero")
-    return int(np.searchsorted(eig.pve, pve_threshold - 1e-15) + 1)
+    return int(np.searchsorted(np.cumsum(ev) / ev.sum(), pve_threshold - 1e-15) + 1)

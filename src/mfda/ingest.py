@@ -53,14 +53,10 @@ def _label_key(label: str):
 
 @dataclass(frozen=True)
 class IngestReport:
-    """What the reader saw: design counts, balance, and dropped grid points."""
+    """What the reader saw that the CurveSet does not hold: the channel's
+    data rows, and the grid points the 'intersect' policy dropped."""
 
     n_rows: int
-    n_curves: int
-    subjects: tuple[str, ...]
-    measures: tuple[str, ...]
-    counts: dict[str, dict[str, int]]  # subject label -> measure label -> reps
-    balanced: bool
     dropped_points: tuple[float, ...] = ()
 
 
@@ -195,7 +191,8 @@ def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
 def read_long_csv(
     path: Union[str, Path], channel: str, grid_policy: str = "strict"
 ) -> tuple[CurveSet, IngestReport]:
-    """Group long-format records of one channel into a CurveSet.
+    """Group long-format records of one channel into a CurveSet, returned
+    with an IngestReport of the rows read and the grid points dropped.
 
     'strict' rejects any grid mismatch between curves; 'intersect' restricts
     every curve to the common grid and reports the dropped points. Every data
@@ -226,8 +223,7 @@ def read_long_csv(
                 if not np.isfinite(tv).all():
                     raise ValueError("non-finite t or value")
                 # each run's (subject, measure) unit and curve, numbered in canonical order
-                units, unit_first, unit = np.unique(
-                    s * len(measures) + m, return_index=True, return_inverse=True)
+                units, unit = np.unique(s * len(measures) + m, return_inverse=True)
                 keys, curve_first, curve = np.unique(
                     unit * len(replicates) + r[runs[:, 2]], return_index=True,
                     return_inverse=True)
@@ -253,8 +249,7 @@ def read_long_csv(
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 
     n_curves = keys.size
-    unit_of_curve = keys // len(replicates)
-    sub, meas = np.divmod(units[unit_of_curve], len(measures))
+    sub, meas = np.divmod(units[keys // len(replicates)], len(measures))
     rep = replicates[keys % len(replicates)]
     if grid_policy == "strict":
         first = curve[0]  # the curve of the file's first row sets the grid
@@ -276,26 +271,9 @@ def read_long_csv(
 
     grid = Grid.from_points(points[keep])
     values = tv[order, 1][keep[tc[order]]].reshape(n_curves, grid.size)
-    single_replicate = replicates.tolist() == [1]
-    if not single_replicate and replicates[0] < 1:
-        raise EmptyDataError("replicate indices start at 1")
-    codes = np.column_stack([sub + 1, meas + 1, np.where(single_replicate, 0, rep)])
+    codes = np.column_stack([sub + 1, meas + 1, rep])
     curves = CurveSet(grid, codes, values, tuple(subjects), tuple(measures))
-    reps = np.bincount(unit_of_curve)
-    counts: dict[str, dict[str, int]] = {}
-    for u in np.argsort(unit_first).tolist():  # units in the order of their first row
-        i, j = divmod(int(units[u]), len(measures))
-        counts.setdefault(subjects[i], {})[measures[j]] = int(reps[u])
-    report = IngestReport(
-        n_rows=int(key.size),
-        n_curves=int(n_curves),
-        subjects=tuple(subjects),
-        measures=tuple(measures),
-        counts=counts,
-        balanced=curves.is_balanced(),
-        dropped_points=tuple(points[~keep].tolist()),
-    )
-    return curves, report
+    return curves, IngestReport(int(key.size), tuple(points[~keep].tolist()))
 
 
 def _csv_fields(*fields) -> str:
@@ -317,7 +295,7 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
         fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
         for row in np.lexsort(X.codes.T[::-1]).tolist():
             s, m, r = X.codes[row].tolist()
-            head = _csv_fields(X.subject_labels[s - 1], X.measure_labels[m - 1], r or 1, "")
+            head = _csv_fields(X.subject_labels[s - 1], X.measure_labels[m - 1], r, "")
             head = head.replace("%", "%%")
             fh.write((head + (tail + head).join(cells) + tail) % tuple(X.values[row].tolist()))
 
@@ -478,7 +456,8 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
 
     Every file is parsed in full before any value is used, and the fit is
     built through its containers, which check that every value is finite. A
-    fault in a file, a manifest whose levels is not 2 or 3, and a table whose
+    fault in a file, a manifest whose levels is not 2 or 3 or whose config
+    values differ in JSON type from FitConfig's defaults, and a table whose
     header, key cells or values differ from those write_fit writes for the
     fit read are each a ParseError naming the file."""
     d = Path(fit_dir)
@@ -492,12 +471,9 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         raise ParseError(
             f"{d}: unsupported format version {manifest.get('format_version')!r}"
         )
-    try:
-        levels = int(manifest["levels"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(
-            f"{d}: manifest has no integer 'levels' field; not a fit directory"
-        ) from None
+    levels = manifest.get("levels")
+    if type(levels) is not int:  # a JSON integer; true is not one
+        raise ParseError(f"{d}: manifest has no integer 'levels' field; not a fit directory")
     if levels not in (2, 3):
         raise ParseError(f"{manifest_path}: levels must be 2 or 3, got {levels}")
     n_keys = {"mean.csv": 0, "eigenvalues.csv": 2, "measure_means.csv": 0}
@@ -505,10 +481,9 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         n_keys.update({f"eigenfunctions_level{level}.csv": 0, f"scores_level{level}.csv": level})
     tables = {name: _read_numeric(d / name, k) for name, k in n_keys.items()}
     noise_doc = read_json(d / "noise.json")
-    try:
-        noise = float(noise_doc["noise_variance"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{d}/noise.json: no numeric 'noise_variance'") from None
+    noise = noise_doc.get("noise_variance") if isinstance(noise_doc, dict) else None
+    if type(noise) not in (int, float):  # a JSON number; true is not one
+        raise ParseError(f"{d}/noise.json: no numeric 'noise_variance'")
     with _naming(d, "mean.csv"):
         points, mean_values, weights = tables["mean.csv"][2].T
         grid = Grid(points, weights)
@@ -526,19 +501,21 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     defaults = asdict(FitConfig(levels=levels))
     try:
         stored = {**defaults, **manifest.get("config", {})}
-        config = FitConfig(
-            **{key: type(v)(stored[key]) for key, v in defaults.items()}
-        )
         levels_doc = manifest.get("diagnostics", {"levels": []})["levels"]
         penalties = tuple(float(e["lambda"]) for e in levels_doc if e["lambda"] is not None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
+    json_types = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
+                  float: ("number", (int, float))}  # true is not an integer
+    for key, v in defaults.items():
+        kind, types = json_types[type(v)]
+        if type(stored[key]) not in types:
+            raise ParseError(f"{manifest_path}: config {key} is {stored[key]!r}, not a JSON {kind}")
     with _naming(d, "measure_means.csv", scores="scores_level{level}.csv",
-                 noise_variance="noise.json"):
+                 noise_variance="noise.json", config="manifest.json"):
         effects = tuple(Curve(grid, col) for col in tables["measure_means.csv"][2][:, 1:].T)
         fit = MultilevelFit(
             grid=grid,
-            levels=levels,
             global_mean=global_mean,
             measure_effects=effects,
             level_eig=tuple(level_eigs),
@@ -546,7 +523,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
             noise_variance=noise,
             subject_labels=tuple(dict.fromkeys(key[0] for key in tables["scores_level1.csv"][1])),
             measure_labels=tuple(dict.fromkeys(key[1] for key in tables["scores_level2.csv"][1])),
-            config=config,
+            config=FitConfig(**{key: stored[key] for key in defaults}),
             penalties=penalties,
         )
     for name, (header, keys, values) in _tables(fit).items():

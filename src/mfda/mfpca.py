@@ -88,7 +88,6 @@ class MultilevelFit:
     """
 
     grid: Grid
-    levels: int
     global_mean: Curve
     measure_effects: tuple[Curve, ...]
     level_eig: tuple[EigenSystem, ...]
@@ -100,11 +99,16 @@ class MultilevelFit:
     penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
 
     def __post_init__(self) -> None:
-        """Each level has one score row per unit of the full design, one
+        """There is one score table per eigensystem and config.levels counts
+        them, each level has one score row per unit of the full design, one
         score column per component and finite scores, there is one measure
-        effect per measure or none, and the noise variance is finite and >= 0.
-        If not, an InvalidParameterError marked (`field_error`) with the field at
-        fault and, for the scores, the first level at fault."""
+        effect per measure with config.center_measures and none without, and
+        the noise variance is finite and >= 0. If not, an InvalidParameterError
+        marked (`field_error`) with the field at fault (the config for a count
+        or a flag that disagrees) and, for the scores, the first level at fault."""
+        if not len(self.scores) == self.config.levels == self.levels:
+            raise field_error(f"{self.levels} eigensystems, {len(self.scores)} score tables "
+                              f"and config levels {self.config.levels}", "config")
         n, J, K_rep = self.shape
         for level, (mat, eig) in enumerate(zip(self.scores, self.level_eig), start=1):
             units = (n, n * J, n * J * K_rep)[level - 1]
@@ -120,10 +124,17 @@ class MultilevelFit:
         if len(self.measure_effects) not in (0, J):
             raise field_error(f"{len(self.measure_effects)} measure effects for {J} measures; "
                               "need one per measure or none", "measure_effects")
+        if bool(self.measure_effects) != self.config.center_measures:
+            raise field_error(f"config center_measures is {self.config.center_measures} but "
+                              f"the fit has {len(self.measure_effects)} measure effects", "config")
         noise = float(self.noise_variance)
         if not np.isfinite(noise) or noise < 0:
             raise field_error(f"noise variance must be finite and >= 0, got {noise!r}",
                               "noise_variance")
+
+    @property
+    def levels(self) -> int:
+        return len(self.level_eig)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -381,7 +392,6 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     measures = sorted(means.measure_effects)
     return MultilevelFit(
         grid=X.grid,
-        levels=config.levels,
         global_mean=means.global_mean,
         measure_effects=tuple(means.measure_effects[j] for j in measures),
         level_eig=level_eigs,

@@ -434,8 +434,6 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
     values = noiseless if eps is None else noiseless + eps.reshape(-1, m)
 
     codes = np.indices((n, J, K_rep)).reshape(3, -1).T + 1
-    if spec.n_levels < 3:
-        codes[:, 2] = 0
     truth = GroundTruth(
         spec=spec,
         scores=tuple(scores),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfda.core import CurveSet, Grid
+from mfda.fpca import EigenSystem, eigendecompose
 from mfda.simkl import GeneratorSpec, spec_from_dict
 
 
@@ -68,8 +69,16 @@ def n3_spec(seed: int, **kwargs) -> GeneratorSpec:
 def two_level_set(values: np.ndarray, grid: Grid, J: int) -> CurveSet:
     """Rows laid out subject-major with J measures each."""
     n = values.shape[0] // J
-    codes = [(i, j, 0) for i in range(1, n + 1) for j in range(1, J + 1)]
+    codes = [(i, j, 1) for i in range(1, n + 1) for j in range(1, J + 1)]
     return CurveSet(grid, codes, values)
+
+
+def eigendecompose_on_grid(S: np.ndarray, grid: Grid) -> EigenSystem:
+    """The on-grid reference eigendecomposition of an m x m surface S:
+    W^{1/2} S W^{1/2} is decomposed and mapped back by W^{-1/2}, which is
+    eigendecompose in the basis W^{-1/2}, orthonormal under the weights W."""
+    sqrt_w = np.sqrt(grid.weights)
+    return eigendecompose(sqrt_w[:, None] * S * sqrt_w, grid, np.diag(1.0 / sqrt_w))
 
 
 @pytest.fixture

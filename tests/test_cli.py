@@ -186,15 +186,41 @@ def _mutated_data(draw):
     return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines) + b"\n"
 
 
-# The fit-directory files the fit fuzz test below edits, the noise.json
-# values it writes, each with whether the fit must refuse it, and the texts it
-# writes into a table cell, the first four of which are not a finite number.
+# The fit-directory tables the fit fuzz test below edits, the texts it writes
+# into a table cell, the first four of which are not a finite number, and the
+# values it writes into the JSON files.
 _FIT_TABLES = ["mean.csv", "measure_means.csv", "eigenvalues.csv",
                *(f"{stem}_level{level}.csv" for stem in ("eigenfunctions", "scores")
                  for level in (1, 2, 3))]
-_NOISE_TEXTS = {"0": False, "-0.0": False, "2.5": False, "1e308": False, "NaN": True,
-                "Infinity": True, "-5": True, "-1e-300": True, '"x"': True, "null": True}
 _CELL_TEXTS = ["zz", "", "x,y", "nan", "01", "1", "2", "-1e308"]
+_JSON_VALUES = [None, True, False, 0, -0.0, 3, -5, 2.5, 0.99, 1e308, -1e-300, math.nan,
+                math.inf, "x", "3", [], [3], {}, {"levels": 3}]
+_DELETED = object()
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if type(doc) is list else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+def _json_edit_refused(name: str, path: tuple, value) -> bool:
+    """Whether read_fit must refuse the three-level fit whose JSON file `name`
+    has `value` at `path` (none there if _DELETED). A value the reader does not
+    use, such as the library version or a diagnostic, need not be refused."""
+    number = type(value) in (int, float)
+    if not path or name == "noise.json":
+        return not (path and number and math.isfinite(value) and value >= 0)
+    if path[0] == "config":
+        if value is _DELETED or len(path) == 1:  # FitConfig's defaults fill a gap
+            return not (value is _DELETED or isinstance(value, dict))
+        return {"levels": not (type(value) is int and value == 3), "pve": not number,
+                "center_measures": value is not True}[path[1]]
+    if path == ("levels",):
+        return not (type(value) is int and value == 3)
+    return path == ("format_version",)
 
 
 def _same_number(a: str, b: str) -> bool:
@@ -207,21 +233,42 @@ def _same_number(a: str, b: str) -> bool:
 @st.composite
 def _mutated_fit_file(draw):
     """One edit of one file of a written three-level fit: the file's name, and
-    a function that maps the file's text to the edited text and to whether
-    the edit breaks the directory's layout or an invariant of the fit.
+    a function that maps the file's text to the edited text (None to delete
+    the file) and to whether the edit breaks the directory's layout or an
+    invariant of the fit.
 
-    Every table's rows differ in their keys or their t, so deleting, adding
-    or moving a row breaks the layout, as does any header edit, any added or
-    dropped column, and any key or t cell that reads as another label or
-    number; a value cell breaks the fit when it is not a finite number."""
-    name = draw(st.sampled_from(_FIT_TABLES + ["noise.json"]))
-    if name == "noise.json":
-        value = draw(st.sampled_from(sorted(_NOISE_TEXTS)))
-        return name, lambda text: (f'{{"noise_variance": {value}}}\n', _NOISE_TEXTS[value])
+    A deleted file breaks the fit; a JSON value breaks it as
+    `_json_edit_refused` says. Every table's rows differ in their keys or
+    their t, so deleting, adding or moving a row breaks the layout, as does
+    any header edit, any added or dropped column, and any key or t cell that
+    reads as another label or number; a value cell breaks the fit when it is
+    not a finite number."""
+    name = draw(st.sampled_from(_FIT_TABLES) | st.sampled_from(["noise.json", "manifest.json"]))
+    i, j, cell = (draw(st.integers(0, 1000)) for _ in range(3))
+    if draw(st.integers(0, 9)) == 5:  # the file is deleted
+        return name, lambda text: (None, True)
+    if name.endswith(".json"):
+        value = draw(st.sampled_from([*_JSON_VALUES, _DELETED]))
+
+        def edit_json(text):
+            doc = json.loads(text)
+            paths = list(_json_paths(doc))
+            path = paths[i % len(paths)]
+            if not path:
+                return "" if value is _DELETED else json.dumps(value), True
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            return json.dumps(doc, indent=2), _json_edit_refused(name, path, value)
+
+        return name, edit_json
     n_keys = {"eigenvalues.csv": 2, **{f"scores_level{l}.csv": l for l in (1, 2, 3)}}.get(name, 0)
     kind = draw(st.sampled_from(["delete", "duplicate", "swap", "cell", "header", "add_column",
                                  "drop_column"]))
-    i, j, cell = (draw(st.integers(0, 1000)) for _ in range(3))
     new = draw(st.sampled_from(_CELL_TEXTS))
 
     def edit(text):
@@ -618,13 +665,11 @@ def handmade_fit_dir(tmp_path: Path, levels: int = 2) -> Path:
     basis = fourier_basis(grid, 2)
 
     def eig(lams):
-        lams = np.asarray(lams, dtype=float)
-        return EigenSystem(grid, lams, basis, np.cumsum(lams) / lams.sum())
+        return EigenSystem(grid, np.asarray(lams, dtype=float), basis)
 
     n, J, K_rep = 6, 2, 2
     fit = MultilevelFit(
         grid=grid,
-        levels=levels,
         global_mean=Curve(grid, np.zeros(grid.size)),
         measure_effects=(
             Curve(grid, np.zeros(grid.size)),
@@ -683,6 +728,38 @@ class TestIcc:
             ("manifest.json",
              lambda text: text.replace('"pve": 0.99', '"pve": "most"'),
              "manifest.json"),
+            # the config is read as written: a value of another JSON type than
+            # FitConfig's default, or one that disagrees with the tables, is refused
+            ("manifest.json",
+             lambda text: text.replace('"center_measures": true', '"center_measures": "no"'),
+             "manifest.json: config center_measures is 'no', not a JSON boolean"),
+            ("manifest.json",
+             lambda text: text.replace('"center_measures": true', '"center_measures": 1'),
+             "manifest.json: config center_measures is 1, not a JSON boolean"),
+            ("manifest.json",
+             lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": 2.5,\n    "pve"'),
+             "manifest.json: config levels is 2.5, not a JSON integer"),
+            ("manifest.json",
+             lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": true,\n    "pve"'),
+             "manifest.json: config levels is True, not a JSON integer"),
+            ("manifest.json", lambda text: text.replace('"pve": 0.99', '"pve": false'),
+             "manifest.json: config pve is False, not a JSON number"),
+            ("manifest.json",
+             lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": 3,\n    "pve"'),
+             "manifest.json: 2 eigensystems, 2 score tables and config levels 3"),
+            ("manifest.json",
+             lambda text: text.replace('"center_measures": true', '"center_measures": false'),
+             "manifest.json: config center_measures is False but the fit has 2 measure effects"),
+            ("measure_means.csv",
+             lambda text: "\n".join(row.split(",", 1)[0] for row in text.split("\n")),
+             "manifest.json: config center_measures is True but the fit has 0 measure effects"),
+            ("manifest.json",
+             lambda text: text.replace('"levels": 2,\n  "lib', '"levels": "2",\n  "lib'),
+             "manifest has no integer 'levels' field"),
+            ("noise.json", lambda text: text.replace("1.0", '"1.0"'),
+             "noise.json: no numeric 'noise_variance'"),
+            ("noise.json", lambda text: text.replace("1.0", "true"),
+             "noise.json: no numeric 'noise_variance'"),
             ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 1'),
              "levels must be 2 or 3, got 1"),
             ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 4'),
@@ -802,13 +879,16 @@ class TestIcc:
             assert err.startswith(f"error: {path}: {fault}") and err.count("\n") == 1
 
     @given(mutation=_mutated_fit_file())
-    @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
     def test_fuzzed_fit_dir_exits_cleanly(self, tmp_path_factory, mutation):
         name, edit = mutation
         fit_dir = handmade_fit_dir(tmp_path_factory.mktemp("fuzz"), levels=3)
         path = fit_dir / name
         text, breaks = edit(path.read_text())
-        path.write_text(text)
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
         for argv in (["icc", str(fit_dir)],
                      ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2",
                       "--perms", "99"]):

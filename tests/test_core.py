@@ -16,6 +16,7 @@ from mfda.core import (
 )
 from mfda.errors import (
     DuplicateKeyError,
+    EmptyDataError,
     InvalidGridError,
     MissingMeanError,
 )
@@ -102,12 +103,17 @@ class TestGrid:
 class TestCurveSet:
     def test_duplicate_index_rejected(self, small_grid):
         with pytest.raises(DuplicateKeyError):
-            CurveSet(small_grid, [(1, 1, 0), (1, 1, 0)], np.zeros((2, small_grid.size)))
+            CurveSet(small_grid, [(1, 1, 1), (1, 1, 1)], np.zeros((2, small_grid.size)))
+
+    @pytest.mark.parametrize("code", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_every_index_starts_at_1(self, small_grid, code):
+        with pytest.raises(EmptyDataError):
+            CurveSet(small_grid, [code], np.zeros((1, small_grid.size)))
 
     def test_balance_detection(self, small_grid):
         X = two_level_set(np.zeros((4, small_grid.size)), small_grid, J=2)
         assert X.is_balanced()
-        codes = [(1, 1, 0), (1, 2, 0), (2, 1, 0)]
+        codes = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
         Y = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
         assert not Y.is_balanced()
 
@@ -121,7 +127,7 @@ class TestCenterRows:
 
     def test_single_curve_absorbed_by_measure_mean(self, small_grid):
         c = np.linspace(0, 2, small_grid.size)
-        X = CurveSet(small_grid, [(1, 1, 0)], c[None, :])
+        X = CurveSet(small_grid, [(1, 1, 1)], c[None, :])
         means = CenteringMeans(
             Curve(small_grid, np.zeros(small_grid.size)),
             {1: Curve(small_grid, c)},
@@ -160,7 +166,7 @@ class TestCenterRows:
     def test_row_order_preserved(self, small_grid):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(4, small_grid.size))
-        codes = [(2, 1, 0), (1, 2, 0), (1, 1, 0), (2, 2, 0)]
+        codes = [(2, 1, 1), (1, 2, 1), (1, 1, 1), (2, 2, 1)]
         X = CurveSet(small_grid, codes, values)
         centered = center_rows(X, measure_means(X))
         assert centered.codes.tolist() == [list(c) for c in codes]

@@ -28,11 +28,11 @@ from mfda.fpca import (
 from mfda.mfpca import FitConfig, blup_scores, fit_nested, measure_means, sigma_T_hat
 from mfda.simkl import fourier_basis, generate
 
-from .conftest import n2_spec, n3_spec
+from .conftest import eigendecompose_on_grid, n2_spec, n3_spec
 
 
 def independent_rows(values: np.ndarray, grid: Grid) -> CurveSet:
-    codes = [(1, i + 1, 0) for i in range(values.shape[0])]
+    codes = [(1, i + 1, 1) for i in range(values.shape[0])]
     return CurveSet(grid, codes, values)
 
 
@@ -98,7 +98,7 @@ class TestEmpiricalCovariance:
     def test_kl_eigenvalue_recovery(self, uniform_grid):
         X = kl_sample(uniform_grid, [2.0, 1.0], n=2000, seed=99)
         S = empirical_covariance(X)
-        eig = eigendecompose(S, uniform_grid)
+        eig = eigendecompose_on_grid(S, uniform_grid)
         assert eig.eigenvalues[0] == pytest.approx(2.0, rel=0.10)
         assert eig.eigenvalues[1] == pytest.approx(1.0, rel=0.10)
 
@@ -270,7 +270,7 @@ class TestEigendecompose:
         A = rng.normal(size=(basis.shape[1], 3))
         C = A @ A.T - 0.1 * np.eye(basis.shape[1])  # three positive, rest negative
         small = eigendecompose(C, uniform_grid, basis)
-        dense = eigendecompose(basis @ C @ basis.T, uniform_grid)
+        dense = eigendecompose_on_grid(basis @ C @ basis.T, uniform_grid)
         assert small.n_components == 3
         np.testing.assert_allclose(small.eigenvalues, dense.eigenvalues[:3], rtol=1e-10)
         np.testing.assert_allclose(small.functions, dense.functions[:, :3], atol=1e-8)
@@ -284,7 +284,7 @@ class TestEigendecompose:
         grid = Grid.uniform(11)
         h = 0.1
         S = from_weighted(h * np.eye(grid.size), grid)
-        eig = eigendecompose(S, grid)
+        eig = eigendecompose_on_grid(S, grid)
         np.testing.assert_allclose(eig.eigenvalues, h)
         gram = eig.functions.T @ (grid.weights[:, None] * eig.functions)
         np.testing.assert_allclose(gram, np.eye(grid.size), atol=1e-8)
@@ -292,7 +292,7 @@ class TestEigendecompose:
     def test_negative_pair_trimmed(self):
         grid = Grid.uniform(2)
         S = from_weighted(np.diag([2.0, -1.0]), grid)
-        eig = eigendecompose(S, grid)
+        eig = eigendecompose_on_grid(S, grid)
         assert eig.n_components == 1
         np.testing.assert_allclose(eig.eigenvalues, [2.0])
 
@@ -300,7 +300,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(11)
         v = rng.normal(size=small_grid.size)
         S = np.outer(v, v)
-        eig = eigendecompose(S, small_grid)
+        eig = eigendecompose_on_grid(S, small_grid)
         positive = eig.eigenvalues[eig.eigenvalues > 1e-10]
         quad_norm_sq = float(np.sum(small_grid.weights * v * v))
         assert positive.size == 1
@@ -315,13 +315,13 @@ class TestEigendecompose:
         S = np.zeros((small_grid.size, small_grid.size))
         S[0, 1] = 1.0
         with pytest.raises(AsymmetricMatrixError):
-            eigendecompose(S, small_grid)
+            eigendecompose_on_grid(S, small_grid)
 
     def test_retained_plus_trimmed_is_m(self, small_grid):
         rng = np.random.default_rng(23)
         A = rng.normal(size=(small_grid.size, small_grid.size))
         S = 0.5 * (A + A.T)  # indefinite
-        eig = eigendecompose(S, small_grid)
+        eig = eigendecompose_on_grid(S, small_grid)
         evals = np.linalg.eigvalsh(
             np.sqrt(small_grid.weights)[:, None]
             * S
@@ -333,7 +333,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(31)
         B = rng.normal(size=(small_grid.size, 4))
         S = B @ B.T  # PSD input
-        eig = eigendecompose(S, small_grid)
+        eig = eigendecompose_on_grid(S, small_grid)
         rebuilt = (eig.functions * eig.eigenvalues) @ eig.functions.T
         assert np.linalg.norm(rebuilt - S) < 1e-6 * np.linalg.norm(S)
 
@@ -341,15 +341,15 @@ class TestEigendecompose:
         rng = np.random.default_rng(55)
         B = rng.normal(size=(small_grid.size, 3))
         S = B @ B.T
-        a = eigendecompose(S, small_grid)
-        b = eigendecompose(S, small_grid)
+        a = eigendecompose_on_grid(S, small_grid)
+        b = eigendecompose_on_grid(S, small_grid)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.functions, b.functions)
 
     def test_sign_convention(self, small_grid):
         v = -np.abs(np.linspace(1, 2, small_grid.size))  # all negative
         S = np.outer(v, v)
-        eig = eigendecompose(S, small_grid)
+        eig = eigendecompose_on_grid(S, small_grid)
         peak = np.argmax(np.abs(eig.functions[:, 0]))
         assert eig.functions[peak, 0] > 0
 
@@ -374,11 +374,12 @@ class TestEigenSystem:
             EigenSystem(small_grid, np.array(eigenvalues), funcs)
         assert (err.value.field, err.value.level) == (field, None)
 
-    @pytest.mark.parametrize("lam, pve", [([3.0, 1.0], [0.75, 1.0]), ([0.0, 0.0], [0.0, 0.0])])
-    def test_pve_defaults_to_the_cumulative_share(self, small_grid, lam, pve):
-        eig = EigenSystem(small_grid, np.array(lam), fourier_basis(small_grid, 2))
-        assert eig.pve.tolist() == pve
-        assert not eig.pve.flags.writeable
+    def test_holds_read_only_copies_of_the_callers_arrays(self, small_grid):
+        lam, funcs = np.array([2.0, 1.0]), fourier_basis(small_grid, 2)
+        eig = EigenSystem(small_grid, lam, funcs)
+        lam[0], funcs[0, 0] = 3.0, 7.0
+        assert eig.eigenvalues.tolist() == [2.0, 1.0] and eig.functions[0, 0] != 7.0
+        assert not (eig.eigenvalues.flags.writeable or eig.functions.flags.writeable)
 
 
 class TestSelectK:
@@ -386,31 +387,19 @@ class TestSelectK:
         def eig_of(lam):
             lam = np.asarray(lam, dtype=float)
             funcs = fourier_basis(small_grid, lam.size)
-            return EigenSystem(
-                small_grid, lam, funcs, np.cumsum(lam) / lam.sum()
-            )
+            return EigenSystem(small_grid, lam, funcs)
 
         assert select_k(eig_of([9.0, 1.0]), 0.9) == 1
         assert select_k(eig_of([5.0, 3.0, 2.0]), 0.8) == 2
         assert select_k(eig_of([1.0, 1.0, 1.0, 1.0]), 0.95) == 4
 
     def test_degenerate(self, small_grid):
-        eig = EigenSystem(
-            small_grid,
-            np.zeros(2),
-            fourier_basis(small_grid, 2),
-            np.zeros(2),
-        )
+        eig = EigenSystem(small_grid, np.zeros(2), fourier_basis(small_grid, 2))
         with pytest.raises(DegenerateSpectrumError):
             select_k(eig, 0.9)
 
     def test_bad_threshold(self, small_grid):
-        eig = EigenSystem(
-            small_grid,
-            np.ones(1),
-            fourier_basis(small_grid, 1),
-            np.ones(1),
-        )
+        eig = EigenSystem(small_grid, np.ones(1), fourier_basis(small_grid, 1))
         with pytest.raises(InvalidParameterError):
             select_k(eig, 0.0)
 
@@ -422,8 +411,8 @@ class TestProjectScores:
     def _eigs(grid, lam):
         lam = np.asarray(lam, dtype=float)
         basis = fourier_basis(grid, lam.size)
-        empty = EigenSystem(grid, np.zeros(0), np.zeros((grid.size, 0)), np.zeros(0))
-        return EigenSystem(grid, lam, basis, np.cumsum(lam) / lam.sum()), empty
+        empty = EigenSystem(grid, np.zeros(0), np.zeros((grid.size, 0)))
+        return EigenSystem(grid, lam, basis), empty
 
     def test_exact_eigenfunction(self, uniform_grid):
         eigs = self._eigs(uniform_grid, [3.0, 2.0, 1.0])
@@ -446,7 +435,7 @@ class TestReconstruct:
     @staticmethod
     def _eig(grid):
         lam = np.array([2.0, 1.0])
-        return EigenSystem(grid, lam, fourier_basis(grid, 2), np.cumsum(lam) / 3.0)
+        return EigenSystem(grid, lam, fourier_basis(grid, 2))
 
     def test_k_zero_returns_mean(self, uniform_grid):
         # a level that keeps no components adds nothing to the mean

@@ -14,17 +14,13 @@ from .conftest import n2_spec, n3_spec_dict
 
 
 def eig_of(grid: Grid, lam, funcs) -> EigenSystem:
-    lam = np.asarray(lam, dtype=float)
-    total = lam.sum()
-    pve = np.cumsum(lam) / total if total > 0 else np.zeros_like(lam)
-    return EigenSystem(grid, lam, funcs, pve)
+    return EigenSystem(grid, np.asarray(lam, dtype=float), funcs)
 
 
 def handmade_fit(grid: Grid, level_eigs, noise: float) -> MultilevelFit:
     levels = len(level_eigs)
     return MultilevelFit(
         grid=grid,
-        levels=levels,
         global_mean=Curve(grid, np.zeros(grid.size)),
         measure_effects=(),
         level_eig=tuple(level_eigs),
@@ -35,7 +31,7 @@ def handmade_fit(grid: Grid, level_eigs, noise: float) -> MultilevelFit:
         noise_variance=noise,
         subject_labels=("1", "2"),
         measure_labels=("1", "2"),
-        config=FitConfig(levels=levels),
+        config=FitConfig(levels=levels, center_measures=False),
     )
 
 

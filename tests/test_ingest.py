@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import mfda
 import mfda.ingest
 from mfda.core import CurveSet, Grid
+from mfda.fpca import select_k
 from mfda.errors import (
     DuplicateKeyError,
     EmptyDataError,
@@ -104,34 +105,15 @@ def _reference_read_long_csv(path, channel, grid_policy="strict"):
     measures = sorted({k[1] for k in groups}, key=_label_key)
     subject_of = {s: i + 1 for i, s in enumerate(subjects)}
     measure_of = {mlab: j + 1 for j, mlab in enumerate(measures)}
-    single_replicate = all(
-        key[2] == 1 for key in groups
-    ) and len({(k[0], k[1]) for k in groups}) == len(groups)
     codes = []
     values = np.empty((len(groups), grid.size))
     for row, key in enumerate(sorted(groups, key=lambda k: (
         subject_of[k[0]], measure_of[k[1]], k[2]
     ))):
         values[row] = [groups[key][t] for t in shared]
-        codes.append((
-            subject_of[key[0]], measure_of[key[1]],
-            0 if single_replicate else key[2],
-        ))
+        codes.append((subject_of[key[0]], measure_of[key[1]], key[2]))
     curves = CurveSet(grid, codes, values, tuple(subjects), tuple(measures))
-    counts = {}
-    for key in groups:
-        counts.setdefault(key[0], {}).setdefault(key[1], 0)
-        counts[key[0]][key[1]] += 1
-    report = IngestReport(
-        n_rows=n_rows,
-        n_curves=len(groups),
-        subjects=tuple(subjects),
-        measures=tuple(measures),
-        counts=counts,
-        balanced=curves.is_balanced(),
-        dropped_points=dropped,
-    )
-    return curves, report
+    return curves, IngestReport(n_rows=n_rows, dropped_points=dropped)
 
 
 def assert_reads_like_reference(path, channel, grid_policy):
@@ -154,7 +136,6 @@ def assert_reads_like_reference(path, channel, grid_policy):
     assert curves.subject_labels == ref_curves.subject_labels
     assert curves.measure_labels == ref_curves.measure_labels
     assert report == ref_report
-    assert list(report.counts) == list(ref_report.counts)
 
 
 TINY_CSV = """subject,measure,replicate,t,value,channel
@@ -175,9 +156,10 @@ class TestReadLongCsv:
         assert len(curves) == 1
         np.testing.assert_array_equal(curves.values[0], [1.5, 2.5, 3.5])
         np.testing.assert_array_equal(curves.grid.points, [0.0, 0.5, 1.0])
-        assert report.n_curves == 1
-        assert report.subjects == ("s1",)
-        assert report.measures == ("HIIT1",)
+        assert curves.codes.tolist() == [[1, 1, 1]]
+        assert curves.subject_labels == ("s1",)
+        assert curves.measure_labels == ("HIIT1",)
+        assert report == IngestReport(n_rows=3, dropped_points=())
 
     def test_channel_filtering(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -416,7 +398,7 @@ def _reference_write_long_csv(X, path, channel):
         fh.write(mfda.ingest._csv_fields(*LONG_COLUMNS) + "\n")
         for (s, m, r), row in zip(ordered.codes.tolist(), ordered.values):
             head = mfda.ingest._csv_fields(
-                ordered.subject_labels[s - 1], ordered.measure_labels[m - 1], r or 1, ""
+                ordered.subject_labels[s - 1], ordered.measure_labels[m - 1], r, ""
             )
             fh.write("".join(
                 f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
@@ -428,7 +410,7 @@ class TestLongCsvRoundTrip:
     def test_bytes_match_the_row_writer(self, tmp_path, replicates):
         # labels with %, a comma, a quote and a newline; rows out of order
         rng = np.random.default_rng(5)
-        codes = [(i, j, k) for i in (2, 1, 3) for j in (2, 1) for k in (replicates or (0,))]
+        codes = [(i, j, k) for i in (2, 1, 3) for j in (2, 1) for k in (replicates or (1,))]
         X = CurveSet(
             Grid.uniform(5), codes, rng.normal(size=(len(codes), 5)),
             ("a%s", 'b,"%d"', "c\n%%"), ("m%r", 'n,"1"\n'),
@@ -447,7 +429,7 @@ class TestLongCsvRoundTrip:
         assert np.array_equal(back.codes, X.codes)
         assert np.max(np.abs(back.values - X.values)) < 1e-12
         assert np.max(np.abs(back.grid.points - X.grid.points)) < 1e-12
-        assert report.balanced
+        assert back.is_balanced()
 
     def test_three_level_round_trip(self, tmp_path):
         X, _ = generate(n3_spec(8, n=3, J=2, K_rep=3, m=11))
@@ -463,8 +445,8 @@ class TestLongCsvRoundTrip:
         X = CurveSet(X.grid, X.codes, X.values, (label, "b", "c"), X.measure_labels)
         path = tmp_path / "long.csv"
         write_long_csv(X, path, channel="sim")
-        back, report = read_long_csv(path, channel="sim")
-        assert back.subject_labels == (label, "b", "c") == report.subjects
+        back, _ = read_long_csv(path, channel="sim")
+        assert back.subject_labels == (label, "b", "c")
         assert np.array_equal(back.codes, X.codes)
         assert back.values.tobytes() == X.values.tobytes()
 
@@ -547,6 +529,19 @@ class TestFitRoundTrip:
         out = tmp_path / "fit3"
         write_fit(fit, out)
         fits_equal(fit, read_fit(out))
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_select_k_agrees_on_a_fit_and_its_read_back(self, tmp_path, levels):
+        if levels == 2:
+            X, _ = generate(n2_spec(11, n=10, J=2, m=21))
+        else:
+            X, _ = generate(n3_spec(12, n=6, J=2, K_rep=3, m=21))
+        fit = fit_nested(X, FitConfig(levels=levels))
+        back = read_fit(write_fit(fit, tmp_path / "fit"))
+        for a, b in zip(fit.level_eig, back.level_eig):
+            for threshold in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0):
+                k = select_k(a, threshold)
+                assert k == select_k(b, threshold) <= a.n_components, threshold
 
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("center_measures", [True, False])

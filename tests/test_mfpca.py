@@ -14,7 +14,7 @@ from mfda.errors import (
 )
 import mfda.mfpca
 from mfda.core import center_rows
-from mfda.fpca import EigenSystem, SplineBasis, eigendecompose
+from mfda.fpca import EigenSystem, SplineBasis
 from mfda.mfpca import (
     FitConfig,
     blup_scores,
@@ -27,7 +27,7 @@ from mfda.mfpca import (
 )
 from mfda.simkl import fourier_basis, generate
 
-from .conftest import n2_spec, n3_spec, two_level_set
+from .conftest import eigendecompose_on_grid, n2_spec, n3_spec, two_level_set
 
 
 def zero_means(grid: Grid) -> CenteringMeans:
@@ -263,7 +263,7 @@ class TestSigmaEstimators:
         assert rel < 0.10
 
     def test_sigma_B_insufficient_measures(self, small_grid):
-        X = CurveSet(small_grid, [(1, 1, 0), (2, 1, 0)], np.zeros((2, small_grid.size)))
+        X = CurveSet(small_grid, [(1, 1, 1), (2, 1, 1)], np.zeros((2, small_grid.size)))
         with pytest.raises(InsufficientDataError):
             sigma_B_hat(X, zero_means(small_grid))
 
@@ -277,7 +277,7 @@ class TestSigmaEstimators:
         # eigendecomposition in pre-weighted coordinates keeps only (1, e2)
         inv_sqrt_w = 1.0 / np.sqrt(grid.weights)
         S = inv_sqrt_w[:, None] * np.diag([-1.0, 1.0]) * inv_sqrt_w[None, :]
-        eig = eigendecompose(S, grid)
+        eig = eigendecompose_on_grid(S, grid)
         assert eig.n_components == 1
         np.testing.assert_allclose(eig.eigenvalues, [1.0])
 
@@ -286,7 +286,7 @@ class TestSigmaEstimators:
         X, _ = generate(spec)
         means = measure_means(X)
         s_W = sigma_T_hat(X, means) - sigma_B_hat(X, means)
-        eig = eigendecompose(s_W, X.grid)
+        eig = eigendecompose_on_grid(s_W, X.grid)
         np.testing.assert_allclose(eig.eigenvalues[0], 2.0, rtol=0.15)
         np.testing.assert_allclose(eig.eigenvalues[1], 1.0, rtol=0.15)
 
@@ -381,7 +381,7 @@ class TestThreeLevelCovariances:
             X, _ = generate(spec)
             cov = three_level_covariances(X, measure_means(X))
             for l, surface in enumerate(level_surfaces(cov)):
-                tops[l].append(eigendecompose(surface, X.grid).eigenvalues[0])
+                tops[l].append(eigendecompose_on_grid(surface, X.grid).eigenvalues[0])
         for l, true_top in zip(range(3), (4.0, 2.0, 1.0)):
             assert np.mean(tops[l]) == pytest.approx(true_top, rel=0.20)
 
@@ -423,10 +423,8 @@ class TestBlupScores:
     def _single_level_inputs(self, uniform_grid, sigma2=0.0):
         basis = fourier_basis(uniform_grid, 2)
         lam1 = np.array([3.0, 1.5])
-        eig1 = EigenSystem(uniform_grid, lam1, basis, np.cumsum(lam1) / lam1.sum())
-        eig2 = EigenSystem(
-            uniform_grid, np.zeros(0), np.zeros((uniform_grid.size, 0)), np.zeros(0)
-        )
+        eig1 = EigenSystem(uniform_grid, lam1, basis)
+        eig2 = EigenSystem(uniform_grid, np.zeros(0), np.zeros((uniform_grid.size, 0)))
         rng = np.random.default_rng(77)
         c = rng.standard_normal((6, 2)) * np.sqrt(lam1)
         rows = np.repeat(c @ basis.T, 2, axis=0)  # J=2 identical rows
@@ -450,9 +448,9 @@ class TestBlupScores:
         spec = n2_spec(17, n=n, J=J, m=uniform_grid.size)
         X, _ = generate(spec)
         means = measure_means(X)
-        eig1 = eigendecompose(sigma_B_hat(X, means), uniform_grid).truncated(2)
+        eig1 = eigendecompose_on_grid(sigma_B_hat(X, means), uniform_grid).truncated(2)
         s_W = sigma_T_hat(X, means) - sigma_B_hat(X, means)
-        eig2 = eigendecompose(s_W, uniform_grid).truncated(2)
+        eig2 = eigendecompose_on_grid(s_W, uniform_grid).truncated(2)
         prev = None
         for sigma2 in (1e-6, 0.01, 0.1, 1.0, 10.0, 100.0):
             scores = blup_scores(X, means, (eig1, eig2), sigma2)
@@ -480,10 +478,8 @@ class TestBlupScores:
         basis = fourier_basis(uniform_grid, 1)
         lam = np.array([1.0, 1.0])
         duplicated = np.column_stack([basis[:, 0], basis[:, 0]])  # collinear
-        eig1 = EigenSystem(uniform_grid, lam, duplicated, np.array([0.5, 1.0]))
-        eig2 = EigenSystem(
-            uniform_grid, np.zeros(0), np.zeros((uniform_grid.size, 0)), np.zeros(0)
-        )
+        eig1 = EigenSystem(uniform_grid, lam, duplicated)
+        eig2 = EigenSystem(uniform_grid, np.zeros(0), np.zeros((uniform_grid.size, 0)))
         X = two_level_set(
             np.tile(basis[:, 0], (4, 1)), uniform_grid, J=2
         )
@@ -493,9 +489,7 @@ class TestBlupScores:
 
 def _fourier_eig(grid: Grid, eigenvalues, first: int = 0) -> EigenSystem:
     lam = np.asarray(eigenvalues, dtype=float)
-    basis = fourier_basis(grid, first + lam.size)[:, first:]
-    pve = np.cumsum(lam) / lam.sum() if lam.sum() > 0 else np.zeros_like(lam)
-    return EigenSystem(grid, lam, basis, pve)
+    return EigenSystem(grid, lam, fourier_basis(grid, first + lam.size)[:, first:])
 
 
 class TestBlupMatchesReference:
@@ -532,12 +526,7 @@ class TestBlupMatchesReference:
 
     def test_singular_system_matches(self, small_grid):
         basis = fourier_basis(small_grid, 1)[:, 0]
-        collinear = EigenSystem(
-            small_grid,
-            np.array([1.0, 1.0]),
-            np.column_stack([basis, basis]),
-            np.array([0.5, 1.0]),
-        )
+        collinear = EigenSystem(small_grid, np.array([1.0, 1.0]), np.column_stack([basis, basis]))
         eigs = (collinear, _fourier_eig(small_grid, (1.0,), first=1))
         X, _ = generate(n2_spec(73, n=4, J=2, m=small_grid.size))
         means = measure_means(X)
@@ -582,14 +571,14 @@ class TestFitNested:
                 assert ip >= 0.9
 
     def test_unbalanced_rejected_with_counts(self, small_grid):
-        codes = [(1, 1, 0), (1, 2, 0), (2, 1, 0)]
+        codes = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
         X = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
         with pytest.raises(UnbalancedDesignError) as err:
             fit_nested(X, FitConfig(levels=2))
         assert "subject" in str(err.value)
 
     def test_non_contiguous_indices_rejected_with_counts(self, small_grid):
-        codes = [(i, j, 0) for i in (1, 3) for j in (1, 2)]
+        codes = [(i, j, 1) for i in (1, 3) for j in (1, 2)]
         X = CurveSet(small_grid, codes, np.zeros((4, small_grid.size)), ("a", "b", "c"))
         with pytest.raises(UnbalancedDesignError) as err:
             fit_nested(X, FitConfig(levels=2))
@@ -609,7 +598,7 @@ class TestFitNested:
         X, _ = generate(spec)
         means = measure_means(X)
         s_B = sigma_B_hat(X, means)
-        eig = eigendecompose(s_B, small_grid)
+        eig = eigendecompose_on_grid(s_B, small_grid)
         rebuilt = (eig.functions * eig.eigenvalues) @ eig.functions.T
         # independent PSD-part oracle in the weighted coordinates
         sqrt_w = np.sqrt(small_grid.weights)
@@ -777,7 +766,7 @@ class TestFitNestedStructure:
         assert cov.penalties == fit.penalties
         assert cov.noise_variance == fit.noise_variance
         for surface, eig in zip(level_surfaces(cov), fit.level_eig):
-            dense = eigendecompose(surface, X.grid)
+            dense = eigendecompose_on_grid(surface, X.grid)
             k = eig.n_components
             assert k >= 1
             np.testing.assert_allclose(

@@ -64,7 +64,7 @@ def _reference_generate(spec):
     for i in range(1, n + 1):
         for j in range(1, J + 1):
             for k in range(1, K_rep + 1):
-                codes.append((i, j, k if n_levels == 3 else 0))
+                codes.append((i, j, k))
     scores = [np.array(s) for s in scores]
     curves = [s @ lvl.functions.T for s, lvl in zip(scores, spec.levels)]
     return np.array(codes), scores, curves, np.concatenate(values)
