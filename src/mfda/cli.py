@@ -233,8 +233,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other bad input,
+    print one `error:` line and exit 2; its subcommand parsers are of the
+    same class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfda",
         description=(
             "Multilevel functional PCA: simulate nested curve data, fit "

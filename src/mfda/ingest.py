@@ -15,7 +15,7 @@ import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, product, zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Union
 
@@ -300,11 +300,10 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
             fh.write((head + (tail + head).join(cells) + tail) % tuple(X.values[row].tolist()))
 
 
-def _cells(keys: list, values: np.ndarray) -> list[list[str]]:
-    """Each row of a fit table as write_fit writes it: its key cells (if
-    any), then its values in shortest round-trip form."""
-    return [[*key, *map(repr, row)] for key, row in zip(keys or [()] * len(values),
-                                                         values.tolist())]
+def _cells(keys: np.ndarray, values: np.ndarray) -> list[list[str]]:
+    """Each row of a fit table as write_fit writes it: its key cells, then its
+    values in shortest round-trip form."""
+    return [[*key, *map(repr, row)] for key, row in zip(keys.tolist(), values.tolist())]
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
@@ -321,30 +320,39 @@ def read_json(path: Union[str, Path]) -> dict:
             raise ParseError(f"{path}: {exc}") from None
 
 
-def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], list[tuple[str, ...]], np.ndarray]]:
-    """The fit directory's CSV tables by file name: each one's header, key
-    cells per row (none for a table without keys) and value matrix. A level's
-    score keys are its units of the full design in canonical order; the score
-    tables come first, as read_fit takes the design's labels from them."""
+def _unkeyed(header: list[str], values: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A `_tables` entry of a table without key columns."""
+    return header, np.empty((len(values), 0), dtype=object), values
+
+
+def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.ndarray]]:
+    """The fit directory's CSV tables by file name: each one's header, (rows,
+    keys) object array of key cells (no columns for a table without keys) and
+    value matrix. A level's score keys are its units of the full design in
+    canonical order; the score tables come first, as read_fit takes the
+    design's labels from them."""
     grid, measures, t = fit.grid, fit.measure_labels, fit.grid.points[:, None]
-    labels = (fit.subject_labels, measures, [str(r) for r in range(1, fit.shape[2] + 1)])
+    labels = [np.array(fit.subject_labels, dtype=object), np.array(measures, dtype=object),
+              np.array([str(r) for r in range(1, fit.shape[2] + 1)], dtype=object)]
     tables, eigenvalue_keys = {}, []
     for level, (mat, eig) in enumerate(zip(fit.scores, fit.level_eig), start=1):
         components = [str(a) for a in range(1, eig.n_components + 1)]
         tables[f"scores_level{level}.csv"] = (
             ["subject", "measure", "replicate"][:level] + [f"score_{a}" for a in components],
-            list(product(*labels[:level])), mat)
-        tables[f"eigenfunctions_level{level}.csv"] = (
-            ["t"] + [f"ef_{a}" for a in components], [],
+            np.stack(np.meshgrid(*labels[:level], indexing="ij"), axis=-1).reshape(-1, level),
+            mat)
+        tables[f"eigenfunctions_level{level}.csv"] = _unkeyed(
+            ["t"] + [f"ef_{a}" for a in components],
             np.hstack([t, eig.functions]) if components else np.zeros((0, 1)))
         eigenvalue_keys += [(str(level), a) for a in components]
     tables["eigenvalues.csv"] = (
-        ["level", "component", "eigenvalue"], eigenvalue_keys,
+        ["level", "component", "eigenvalue"],
+        np.array(eigenvalue_keys, dtype=object).reshape(-1, 2),
         np.concatenate([eig.eigenvalues for eig in fit.level_eig])[:, None])
-    tables["mean.csv"] = (["t", "value", "w"], [],
-                          np.column_stack([grid.points, fit.global_mean.values, grid.weights]))
-    tables["measure_means.csv"] = (
-        ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]], [],
+    tables["mean.csv"] = _unkeyed(
+        ["t", "value", "w"], np.column_stack([grid.points, fit.global_mean.values, grid.weights]))
+    tables["measure_means.csv"] = _unkeyed(
+        ["t"] + [f"m_{lab}" for lab in measures[: len(fit.measure_effects)]],
         np.hstack([t, *(eff.values[:, None] for eff in fit.measure_effects)]))
     return tables
 
@@ -397,11 +405,10 @@ def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
     return ParseError(f"{path}: {fault}")
 
 
-def _read_numeric(
-    path: Path, n_keys: int = 0
-) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
-    """A fit table's header, its first n_keys columns as label rows, and its
-    other columns as one float matrix, parsed in one bulk pass.
+def _read_numeric(path: Path, n_keys: int = 0) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A fit table's header, its first n_keys columns as a (rows, n_keys)
+    object array of label cells, and its other columns as one float matrix,
+    all parsed in one pass.
 
     A missing or empty file, a row with more or fewer cells than the header,
     and a value cell that does not parse are each a ParseError naming the
@@ -418,25 +425,15 @@ def _read_numeric(
                     raise ValueError(f"header {header} lacks the {n_keys} key columns"
                                      if header else "empty file")
                 skip = reader.line_num  # a quoted label may span lines
-                keyed = [(len(r), tuple(r[:n_keys])) for r in reader if r] if n_keys else []
                 fh.seek(0)
-                # without usecols the bulk parse rejects rows of unequal width
-                values = _load_columns(
-                    fh, list(range(n_keys, len(header))) if n_keys else None, float, skip
-                )
+                # the fields fix each row's width: the parse refuses more or fewer cells
+                dtype = [("keys", object, (n_keys,)), ("values", float, (len(header) - n_keys,))]
+                rows = _load_columns(fh, None, dtype, skip)[:, 0]
             except (ValueError, csv.Error) as exc:
                 raise _table_error(path, n_keys, str(exc)) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if n_keys:
-        ok = len(keyed) == len(values) and all(w == len(header) for w, _ in keyed)
-    else:
-        ok = not len(values) or values.shape[1] == len(header)
-    if not ok:
-        raise _table_error(path, n_keys, "a row's width differs from the header's")
-    # a table without data rows keeps its header's width
-    values = values.reshape(len(values), len(header) - n_keys)
-    return header, [key for _, key in keyed], values
+    return header, rows["keys"], rows["values"]
 
 
 @contextmanager
@@ -451,15 +448,41 @@ def _naming(d: Path, name: str, **by_field: str):
         raise ParseError(f"{d / name.format(level=getattr(exc, 'level', None))}: {exc}") from None
 
 
+def _penalties(manifest: dict, retained: list[int]) -> tuple[float, ...]:
+    """The smoothing penalties in the manifest's diagnostics, which hold one
+    entry per level in order: its level, its retained component count and a
+    lambda that is a JSON number or null, the same kind on every level. All
+    null, or no diagnostics, is no penalties. Anything else is a ValueError."""
+    if "diagnostics" not in manifest:
+        return ()
+    doc = manifest["diagnostics"]
+    entries = doc.get("levels") if isinstance(doc, dict) else None
+    if type(entries) is not list or len(entries) != len(retained):
+        raise ValueError(f"{doc!r} is not an object whose 'levels' lists the {len(retained)} levels")
+    for level, (entry, k) in enumerate(zip(entries, retained), start=1):
+        # true == 1 in Python, so each value's type is compared as well
+        if not (isinstance(entry, dict)
+                and [(type(entry.get(key)), entry.get(key)) for key in ("level", "retained")]
+                == [(int, level), (int, k)]
+                and type(entry.get("lambda", "")) in (int, float, type(None))):
+            raise ValueError(f"entry {level} is {entry!r}, where the fit has level {level}, "
+                             f"retained {k} and a lambda that is a number or null")
+    lambdas = [entry["lambda"] for entry in entries]
+    if lambdas.count(None) not in (0, len(lambdas)):
+        raise ValueError(f"lambdas {lambdas} mix numbers and nulls")
+    return tuple(float(lam) for lam in lambdas if lam is not None)
+
+
 def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     """Load a fit directory written by write_fit.
 
     Every file is parsed in full before any value is used, and the fit is
     built through its containers, which check that every value is finite. A
-    fault in a file, a manifest whose levels is not 2 or 3 or whose config
-    values differ in JSON type from FitConfig's defaults, and a table whose
-    header, key cells or values differ from those write_fit writes for the
-    fit read are each a ParseError naming the file."""
+    fault in a file, a manifest whose levels is not 2 or 3, whose config
+    values differ in JSON type from FitConfig's defaults or whose diagnostics
+    break `_penalties`' rules, and a table whose header, key cells or values
+    differ from those write_fit writes for the fit read are each a ParseError
+    naming the file."""
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
@@ -501,10 +524,12 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     defaults = asdict(FitConfig(levels=levels))
     try:
         stored = {**defaults, **manifest.get("config", {})}
-        levels_doc = manifest.get("diagnostics", {"levels": []})["levels"]
-        penalties = tuple(float(e["lambda"]) for e in levels_doc if e["lambda"] is not None)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{manifest_path}: bad config or diagnostics: {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"{manifest_path}: bad config: {exc}") from None
+    try:
+        penalties = _penalties(manifest, [eig.n_components for eig in level_eigs])
+    except ValueError as exc:
+        raise ParseError(f"{manifest_path}: diagnostics {exc}") from None
     json_types = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
                   float: ("number", (int, float))}  # true is not an integer
     for key, v in defaults.items():
@@ -521,8 +546,8 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
             level_eig=tuple(level_eigs),
             scores=tuple(tables[f"scores_level{level}.csv"][2] for level in range(1, levels + 1)),
             noise_variance=noise,
-            subject_labels=tuple(dict.fromkeys(key[0] for key in tables["scores_level1.csv"][1])),
-            measure_labels=tuple(dict.fromkeys(key[1] for key in tables["scores_level2.csv"][1])),
+            subject_labels=tuple(dict.fromkeys(tables["scores_level1.csv"][1][:, 0].tolist())),
+            measure_labels=tuple(dict.fromkeys(tables["scores_level2.csv"][1][:, 1].tolist())),
             config=FitConfig(**{key: stored[key] for key in defaults}),
             penalties=penalties,
         )
@@ -530,7 +555,8 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         got_header, got_keys, got_values = tables[name]
         if got_header != header:
             raise ParseError(f"{d / name}: header {got_header}, where the fit has {header}")
-        if got_keys == keys and np.array_equal(got_values.view(np.int64), values.view(np.int64)):
+        if (np.array_equal(got_keys, keys)
+                and np.array_equal(got_values.view(np.int64), values.view(np.int64))):
             continue  # the same bits in every value
         # the first cell that differs, row by row; a row one side lacks reads "nothing"
         cells = zip_longest(chain(*_cells(got_keys, got_values)), chain(*_cells(keys, values)),

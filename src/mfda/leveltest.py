@@ -48,6 +48,11 @@ METHODS = ("ks", "cvm", "energy")
 
 MIN_PERMUTATIONS = 99
 MIN_GROUP_SIZE = 5
+# Most cells (1 + permutations) x pooled units a test may draw. The draw and
+# the kernel hold about 30 bytes per cell (uniforms 8, their partition 8, the
+# membership matrix and its transpose 1 + 1, the count 4, the buffer 8), so
+# this caps a test at about 1.5 GB.
+MAX_PERMUTATION_CELLS = 5 * 10**7
 # far above the rounding of a sum over N terms (about N * 1e-16 relative) and
 # far below the gap between distinct statistics of different splits
 TIE_RTOL = 1e-12
@@ -97,9 +102,17 @@ def _memberships(
     Row 0 is the observed split (the first n_a entries). The drawn rows come
     from one generator seeded by SeedSequence(seed), which only reads a
     SeedSequence seed. Unpaired rows mark the n_a smallest of N uniforms, the
-    first n_a entries of a random permutation; paired rows move pair i from
-    pooled entry i to n_a + i when its uniform is below 1/2.
+    first n_a entries of a random permutation: each row's uniforms up to its
+    n_a-th smallest, or, in a row where that value is tied, the n_a entries
+    argpartition puts first. Paired rows move pair i from pooled entry i to
+    n_a + i when its uniform is below 1/2. More than MAX_PERMUTATION_CELLS
+    cells is an InvalidParameterError, raised before anything is allocated.
     """
+    if (1 + n_draws) * N > MAX_PERMUTATION_CELLS:
+        raise InvalidParameterError(
+            f"{n_draws} permutations of {N} units need {(1 + n_draws) * N} cells, more than "
+            f"the {MAX_PERMUTATION_CELLS} a test may hold"
+        )
     member = np.zeros((1 + n_draws, N), dtype=bool)
     member[0, :n_a] = True
     if n_draws:
@@ -108,9 +121,13 @@ def _memberships(
             swap = rng.random((n_draws, n_a)) < 0.5
             member[1:, :n_a], member[1:, n_a:] = ~swap, swap
         else:
-            first = np.argpartition(rng.random((n_draws, N)), n_a - 1, axis=1)
-            row_start = np.arange(N, N * (1 + n_draws), N)[:, None]
-            member.reshape(-1)[first[:, :n_a] + row_start] = True
+            u = rng.random((n_draws, N))
+            kth = np.partition(u, n_a - 1, axis=1)[:, n_a - 1 : n_a]
+            np.less_equal(u, kth, out=member[1:])
+            tied = np.flatnonzero(np.count_nonzero(member[1:], axis=1) != n_a)
+            first = np.argpartition(u[tied], n_a - 1, axis=1)[:, :n_a]
+            member[1 + tied] = False
+            member[1 + tied[:, None], first] = True
     return member
 
 

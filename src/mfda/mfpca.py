@@ -54,6 +54,12 @@ class FitConfig:
     pve: float = 0.99
     center_measures: bool = True
 
+    def __post_init__(self) -> None:
+        """pve is a share of variance, in (0, 1]: checked here, so a fit whose
+        levels never reach select_k refuses it too (marked `field_error`)."""
+        if not 0.0 < self.pve <= 1.0:
+            raise field_error(f"pve threshold must be in (0, 1], got {self.pve!r}", "config")
+
 
 @dataclass(frozen=True, eq=False)
 class LevelCovariances:

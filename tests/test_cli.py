@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import mfda
 import mfda.cli
+import mfda.leveltest
 from mfda import errors
 from mfda.cli import main
 from mfda.core import Curve
@@ -209,15 +210,22 @@ def _json_paths(doc, path=()):
 def _json_edit_refused(name: str, path: tuple, value) -> bool:
     """Whether read_fit must refuse the three-level fit whose JSON file `name`
     has `value` at `path` (none there if _DELETED). A value the reader does not
-    use, such as the library version or a diagnostic, need not be refused."""
+    use, such as the library version, need not be refused. The fit keeps two
+    components on every level and has no smoothing penalties."""
     number = type(value) in (int, float)
     if not path or name == "noise.json":
         return not (path and number and math.isfinite(value) and value >= 0)
     if path[0] == "config":
         if value is _DELETED or len(path) == 1:  # FitConfig's defaults fill a gap
             return not (value is _DELETED or isinstance(value, dict))
-        return {"levels": not (type(value) is int and value == 3), "pve": not number,
+        return {"levels": not (type(value) is int and value == 3),
+                "pve": not (number and 0 < value <= 1),
                 "center_measures": value is not True}[path[1]]
+    if path[0] == "diagnostics":  # none at all reads as no penalties
+        if len(path) < 4:
+            return value is not _DELETED or len(path) > 1
+        want = {"level": path[2] + 1, "retained": 2, "lambda": None}[path[3]]
+        return not (type(value) is type(want) and value == want)
     if path == ("levels",):
         return not (type(value) is int and value == 3)
     return path == ("format_version",)
@@ -300,6 +308,57 @@ def _mutated_fit_file(draw):
         return "\n".join([header, *rows]) + "\n", breaks
 
     return name, edit
+
+
+# Texts the flag fuzz test below passes as flag values; every one that int()
+# reads is at most 99, so no --perms it accepts draws more than 999 permutations.
+_FLAG_TEXTS = ["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e-300", "99",
+               " 99", "+99", "0x63", "99.0", "1e2", "\u0669\u0669", "1_0"]
+
+
+def _parses(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+_FLAG_VALUES = {
+    "--pve": st.sampled_from(_FLAG_TEXTS) | st.floats().map(repr),
+    "--levels": st.sampled_from(["2", "3", "1", "4", "2.0", "x", ""]),
+    "--perms": st.sampled_from(_FLAG_TEXTS) | st.integers(-2, 999).map(str),
+    "--seed": st.sampled_from(_FLAG_TEXTS) | st.integers(-3, 2**70).map(str),
+    "--method": st.sampled_from(["ks", "cvm", "energy", "KS", "anova", ""]),
+    "--group-a": st.lists(st.sampled_from(["HIIT1", "HIIT2", "HIIT3", "", "-x"]), max_size=3),
+}
+_FLAG_VALUES["--group-b"] = _FLAG_VALUES["--group-a"]
+
+
+@st.composite
+def _fuzzed_flags(draw):
+    """The flags of one `fit` of the small long CSV of `_DATA_ROWS` (two
+    levels) or one `test` of a two-level `handmade_fit_dir`, one to three of
+    them with a fuzzed value, and whether the values must exit 2."""
+    command = draw(st.sampled_from(["fit", "test"]))
+    flags = ({"--pve": "0.99", "--levels": "2"} if command == "fit" else
+             {"--perms": "99", "--seed": "0", "--method": "energy",
+              "--group-a": ["HIIT1"], "--group-b": ["HIIT2"]})
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3)):
+        flags[name] = draw(_FLAG_VALUES[name])
+    if command == "fit":
+        pve = _parses(float, flags["--pve"])
+        refused = flags["--levels"] not in ("2", "3") or pve is None or not 0 < pve <= 1
+    else:
+        a, b = flags["--group-a"], flags["--group-b"]
+        perms, seed = (_parses(int, flags[name]) for name in ("--perms", "--seed"))
+        refused = (perms is None or perms < 99 or seed is None or seed < 0
+                   or flags["--method"] not in mfda.leveltest.METHODS
+                   or not (a and b) or bool(set(a) & set(b))
+                   or not {"HIIT1", "HIIT2"} >= {*a, *b})
+    argv = [command]
+    for name, value in flags.items():
+        argv += [name, *value] if isinstance(value, list) else [name, value]
+    return argv, refused
 
 
 @pytest.fixture
@@ -760,6 +819,29 @@ class TestIcc:
              "noise.json: no numeric 'noise_variance'"),
             ("noise.json", lambda text: text.replace("1.0", "true"),
              "noise.json: no numeric 'noise_variance'"),
+            # the diagnostics are read as written: one entry per level, in order,
+            # each with its level, its retained count and a number or null lambda
+            ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": true', 1),
+             "manifest.json: diagnostics entry 1 is {'lambda': True, 'level': 1, 'retained': 2}, "
+             "where the fit has level 1, retained 2 and a lambda that is a number or null\n"),
+            ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": "2"', 1),
+             "manifest.json: diagnostics entry 1 is {'lambda': '2', "),
+            ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": 0.5', 1),
+             "manifest.json: diagnostics lambdas [0.5, None] mix numbers and nulls\n"),
+            ("manifest.json", lambda text: text.replace('"retained": 2', '"retained": 3', 1),
+             "manifest.json: diagnostics entry 1 is {'lambda': None, 'level': 1, 'retained': 3}"),
+            ("manifest.json", lambda text: text.replace('"level": 2', '"level": 1', 1),
+             "manifest.json: diagnostics entry 2 is {'lambda': None, 'level': 1, 'retained': 2}"),
+            ("manifest.json", lambda text: text.replace('"level": 1', '"level": 1.0', 1),
+             "manifest.json: diagnostics entry 1 is {'lambda': None, 'level': 1.0, "),
+            ("manifest.json", lambda text: text.replace('"lambda": null,', "", 1),
+             "manifest.json: diagnostics entry 1 is {'level': 1, 'retained': 2}"),
+            ("manifest.json",
+             lambda text: json.dumps({**json.loads(text), "diagnostics": {"levels": []}}),
+             "manifest.json: diagnostics {'levels': []} is not an object whose 'levels' "
+             "lists the 2 levels\n"),
+            ("manifest.json", lambda text: text.replace('"pve": 0.99', '"pve": 1.5'),
+             "manifest.json: pve threshold must be in (0, 1], got 1.5\n"),
             ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 1'),
              "levels must be 2 or 3, got 1"),
             ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 4'),
@@ -900,6 +982,29 @@ class TestIcc:
             assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
             assert code == 2 or not breaks, (argv[0], text)
 
+    @given(flags=_fuzzed_flags())
+    @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+    def test_fuzzed_flag_values_exit_cleanly(self, tmp_path_factory, flags):
+        (command, *flag_args), refused = flags
+        work = tmp_path_factory.mktemp("flags")
+        if command == "fit":
+            data = work / "data.csv"
+            data.write_bytes(b"subject,measure,replicate,t,value,channel\n"
+                             + b"".join(b",".join(row) + b"\n" for row in _DATA_ROWS))
+            argv = ["fit", str(data), "--channel", "sim", "--out", str(work / "fit")]
+        else:
+            argv = ["test", str(handmade_fit_dir(work))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, *flag_args])
+            except SystemExit as exc:  # the argument parser refused a value
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), flag_args
+        assert code == 2 or not refused, flag_args
+
     def test_dataset_dir_is_not_a_fit_dir(self, sim_dir, capsys):
         # a simulate output dir has its own manifest.json without 'levels'
         assert main(["icc", str(sim_dir)]) == 2
@@ -1018,6 +1123,17 @@ class TestLevelTest:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: level 2 has non-finite scores\n"
+
+    def test_perms_past_the_cell_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the budget is lowered, so nothing large is allocated on any version
+        monkeypatch.setattr(mfda.leveltest, "MAX_PERMUTATION_CELLS", 999 * 12)
+        fit_dir = handmade_fit_dir(tmp_path)
+        argv = ["test", str(fit_dir), "--group-a", "HIIT1", "--group-b", "HIIT2"]
+        assert main([*argv, "--perms", "998"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--perms", "999"]) == 2
+        assert capsys.readouterr().err == ("error: 999 permutations of 12 units need 12000 "
+                                           "cells, more than the 11988 a test may hold\n")
 
     def test_unknown_measure_lists_known(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)

@@ -550,8 +550,9 @@ class TestFitRoundTrip:
             X, _ = generate(n2_spec(19, n=5, J=2, m=11))
         else:
             X, _ = generate(n3_spec(19, n=4, J=2, K_rep=3, m=11))
-        subjects = ('a,"b', *X.subject_labels[1:])
-        X = CurveSet(X.grid, X.codes, X.values, subjects, X.measure_labels)
+        # labels holding a comma, a double quote and a newline, which csv quotes
+        subjects = ('a,"b', "c\nd", *X.subject_labels[2:])
+        X = CurveSet(X.grid, X.codes, X.values, subjects, ('x"\ny', "p,q"))
         fit = fit_nested(X, FitConfig(levels=levels, center_measures=center_measures))
         first = write_fit(fit, tmp_path / "first")
         second = write_fit(read_fit(first), tmp_path / "second")
@@ -654,18 +655,70 @@ class TestFitRoundTrip:
         assert back.penalties == fit.penalties
         assert back.retained == fit.retained
 
-    @pytest.mark.parametrize("diagnostics", [[], {"levels": [{"level": 1}]},
-                                             {"levels": [{"lambda": "x"}]}])
-    def test_bad_diagnostics_are_parse_errors(self, tmp_path, diagnostics):
+    @pytest.mark.parametrize("edit", [
+        lambda levels: [],
+        lambda levels: {"levels": [{"level": 1}]},
+        lambda levels: {"levels": [{"lambda": "x"}]},
+        lambda levels: {"levels": levels[:1]},  # one level without an entry
+        lambda levels: {"levels": levels + levels[1:]},
+        lambda levels: {"levels": levels[::-1]},
+        lambda levels: {"levels": {"1": levels[0], "2": levels[1]}},
+        lambda levels: {"level": levels},
+        lambda levels: {"levels": [{**levels[0], "lambda": True}, levels[1]]},
+        lambda levels: {"levels": [{**levels[0], "lambda": "2"}, levels[1]]},
+        lambda levels: {"levels": [{**levels[0], "lambda": [1.0]}, levels[1]]},
+        lambda levels: {"levels": [levels[0], {**levels[1], "lambda": None}]},  # mixed
+        lambda levels: {"levels": [{"level": 1, "retained": levels[0]["retained"]}, levels[1]]},
+        lambda levels: {"levels": [{**levels[0], "level": True}, levels[1]]},
+        lambda levels: {"levels": [{**levels[0], "level": 1.0}, levels[1]]},
+        lambda levels: {"levels": [levels[0], {**levels[1], "retained": levels[1]["retained"] + 1}]},
+        lambda levels: {"levels": [levels[0], None]},
+    ])
+    def test_bad_diagnostics_are_parse_errors(self, tmp_path, edit):
         import json
 
         X, _ = generate(n2_spec(18, n=4, J=2, m=11))
         out = write_fit(fit_nested(X, FitConfig(levels=2)), tmp_path / "fit")
         path = out / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()),
-                                    "diagnostics": diagnostics}))
-        with pytest.raises(ParseError, match="diagnostics"):
+        manifest = json.loads(path.read_text())
+        assert [type(e["lambda"]) for e in manifest["diagnostics"]["levels"]] == [float, float]
+        manifest["diagnostics"] = edit(manifest["diagnostics"]["levels"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=f"^{path}: diagnostics "):
             read_fit(out)
+
+    def test_null_lambdas_read_as_no_penalties(self, tmp_path):
+        import json
+
+        X, _ = generate(n2_spec(18, n=4, J=2, m=11))
+        out = write_fit(fit_nested(X, FitConfig(levels=2)), tmp_path / "fit")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["diagnostics"]["levels"]:
+            entry["lambda"] = None
+        path.write_text(json.dumps(manifest))
+        assert read_fit(out).penalties == ()
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda row: row + ",0.5", ":4: {plus} cells, the header has {width}"),
+        (lambda row: row.rsplit(",", 1)[0], ":4: {minus} cells, the header has {width}"),
+        (lambda row: "9" + row, ": row 3 has subject 91, where the fit has 1\n"),
+        (lambda row: row.replace(",1,", ",2,", 1), ": row 3 has measure 2, where the fit has 1\n"),
+        (lambda row: row.replace(",3,", ",03,", 1), ": row 3 has replicate 03, where the fit has 3\n"),
+    ])
+    def test_a_faulty_score_row_is_cited(self, tmp_path, edit, fault):
+        X, _ = generate(n3_spec(12, n=6, J=2, K_rep=3, m=21))
+        out = write_fit(fit_nested(X, FitConfig(levels=3)), tmp_path / "fit")
+        path = out / "scores_level3.csv"
+        lines = path.read_text().split("\n")
+        width = len(lines[0].split(","))
+        assert lines[3].startswith("1,1,3,")
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            read_fit(out)
+        fault = fault.format(plus=width + 1, minus=width - 1, width=width)
+        assert f"{err.value}\n".startswith(f"{path}{fault}")
 
     def test_deterministic_bytes(self, tmp_path):
         X, _ = generate(n2_spec(15, n=4, J=2, m=7))

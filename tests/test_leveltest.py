@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from mfda import leveltest
 from mfda.errors import (
     ComponentMismatchError,
     InsufficientDataError,
@@ -432,7 +433,8 @@ class TestTwoSampleScoreTest:
 class TestKernel:
     @pytest.mark.parametrize(
         "n_a, N, seed",
-        [(5, 10, 0), (20, 33, 7), (400, 800, 1), (3, 50, np.random.SeedSequence(4))],
+        [(5, 10, 0), (20, 33, 7), (400, 800, 1), (400, 800, 999), (100, 200, 999),
+         (200, 400, 199), (3, 50, np.random.SeedSequence(4))],
     )
     def test_memberships_match_put_along_axis(self, n_a, N, seed):
         member = _memberships(n_a, N, 99, seed)
@@ -440,6 +442,36 @@ class TestKernel:
             member, put_along_axis_memberships(n_a, N, 99, seed)
         )
         assert np.all(member.sum(axis=1) == n_a)
+
+    @pytest.mark.parametrize("n_a, N", [(5, 10), (20, 50), (7, 400)])
+    def test_tied_uniforms_still_mark_n_a_members(self, monkeypatch, n_a, N):
+        # uniforms rounded to one decimal tie in almost every row, so the rows
+        # go through the tie path, which must give argpartition's rows
+        default_rng = np.random.default_rng
+
+        class TiedGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, shape):
+                return np.round(self.rng.random(shape), 1)
+
+        monkeypatch.setattr(np.random, "default_rng", TiedGenerator)
+        member = _memberships(n_a, N, 99, 3)
+        np.testing.assert_array_equal(member, put_along_axis_memberships(n_a, N, 99, 3))
+        assert np.all(member.sum(axis=1) == n_a)
+
+    def test_a_draw_past_the_cell_budget_is_refused(self, monkeypatch):
+        # the budget is lowered, so nothing large is allocated on any version
+        monkeypatch.setattr(leveltest, "MAX_PERMUTATION_CELLS", 100 * 20)
+        A, B = np.arange(10.0)[:, None], np.arange(10.0)[:, None] + 0.5
+        assert two_sample_score_test(A, B, n_permutations=99).n_permutations == 99
+        for draw in (lambda: two_sample_score_test(A, B, n_permutations=100),
+                     lambda: two_sample_score_test(A, B, n_permutations=100, paired=True),
+                     lambda: permutation_pvalue(ks_statistic, A[:, 0], B[:, 0], 100)):
+            with pytest.raises(InvalidParameterError, match="100 permutations of 20 units "
+                               "need 2020 cells, more than the 2000 a test may hold"):
+                draw()
 
     @pytest.mark.parametrize("method", ["ks", "cvm"])
     def test_integer_numerators_are_exact(self, method):
