@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain, zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -276,10 +277,17 @@ def read_long_csv(
     return curves, IngestReport(int(key.size), tuple(points[~keep].tolist()))
 
 
+def _csv_writer(fh):
+    """A csv.writer to fh that ends rows with LF and quotes a field holding CR
+    or LF, as it quotes those of its CRLF line end, replaced as rows are written."""
+    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                      lineterminator="\r\n")
+
+
 def _csv_fields(*fields) -> str:
-    """The fields joined and quoted as csv.writer writes them, no line end."""
+    """The fields joined and quoted as `_csv_writer` writes them, no line end."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
+    _csv_writer(buf).writerow(fields)
     return buf.getvalue()[:-1]
 
 
@@ -308,11 +316,12 @@ def _cells(keys: np.ndarray, values: np.ndarray) -> list[list[str]]:
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_json(path: Union[str, Path]) -> dict:
+def read_json(path: Path) -> dict:
+    if not path.exists():
+        raise ParseError(f"missing fit file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -357,32 +366,34 @@ def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.nda
     return tables
 
 
-def write_fit(
-    fit: MultilevelFit,
-    out_dir: Union[str, Path],
-    extra_manifest: dict | None = None,
-) -> Path:
-    """Write a two- or three-level fit: the tables of `_tables`, noise.json,
-    and manifest.json with per-level diagnostics (the GCV smoothing penalty
-    lambda and the retained component count)."""
+def _documents(fit: MultilevelFit) -> dict[str, dict]:
+    """The fit directory's JSON by file name: noise.json, and the manifest keys that
+    describe the fit; each level's smoothing penalty lambda is null without penalties."""
+    penalties = fit.penalties or (None,) * fit.levels
+    return {
+        "noise.json": {"noise_variance": fit.noise_variance},
+        "manifest.json": {
+            "format_version": FORMAT_VERSION, "levels": fit.levels, "config": asdict(fit.config),
+            "diagnostics": {"levels": [
+                {"level": level, "lambda": lam, "retained": k}
+                for level, (lam, k) in enumerate(zip(penalties, fit.retained), start=1)]},
+        },
+    }
+
+
+def write_fit(fit: MultilevelFit, out_dir: Union[str, Path],
+              extra_manifest: dict | None = None) -> Path:
+    """Write a two- or three-level fit: the tables of `_tables` and the JSON of
+    `_documents`, the manifest with the library version and `extra_manifest`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    penalties = fit.penalties or (None,) * fit.levels
-    manifest = {"format_version": FORMAT_VERSION, "library_version": __version__,
-                "levels": fit.levels, "config": asdict(fit.config),
-                "diagnostics": {"levels": [
-                    {"level": level, "lambda": lam, "retained": eig.n_components}
-                    for level, (lam, eig) in enumerate(zip(penalties, fit.level_eig), 1)
-                ]}}
     for name, (header, keys, values) in _tables(fit).items():
         with open(out / name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(_cells(keys, values))
-    write_json(out / "noise.json", {"noise_variance": fit.noise_variance})
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    write_json(out / "manifest.json", manifest)
+            _csv_writer(fh).writerows([header, *_cells(keys, values)])
+    documents = _documents(fit)
+    documents["manifest.json"].update({"library_version": __version__, **(extra_manifest or {})})
+    for name, document in documents.items():
+        write_json(out / name, document)
     return out
 
 
@@ -448,65 +459,50 @@ def _naming(d: Path, name: str, **by_field: str):
         raise ParseError(f"{d / name.format(level=getattr(exc, 'level', None))}: {exc}") from None
 
 
-def _penalties(manifest: dict, retained: list[int]) -> tuple[float, ...]:
-    """The smoothing penalties in the manifest's diagnostics, which hold one
-    entry per level in order: its level, its retained component count and a
-    lambda that is a JSON number or null, the same kind on every level. All
-    null, or no diagnostics, is no penalties. Anything else is a ValueError."""
-    if "diagnostics" not in manifest:
-        return ()
-    doc = manifest["diagnostics"]
-    entries = doc.get("levels") if isinstance(doc, dict) else None
-    if type(entries) is not list or len(entries) != len(retained):
-        raise ValueError(f"{doc!r} is not an object whose 'levels' lists the {len(retained)} levels")
-    for level, (entry, k) in enumerate(zip(entries, retained), start=1):
-        # true == 1 in Python, so each value's type is compared as well
-        if not (isinstance(entry, dict)
-                and [(type(entry.get(key)), entry.get(key)) for key in ("level", "retained")]
-                == [(int, level), (int, k)]
-                and type(entry.get("lambda", "")) in (int, float, type(None))):
-            raise ValueError(f"entry {level} is {entry!r}, where the fit has level {level}, "
-                             f"retained {k} and a lambda that is a number or null")
-    lambdas = [entry["lambda"] for entry in entries]
-    if lambdas.count(None) not in (0, len(lambdas)):
-        raise ValueError(f"lambdas {lambdas} mix numbers and nulls")
-    return tuple(float(lam) for lam in lambdas if lam is not None)
+def _lenient(read, fallback):
+    """read(), or fallback where a stored value has another shape or does not
+    convert; read_fit then refuses the value, as write_fit writes another."""
+    try:
+        return read()
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return fallback
 
 
 def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     """Load a fit directory written by write_fit.
 
-    Every file is parsed in full before any value is used, and the fit is
-    built through its containers, which check that every value is finite. A
-    fault in a file, a manifest whose levels is not 2 or 3, whose config
-    values differ in JSON type from FitConfig's defaults or whose diagnostics
-    break `_penalties`' rules, and a table whose header, key cells or values
-    differ from those write_fit writes for the fit read are each a ParseError
-    naming the file."""
+    Every file is parsed in full, the JSON values as the types write_fit
+    writes, and the fit is built through its containers. A fault in a file, a
+    manifest whose levels is not 2 or 3, and a table or JSON value other than
+    write_fit writes for the fit read are each a ParseError naming the file.
+    Manifest and config keys that write_fit does not write are ignored; a
+    config key or the diagnostics it lacks read as the default and no penalties."""
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
-    if not manifest_path.exists():
-        raise ParseError(f"missing fit file: {manifest_path}")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise ParseError(
-            f"{d}: unsupported format version {manifest.get('format_version')!r}"
-        )
-    levels = manifest.get("levels")
-    if type(levels) is not int:  # a JSON integer; true is not one
-        raise ParseError(f"{d}: manifest has no integer 'levels' field; not a fit directory")
-    if levels not in (2, 3):
-        raise ParseError(f"{manifest_path}: levels must be 2 or 3, got {levels}")
+        raise ParseError(f"{manifest_path}: unsupported format version "
+                         f"{manifest.get('format_version')!r}")
+    if "levels" not in manifest:
+        raise ParseError(f"{manifest_path}: no 'levels' field; not a fit directory")
+    if manifest["levels"] not in (2, 3):
+        raise ParseError(f"{manifest_path}: levels must be 2 or 3, got {manifest['levels']!r}")
+    levels = int(manifest["levels"])
     n_keys = {"mean.csv": 0, "eigenvalues.csv": 2, "measure_means.csv": 0}
     for level in range(1, levels + 1):
         n_keys.update({f"eigenfunctions_level{level}.csv": 0, f"scores_level{level}.csv": level})
     tables = {name: _read_numeric(d / name, k) for name, k in n_keys.items()}
-    noise_doc = read_json(d / "noise.json")
-    noise = noise_doc.get("noise_variance") if isinstance(noise_doc, dict) else None
-    if type(noise) not in (int, float):  # a JSON number; true is not one
-        raise ParseError(f"{d}/noise.json: no numeric 'noise_variance'")
+    documents = {"noise.json": read_json(d / "noise.json"), "manifest.json": manifest}
+    noise = _lenient(lambda: float(documents["noise.json"]["noise_variance"]), None)
+    if noise is None:
+        raise ParseError(f"{d / 'noise.json'}: no numeric 'noise_variance'")
+    config = manifest.get("config", {})
+    defaults = asdict(FitConfig(levels=levels))
+    typed = {key: _lenient(lambda: type(v)(config[key]), v) for key, v in defaults.items()}
+    penalties = _lenient(lambda: tuple(
+        float(manifest["diagnostics"]["levels"][i]["lambda"]) for i in range(levels)), ())
     with _naming(d, "mean.csv"):
         points, mean_values, weights = tables["mean.csv"][2].T
         grid = Grid(points, weights)
@@ -521,21 +517,6 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         lam, used = eigenvalues[used : used + k], used + k
         with _naming(d, "eigenvalues.csv", functions=name):
             level_eigs.append(EigenSystem(grid, lam, funcs))
-    defaults = asdict(FitConfig(levels=levels))
-    try:
-        stored = {**defaults, **manifest.get("config", {})}
-    except TypeError as exc:
-        raise ParseError(f"{manifest_path}: bad config: {exc}") from None
-    try:
-        penalties = _penalties(manifest, [eig.n_components for eig in level_eigs])
-    except ValueError as exc:
-        raise ParseError(f"{manifest_path}: diagnostics {exc}") from None
-    json_types = {bool: ("boolean", (bool,)), int: ("integer", (int,)),
-                  float: ("number", (int, float))}  # true is not an integer
-    for key, v in defaults.items():
-        kind, types = json_types[type(v)]
-        if type(stored[key]) not in types:
-            raise ParseError(f"{manifest_path}: config {key} is {stored[key]!r}, not a JSON {kind}")
     with _naming(d, "measure_means.csv", scores="scores_level{level}.csv",
                  noise_variance="noise.json", config="manifest.json"):
         effects = tuple(Curve(grid, col) for col in tables["measure_means.csv"][2][:, 1:].T)
@@ -548,7 +529,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
             noise_variance=noise,
             subject_labels=tuple(dict.fromkeys(tables["scores_level1.csv"][1][:, 0].tolist())),
             measure_labels=tuple(dict.fromkeys(tables["scores_level2.csv"][1][:, 1].tolist())),
-            config=FitConfig(**{key: stored[key] for key in defaults}),
+            config=FitConfig(**typed),
             penalties=penalties,
         )
     for name, (header, keys, values) in _tables(fit).items():
@@ -564,4 +545,12 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         at, (a, b) = next((at, pair) for at, pair in enumerate(cells) if pair[0] != pair[1])
         raise ParseError(f"{d / name}: row {at // len(header) + 1} has "
                          f"{header[at % len(header)]} {a}, where the fit has {b}")
+    for name, document in _documents(fit).items():
+        for key, want in document.items():
+            got = documents[name].get(key, want)  # a key the file lacks reads as the fit's
+            if key == "config" and isinstance(got, dict):
+                got = {k: got.get(k, v) for k, v in want.items()}
+            a, b = (json.dumps(v, sort_keys=True) for v in (got, want))
+            if a != b:
+                raise ParseError(f"{d / name}: {key} {a}, where the fit has {b}")
     return fit

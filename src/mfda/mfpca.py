@@ -22,12 +22,14 @@ every K feeds one BLUP solve for all subjects' scores.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CenteringMeans, Curve, CurveSet, Grid, same_grid
 from .errors import (
+    DegenerateSpectrumError,
     EmptyDataError,
     GridMismatchError,
     InsufficientDataError,
@@ -55,8 +57,10 @@ class FitConfig:
     center_measures: bool = True
 
     def __post_init__(self) -> None:
-        """pve is a share of variance, in (0, 1]: checked here, so a fit whose
-        levels never reach select_k refuses it too (marked `field_error`)."""
+        """Values are stored as the types write_fit writes; pve, a share of variance, must be
+        in (0, 1], checked here so a fit that never reaches select_k refuses it (`field_error`)."""
+        for name, kind in (("levels", operator.index), ("pve", float), ("center_measures", bool)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if not 0.0 < self.pve <= 1.0:
             raise field_error(f"pve threshold must be in (0, 1], got {self.pve!r}", "config")
 
@@ -108,10 +112,11 @@ class MultilevelFit:
         """There is one score table per eigensystem and config.levels counts
         them, each level has one score row per unit of the full design, one
         score column per component and finite scores, there is one measure
-        effect per measure with config.center_measures and none without, and
-        the noise variance is finite and >= 0. If not, an InvalidParameterError
-        marked (`field_error`) with the field at fault (the config for a count
-        or a flag that disagrees) and, for the scores, the first level at fault."""
+        effect per measure with config.center_measures and none without, the
+        noise variance (a float) is finite and >= 0, and the penalties (floats)
+        are none or one finite value per level. If not, an InvalidParameterError
+        marked (`field_error`) with the field at fault (the config for a count,
+        flag or penalties that disagree) and, for the scores, the first level."""
         if not len(self.scores) == self.config.levels == self.levels:
             raise field_error(f"{self.levels} eigensystems, {len(self.scores)} score tables "
                               f"and config levels {self.config.levels}", "config")
@@ -133,10 +138,14 @@ class MultilevelFit:
         if bool(self.measure_effects) != self.config.center_measures:
             raise field_error(f"config center_measures is {self.config.center_measures} but "
                               f"the fit has {len(self.measure_effects)} measure effects", "config")
-        noise = float(self.noise_variance)
-        if not np.isfinite(noise) or noise < 0:
-            raise field_error(f"noise variance must be finite and >= 0, got {noise!r}",
-                              "noise_variance")
+        object.__setattr__(self, "noise_variance", float(self.noise_variance))
+        object.__setattr__(self, "penalties", tuple(map(float, self.penalties)))
+        if not 0 <= self.noise_variance < np.inf:
+            raise field_error("noise variance must be finite and >= 0, got "
+                              f"{self.noise_variance!r}", "noise_variance")
+        if len(self.penalties) not in (0, self.levels) or not np.isfinite(self.penalties).all():
+            raise field_error(f"penalties {self.penalties}; need none or one finite "
+                              f"penalty per level ({self.levels})", "config")
 
     @property
     def levels(self) -> int:
@@ -388,6 +397,8 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     basis = cov.basis.functions
     full_eigs = [eigendecompose(C, X.grid, basis) for C in cov.coef]
     floor = DEGENERATE_LEVEL_FRACTION * (sum(e.eigenvalues.sum() for e in full_eigs) + sigma2)
+    if floor == 0:
+        raise DegenerateSpectrumError("the data have no variance: all eigenvalues and noise are 0")
     level_eigs = tuple(
         eig.truncated(select_k(eig, config.pve) if eig.eigenvalues.sum() > floor else 0)
         for eig in full_eigs

@@ -81,6 +81,14 @@ def eigendecompose_on_grid(S: np.ndarray, grid: Grid) -> EigenSystem:
     return eigendecompose(sqrt_w[:, None] * S * sqrt_w, grid, np.diag(1.0 / sqrt_w))
 
 
+def json_paths(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if type(doc) is list else ()
+    for key, child in items:
+        yield from json_paths(child, (*path, key))
+
+
 @pytest.fixture
 def uniform_grid() -> Grid:
     return Grid.uniform(101)

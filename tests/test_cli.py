@@ -29,7 +29,7 @@ from mfda.ingest import write_fit
 from mfda.mfpca import FitConfig, MultilevelFit
 from mfda.simkl import MAX_VALUES, fourier_basis
 
-from .conftest import n2_spec_dict
+from .conftest import json_paths, n2_spec_dict
 
 
 def write_spec(tmp_path: Path, data: dict, name: str = "spec.yaml") -> Path:
@@ -199,27 +199,20 @@ _JSON_VALUES = [None, True, False, 0, -0.0, 3, -5, 2.5, 0.99, 1e308, -1e-300, ma
 _DELETED = object()
 
 
-def _json_paths(doc, path=()):
-    """The path of every value in a JSON document, the root's first."""
-    yield path
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if type(doc) is list else ()
-    for key, child in items:
-        yield from _json_paths(child, (*path, key))
-
-
 def _json_edit_refused(name: str, path: tuple, value) -> bool:
     """Whether read_fit must refuse the three-level fit whose JSON file `name`
-    has `value` at `path` (none there if _DELETED). A value the reader does not
-    use, such as the library version, need not be refused. The fit keeps two
-    components on every level and has no smoothing penalties."""
-    number = type(value) in (int, float)
+    has `value` at `path` (none there if _DELETED): any value other than the
+    one write_fit writes for a fit, of another JSON type say. A value the
+    reader does not use, such as the library version, need not be refused.
+    The fit keeps two components on every level and has no smoothing
+    penalties."""
     if not path or name == "noise.json":
-        return not (path and number and math.isfinite(value) and value >= 0)
+        return not (path and type(value) is float and math.isfinite(value) and value >= 0)
     if path[0] == "config":
         if value is _DELETED or len(path) == 1:  # FitConfig's defaults fill a gap
             return not (value is _DELETED or isinstance(value, dict))
         return {"levels": not (type(value) is int and value == 3),
-                "pve": not (number and 0 < value <= 1),
+                "pve": not (type(value) is float and 0 < value <= 1),
                 "center_measures": value is not True}[path[1]]
     if path[0] == "diagnostics":  # none at all reads as no penalties
         if len(path) < 4:
@@ -260,7 +253,7 @@ def _mutated_fit_file(draw):
 
         def edit_json(text):
             doc = json.loads(text)
-            paths = list(_json_paths(doc))
+            paths = list(json_paths(doc))
             path = paths[i % len(paths)]
             if not path:
                 return "" if value is _DELETED else json.dumps(value), True
@@ -589,6 +582,18 @@ class TestFit:
             noise / total, abs=1e-12
         )
 
+    def test_constant_data_exits_4_before_writing(self, tmp_path, capsys):
+        # 5 subjects, 2 measures, 9 grid points, every value 1.5: no variance at all
+        data = tmp_path / "constant.csv"
+        data.write_text("subject,measure,replicate,t,value,channel\n" + "".join(
+            f"{s},{j},1,{t / 8!r},1.5,sim\n" for s in range(1, 6) for j in (1, 2)
+            for t in range(9)))
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", str(data), "--channel", "sim", "--out", str(fit_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not fit_dir.exists()
+
     def test_three_levels_on_two_level_data_exits_3(self, sim_dir, tmp_path, capsys):
         code = main(
             [
@@ -787,22 +792,25 @@ class TestIcc:
             ("manifest.json",
              lambda text: text.replace('"pve": 0.99', '"pve": "most"'),
              "manifest.json"),
-            # the config is read as written: a value of another JSON type than
-            # FitConfig's default, or one that disagrees with the tables, is refused
+            # the JSON is read as written: a value other than the one write_fit
+            # writes for the fit read, of another JSON type say, is refused
             ("manifest.json",
              lambda text: text.replace('"center_measures": true', '"center_measures": "no"'),
-             "manifest.json: config center_measures is 'no', not a JSON boolean"),
+             'manifest.json: config {"center_measures": "no", "levels": 2, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"center_measures": true', '"center_measures": 1'),
-             "manifest.json: config center_measures is 1, not a JSON boolean"),
+             'manifest.json: config {"center_measures": 1, "levels": 2, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": 2.5,\n    "pve"'),
-             "manifest.json: config levels is 2.5, not a JSON integer"),
+             'manifest.json: config {"center_measures": true, "levels": 2.5, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": true,\n    "pve"'),
-             "manifest.json: config levels is True, not a JSON integer"),
+             "manifest.json: 2 eigensystems, 2 score tables and config levels 1\n"),
             ("manifest.json", lambda text: text.replace('"pve": 0.99', '"pve": false'),
-             "manifest.json: config pve is False, not a JSON number"),
+             "manifest.json: pve threshold must be in (0, 1], got 0.0\n"),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": 3,\n    "pve"'),
              "manifest.json: 2 eigensystems, 2 score tables and config levels 3"),
@@ -814,32 +822,42 @@ class TestIcc:
              "manifest.json: config center_measures is True but the fit has 0 measure effects"),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n  "lib', '"levels": "2",\n  "lib'),
-             "manifest has no integer 'levels' field"),
+             "manifest.json: levels must be 2 or 3, got '2'\n"),
             ("noise.json", lambda text: text.replace("1.0", '"1.0"'),
-             "noise.json: no numeric 'noise_variance'"),
+             'noise.json: noise_variance "1.0", where the fit has 1.0\n'),
             ("noise.json", lambda text: text.replace("1.0", "true"),
-             "noise.json: no numeric 'noise_variance'"),
+             "noise.json: noise_variance true, where the fit has 1.0\n"),
+            ("noise.json", lambda text: text.replace("1.0", "1"),
+             "noise.json: noise_variance 1, where the fit has 1.0\n"),
+            ("noise.json", lambda text: text.replace("1.0", '{"x": 1}'),
+             "noise.json: no numeric 'noise_variance'\n"),
             # the diagnostics are read as written: one entry per level, in order,
-            # each with its level, its retained count and a number or null lambda
+            # each with its level, its retained count and its lambda, null here
             ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": true', 1),
-             "manifest.json: diagnostics entry 1 is {'lambda': True, 'level': 1, 'retained': 2}, "
-             "where the fit has level 1, retained 2 and a lambda that is a number or null\n"),
+             'manifest.json: diagnostics {"levels": [{"lambda": true, "level": 1, "retained": 2}, '
+             '{"lambda": null, "level": 2, "retained": 2}]}, where the fit has {"levels": '
+             '[{"lambda": null, "level": 1, "retained": 2}, {"lambda": null, "level": 2, '
+             '"retained": 2}]}\n'),
             ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": "2"', 1),
-             "manifest.json: diagnostics entry 1 is {'lambda': '2', "),
+             'manifest.json: diagnostics {"levels": [{"lambda": "2", "level": 1, '),
             ("manifest.json", lambda text: text.replace('"lambda": null', '"lambda": 0.5', 1),
-             "manifest.json: diagnostics lambdas [0.5, None] mix numbers and nulls\n"),
+             'manifest.json: diagnostics {"levels": [{"lambda": 0.5, "level": 1, '),
             ("manifest.json", lambda text: text.replace('"retained": 2', '"retained": 3', 1),
-             "manifest.json: diagnostics entry 1 is {'lambda': None, 'level': 1, 'retained': 3}"),
+             'manifest.json: diagnostics {"levels": [{"lambda": null, "level": 1, "retained": 3}'),
             ("manifest.json", lambda text: text.replace('"level": 2', '"level": 1', 1),
-             "manifest.json: diagnostics entry 2 is {'lambda': None, 'level': 1, 'retained': 2}"),
+             'manifest.json: diagnostics {"levels": [{"lambda": null, "level": 1, "retained": 2}, '
+             '{"lambda": null, "level": 1, '),
             ("manifest.json", lambda text: text.replace('"level": 1', '"level": 1.0', 1),
-             "manifest.json: diagnostics entry 1 is {'lambda': None, 'level': 1.0, "),
+             'manifest.json: diagnostics {"levels": [{"lambda": null, "level": 1.0, '),
             ("manifest.json", lambda text: text.replace('"lambda": null,', "", 1),
-             "manifest.json: diagnostics entry 1 is {'level': 1, 'retained': 2}"),
+             'manifest.json: diagnostics {"levels": [{"level": 1, "retained": 2}, '),
+            ("manifest.json",
+             lambda text: text.replace('"retained": 2', '"retained": 2, "x": 0', 1),
+             'manifest.json: diagnostics {"levels": [{"lambda": null, "level": 1, "retained": 2, '
+             '"x": 0}, '),
             ("manifest.json",
              lambda text: json.dumps({**json.loads(text), "diagnostics": {"levels": []}}),
-             "manifest.json: diagnostics {'levels': []} is not an object whose 'levels' "
-             "lists the 2 levels\n"),
+             'manifest.json: diagnostics {"levels": []}, where the fit has {"levels": '),
             ("manifest.json", lambda text: text.replace('"pve": 0.99', '"pve": 1.5'),
              "manifest.json: pve threshold must be in (0, 1], got 1.5\n"),
             ("manifest.json", lambda text: text.replace('"levels": 2', '"levels": 1'),

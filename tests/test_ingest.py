@@ -1,6 +1,11 @@
 """Long CSV ingestion and fit-directory round trips."""
 
+import copy
 import csv
+import dataclasses
+import json
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +21,7 @@ from mfda.errors import (
     DuplicateKeyError,
     EmptyDataError,
     IncompleteCurveError,
+    InvalidParameterError,
     MfdaError,
     ParseError,
 )
@@ -23,6 +29,7 @@ from mfda.ingest import (
     GRID_POLICIES,
     LONG_COLUMNS,
     IngestReport,
+    _documents,
     _label_key,
     read_fit,
     read_long_csv,
@@ -32,7 +39,7 @@ from mfda.ingest import (
 from mfda.mfpca import FitConfig, fit_nested
 from mfda.simkl import generate
 
-from .conftest import n2_spec, n3_spec
+from .conftest import json_paths, n2_spec, n3_spec
 
 
 def _reference_read_long_csv(path, channel, grid_policy="strict"):
@@ -748,3 +755,114 @@ class TestFitRoundTrip:
         (out / "eigenvalues.csv").unlink()
         with pytest.raises(ParseError):
             read_fit(out)
+
+
+def _rendered_fit(levels: int, penalties: bool):
+    if levels == 2:
+        X, _ = generate(n2_spec(18, n=4, J=2, m=11))
+    else:
+        X, _ = generate(n3_spec(12, n=4, J=2, K_rep=3, m=11))
+    fit = fit_nested(X, FitConfig(levels=levels))
+    assert len(fit.penalties) == levels
+    return fit if penalties else dataclasses.replace(fit, penalties=())
+
+
+# one value of each JSON type: null, boolean, integer, number, string, array, object
+_JSON_TYPES = [None, True, 1, 1.5, "1", [1], {"x": 1}]
+
+
+class TestFitDocuments:
+    """read_fit reads noise.json and manifest.json as `_documents` renders them."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("penalties", [True, False])
+    def test_a_value_of_another_json_type_is_refused(self, tmp_path, levels, penalties):
+        fit = _rendered_fit(levels, penalties)
+        out = write_fit(fit, tmp_path / "fit")
+        for name, document in _documents(fit).items():
+            path = out / name
+            written = json.loads(path.read_text())
+            for keys in json_paths(document):
+                value = document
+                for key in keys:
+                    value = value[key]
+                for other in _JSON_TYPES:
+                    if type(other) is type(value):
+                        continue
+                    edited = other
+                    if keys:
+                        edited = copy.deepcopy(written)
+                        parent = edited
+                        for key in keys[:-1]:
+                            parent = parent[key]
+                        parent[keys[-1]] = other
+                    path.write_text(json.dumps(edited))
+                    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+                        read_fit(out)
+            path.write_text(json.dumps(written))
+        read_fit(out)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("penalties", [True, False])
+    def test_the_written_json_reads_back_with_extra_keys(self, tmp_path, levels, penalties):
+        fit = _rendered_fit(levels, penalties)
+        out = write_fit(fit, tmp_path / "fit", extra_manifest={"command": "fit"})
+        for name in ("noise.json", "manifest.json"):
+            path = out / name
+            path.write_text(json.dumps(json.loads(path.read_text())))
+        fits_equal(fit, read_fit(out))
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["x"] = [1, {"y": None}]
+        manifest["config"].update(smooth=True, bandwidth=0.05, noise_bandwidth=0.015)
+        path.write_text(json.dumps(manifest))
+        back = read_fit(out)
+        fits_equal(fit, back)
+        assert (back.config, back.penalties) == (fit.config, fit.penalties)
+
+    def test_values_round_trip_as_the_types_write_fit_writes(self, tmp_path):
+        config = FitConfig(levels=np.int64(2), pve=1, center_measures=1)
+        assert [type(v) for v in dataclasses.astuple(config)] == [int, float, bool]
+        with pytest.raises(TypeError):
+            FitConfig(levels=2.0)
+        fit = dataclasses.replace(_rendered_fit(2, True), config=config, noise_variance=1,
+                                  penalties=(1, 2))
+        assert (fit.config.pve, fit.noise_variance, fit.penalties) == (1.0, 1.0, (1.0, 2.0))
+        assert all(type(v) is float for v in (fit.config.pve, fit.noise_variance, *fit.penalties))
+        out = write_fit(fit, tmp_path / "fit")
+        assert json.loads((out / "noise.json").read_text()) == {"noise_variance": 1.0}
+        assert '"pve": 1.0' in (out / "manifest.json").read_text()
+        back = read_fit(out)
+        assert (back.config, back.noise_variance, back.penalties) == (
+            fit.config, 1.0, (1.0, 2.0))
+
+    @pytest.mark.parametrize("penalties", [(1.0,), (1.0, 2.0, 3.0), (1.0, math.nan),
+                                           (math.inf, 1.0)])
+    def test_penalties_other_than_one_finite_per_level_are_refused(self, penalties):
+        fit = _rendered_fit(2, True)
+        with pytest.raises(InvalidParameterError, match="penalties") as err:
+            dataclasses.replace(fit, penalties=penalties)
+        assert err.value.field == "config"
+
+    @pytest.mark.parametrize("name", ["noise.json", "manifest.json"])
+    def test_a_missing_json_file_is_a_parse_error(self, tmp_path, name):
+        out = write_fit(_rendered_fit(2, True), tmp_path / "fit")
+        (out / name).unlink()
+        with pytest.raises(ParseError, match=f"^missing fit file: {re.escape(str(out / name))}$"):
+            read_fit(out)
+
+    def test_labels_holding_a_carriage_return_round_trip(self, tmp_path):
+        X, _ = generate(n2_spec(19, n=5, J=2, m=11))
+        # in `_label_key` order, so read_long_csv keeps the codes
+        subjects, measures = (*X.subject_labels[:4], "x\ry"), ("\rn", "m\r")
+        X = CurveSet(X.grid, X.codes, X.values, subjects, measures)
+        path = tmp_path / "cr.csv"
+        write_long_csv(X, path, channel="sim")
+        back, _ = read_long_csv(path, channel="sim")
+        assert (back.subject_labels, back.measure_labels) == (subjects, measures)
+        assert np.array_equal(back.codes, X.codes)
+        assert back.values.tobytes() == X.values.tobytes()
+        fit = fit_nested(back, FitConfig(levels=2))
+        read = read_fit(write_fit(fit, tmp_path / "fit"))
+        assert (read.subject_labels, read.measure_labels) == (subjects, measures)
+        fits_equal(fit, read)
