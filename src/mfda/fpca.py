@@ -139,11 +139,13 @@ class SplineBasis:
         at the penalty lam of least GCV for S. With `nugget`, S's diagonal is
         then replaced by the smooth's own until it settles, and the noise is
         mean(diag S - diag smooth), clamped at zero; without, it is zero.
+        S, exactly symmetric as the moment surfaces are, is only read: its
+        weighted norm is summed row by row, without an m x m temporary.
         """
         F, w = self.functions, self.grid.weights
         Fw = F * w[:, None]
         G = Fw.T @ S @ Fw
-        lam, C = self._gcv(G, float(w @ (S * S) @ w))
+        lam, C = self._gcv(G, float(np.einsum("ij,ij,j->i", S, S, w) @ w))
         if not nugget:
             return lam, C, 0.0
         s = 1.0 / (1.0 + lam * self.penalty)

@@ -80,7 +80,7 @@ def _load_columns(src, columns: list[int], dtype, skiprows: int, max_rows=None) 
 def _parsed_rows(fh, columns: dict[str, int], channel: str):
     """The channel's rows as runs of one (subject, measure, replicate)
     triple: each run's label codes and length, each label column's labels
-    by code, and the rows' t and value.
+    by code, and the rows' t and value as two contiguous arrays.
 
     One np.loadtxt call per chunk of rows parses fixed-width label fields and
     float t and value, and ends the chunk after a whole record. A chunk with
@@ -92,7 +92,7 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
     usecols = sorted(columns.values())
     width = _NARROWEST
     tables: list[dict[str, int]] = [{}, {}, {}]
-    runs, run_lengths, tv = [], [], []
+    runs, run_lengths, ts, values = [], [], [], []
     while True:
         size = max(1, _CHUNK_ROWS * _NARROWEST // width)
         dtype = [(c, f"U{width}" if c in _LABEL_COLUMNS else "f8") for c in names]
@@ -111,7 +111,8 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
             raise ValueError("incomplete row")
         mask = rows["channel"] == channel
         ours = rows if mask.all() else rows[mask]
-        tv.append(np.column_stack([ours["t"], ours["value"]]))
+        ts.append(ours["t"].copy())  # copies, so that no chunk's labels stay alive
+        values.append(ours["value"].copy())
         labels = [ours[c] for c in _LABEL_COLUMNS[:3]]
         head = np.arange(len(labels[0])) == 0
         for col in labels:
@@ -121,8 +122,9 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
         runs.append(np.array(coded, dtype=np.int64).T)
         run_lengths.append(np.diff(np.flatnonzero(head), append=len(head)))
         if len(rows) < size:
+            ts = np.concatenate(ts)  # frees the t chunks before the values are joined
             return (np.concatenate(runs), np.concatenate(run_lengths), [list(t) for t in tables],
-                    np.concatenate(tv))
+                    ts, np.concatenate(values))
 
 
 def _ranked(codes: np.ndarray, labels: list[str]) -> tuple[list[str], np.ndarray]:
@@ -216,12 +218,12 @@ def read_long_csv(
                 with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
                     if any(b"\0" in block for block in iter(lambda: raw.read(1 << 20), b"")):
                         raise ValueError("NUL character")
-                runs, run_lengths, tables, tv = _parsed_rows(fh, columns, channel)
+                runs, run_lengths, tables, t, value = _parsed_rows(fh, columns, channel)
                 subjects, s = _ranked(runs[:, 0], tables[0])
                 measures, m = _ranked(runs[:, 1], tables[1])
                 rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
                 replicates, r = np.unique(rep_ints, return_inverse=True)
-                if not np.isfinite(tv).all():
+                if not (np.isfinite(t).all() and np.isfinite(value).all()):
                     raise ValueError("non-finite t or value")
                 # each run's (subject, measure) unit and curve, numbered in canonical order
                 units, unit = np.unique(s * len(measures) + m, return_inverse=True)
@@ -229,16 +231,21 @@ def read_long_csv(
                     unit * len(replicates) + r[runs[:, 2]], return_index=True,
                     return_inverse=True)
                 # code t by the first run's points, or by all points if one is missing there
-                t = tv[:, 0]
                 points = np.unique(t[: run_lengths[0] if run_lengths.size else 0])
                 tc = np.searchsorted(points, t)
                 if not (tc < points.size).all() or (points[tc] != t).any():
                     points, tc = np.unique(t, return_inverse=True)
-                row_curve = np.repeat(curve, run_lengths)
-                key = row_curve * points.size + tc
-                order = np.argsort(key, kind="stable")  # linear on a file in canonical order
-                if (np.diff(key[order]) == 0).any():
-                    raise ValueError("duplicate record")
+                del t
+                # each row's curve-major (curve, point) key, built in the point codes and
+                # sorted with the values unless it increases, as write_long_csv writes it
+                key = tc
+                key += np.repeat(curve * points.size, run_lengths)
+                if not (key[1:] > key[:-1]).all():
+                    order = np.argsort(key, kind="stable")
+                    key = key[order]
+                    value = value[order]
+                    if (key[1:] == key[:-1]).any():
+                        raise ValueError("duplicate record")
             except (ValueError, OverflowError) as exc:
                 _raise_row_error(path, columns, channel)
                 raise ParseError(f"{path}: {exc}") from None
@@ -249,29 +256,28 @@ def read_long_csv(
     if not key.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
 
-    n_curves = keys.size
+    n_curves, n_points = keys.size, points.size
     sub, meas = np.divmod(units[keys // len(replicates)], len(measures))
     rep = replicates[keys % len(replicates)]
-    if grid_policy == "strict":
+    keep = np.bincount(key % n_points, minlength=n_points) == n_curves  # points on every curve
+    if grid_policy == "strict" and not keep.all():
         first = curve[0]  # the curve of the file's first row sets the grid
-        keep = np.bincount(tc[row_curve == first], minlength=points.size) > 0
+        row_curve, tc = np.divmod(key, n_points)
+        shared = np.bincount(tc[row_curve == first], minlength=n_points) > 0
         per_curve = np.bincount(row_curve, minlength=n_curves)
-        off = (per_curve != per_curve[first]) | (np.bincount(row_curve, ~keep[tc]) > 0)
-        if off.any():
-            c = next(c for c in np.argsort(curve_first) if off[c])  # first in the file
-            raise IncompleteCurveError(
-                f"subject={subjects[sub[c]]!r} measure={measures[meas[c]]!r} "
-                f"replicate={rep[c]} does not cover the shared grid"
-            )
-    else:
-        keep = np.bincount(tc, minlength=points.size) == n_curves
-        if keep.sum() < 2:
-            raise IncompleteCurveError(
-                "grid intersection across curves has fewer than two points"
-            )
+        off = (per_curve != per_curve[first]) | (np.bincount(row_curve, ~shared[tc]) > 0)
+        c = next(c for c in np.argsort(curve_first) if off[c])  # first in the file
+        raise IncompleteCurveError(
+            f"subject={subjects[sub[c]]!r} measure={measures[meas[c]]!r} "
+            f"replicate={rep[c]} does not cover the shared grid"
+        )
+    if grid_policy == "intersect" and keep.sum() < 2:
+        raise IncompleteCurveError("grid intersection across curves has fewer than two points")
 
     grid = Grid.from_points(points[keep])
-    values = tv[order, 1][keep[tc[order]]].reshape(n_curves, grid.size)
+    if not keep.all():
+        value = value[keep[key % n_points]]
+    values = value.reshape(n_curves, grid.size)
     codes = np.column_stack([sub + 1, meas + 1, rep])
     curves = CurveSet(grid, codes, values, tuple(subjects), tuple(measures))
     return curves, IngestReport(int(key.size), tuple(points[~keep].tolist()))

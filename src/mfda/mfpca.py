@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -258,33 +259,38 @@ def _moment_surfaces(rv: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Sums the rows over replicates (skipped when K_rep = 1), then over
     measures; the Gram of each partial sum minus the Gram one depth down
-    counts the products across distinct child units. Returned shallowest
-    first.
+    counts the products across distinct child units. Each Gram turns into its
+    H in place, shallowest first, so one m x m array is held per depth. A Gram
+    x'x is exactly symmetric, and so are its differences and quotients, so
+    none is symmetrised. Returned shallowest first.
     """
     m = rv.shape[-1]
     part = rv[:, :, 0] if rv.shape[2] == 1 else rv
     rows = part.reshape(-1, m)
-    gram = rows.T @ rows
-    h = [gram / rows.shape[0]]
-    rows_per_child = 1
+    grams, pairs, rows_per_child = [rows.T @ rows], [rows.shape[0]], 1
     for _ in range(part.ndim - 2):
         c = part.shape[-2]
         part = part.sum(axis=-2)
         sums = part.reshape(-1, m)
-        coarser = sums.T @ sums
-        pairs = sums.shape[0] * c * (c - 1) * rows_per_child**2
-        h.append((coarser - gram) / pairs)
-        gram, rows_per_child = coarser, rows_per_child * c
-    return tuple(0.5 * (s + s.T) for s in reversed(h))
+        grams.append(sums.T @ sums)
+        pairs.append(sums.shape[0] * c * (c - 1) * rows_per_child**2)
+        rows_per_child *= c
+    for depth in range(len(grams) - 1, 0, -1):
+        grams[depth] -= grams[depth - 1]
+    for gram, count in zip(grams, pairs):
+        gram /= count
+    return tuple(reversed(grams))
 
 
 def _level_covariances(rv: np.ndarray, grid: Grid) -> LevelCovariances:
     """H surfaces, and every K smoothed in one spline basis; the deepest K,
-    which carries the nugget, also gives the noise."""
+    which carries the nugget, also gives the noise. K1 is H1 itself, and each
+    deeper K is formed in one reused buffer and smoothed before the next."""
     h = _moment_surfaces(rv)
-    k = (h[0],) + tuple(deep - shallow for shallow, deep in zip(h, h[1:]))
+    buffer = np.empty_like(h[0])
+    k = chain(h[:1], (np.subtract(deep, shallow, out=buffer) for shallow, deep in zip(h, h[1:])))
     basis = SplineBasis.of(grid)
-    smooths = [basis.smooth(s, nugget=l == len(k) - 1) for l, s in enumerate(k)]
+    smooths = [basis.smooth(s, nugget=l == len(h) - 1) for l, s in enumerate(k)]
     return LevelCovariances(
         h=h,
         basis=basis,

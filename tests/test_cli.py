@@ -1211,7 +1211,7 @@ class TestMultiChannel:
 
 class TestImport:
     def test_cli_import_leaves_scipy_stats_and_special_unloaded(self):
-        # Every command pays the import; only correlate needs scipy.stats
+        # Every command pays the import; only correlate needs scipy.special
         # and only simulate reads YAML.
         src = str(Path(mfda.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1228,6 +1228,27 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
+
+    def test_correlate_leaves_scipy_stats_unloaded(self, tmp_path):
+        # Spearman's rho and its p-value need only numpy and scipy.special;
+        # scipy.stats would cost correlate more than a second of imports
+        src = str(Path(mfda.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        fit_dir = handmade_fit_dir(tmp_path)
+        cov = tmp_path / "cov.csv"
+        cov.write_text("subject,value\n" + "".join(f"{i},{i % 4}\n" for i in range(1, 7)))
+        code = (
+            "import sys; from mfda.cli import main; "
+            f"assert main(['correlate', {str(fit_dir)!r}, '--covariate', {str(cov)!r}]) == 0; "
+            "print([m for m in sys.modules if m.startswith('scipy.stats')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
     def test_fit_leaves_scipy_interpolate_unloaded(self, tmp_path):
         # the spline basis is built in numpy; importing scipy.interpolate

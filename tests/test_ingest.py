@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -491,6 +492,25 @@ class TestLongCsvRoundTrip:
         back, _ = read_long_csv(path, channel=channel)
         assert np.array_equal(back.codes, X.sorted().codes)
         assert back.values.tobytes() == X.sorted().values.tobytes()
+
+    def test_reader_holds_at_most_five_values_arrays(self, tmp_path):
+        # tracemalloc counts numpy's allocations exactly. The parse chunk is a
+        # fixed cost, made small so that a small file shows the arrays that
+        # grow with it: t, the values, the point codes and the row keys. The
+        # untraced first read pays numpy's lazy imports.
+        X, _ = generate(n2_spec(4, n=250, J=4, m=101))
+        path = tmp_path / "data.csv"
+        write_long_csv(X, path, channel="sim")
+        with mock.patch.object(mfda.ingest, "_CHUNK_ROWS", 500):
+            read_long_csv(path, channel="sim")
+            tracemalloc.start()
+            try:
+                back, _ = read_long_csv(path, channel="sim")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert back.values.tobytes() == X.sorted().values.tobytes()
+        assert peak <= 5 * back.values.nbytes, peak / back.values.nbytes
 
     def test_deterministic_bytes(self, tmp_path):
         X, _ = generate(n2_spec(10, n=3, J=2, m=7))

@@ -544,6 +544,20 @@ class TestScoreCovariateCorrelation:
             assert res.rho == pytest.approx(rho)
             assert res.pvalue == pytest.approx(p)
 
+    def test_matches_scipy_bit_for_bit_with_ties(self):
+        # midranks of tied scores and of a tied covariate, and a perfect
+        # correlation, whose t is infinite and p-value 0
+        rng = np.random.default_rng(17)
+        scores = np.column_stack([
+            rng.integers(0, 4, size=40).astype(float),
+            np.round(rng.normal(size=40), 1),
+            np.arange(40.0),
+        ])
+        for covariate in (np.arange(40.0), np.repeat(np.arange(8.0), 5)):
+            for k, res in enumerate(score_covariate_correlation(scores, covariate)):
+                rho, p = scipy_stats.spearmanr(scores[:, k], covariate)
+                assert (res.rho, res.pvalue) == (float(rho), float(p))
+
     def test_spearman_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(44)
         scores = rng.normal(size=(40, 1))

@@ -1,6 +1,7 @@
 """Multilevel estimators against brute-force oracles and simulations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,37 @@ class TestSandwich:
         X = two_level_set(rng.normal(size=(12, small_grid.size)), small_grid, J=3)
         S = sigma_B_hat(X, measure_means(X))
         np.testing.assert_array_equal(S, S.T)
+
+
+class TestMomentSurfaces:
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_every_surface_equals_its_transpose_bit_for_bit(self, levels):
+        # a Gram x'x is exactly symmetric, and so are the differences and
+        # quotients the surfaces are formed from in place, which is why no
+        # symmetrising copy is taken
+        spec = (n2_spec(31, n=12, J=3, m=201) if levels == 2
+                else n3_spec(31, n=6, J=3, K_rep=4, m=201))
+        X, _ = generate(spec)
+        rv = mfda.mfpca._centred_design(X, measure_means(X), levels)
+        surfaces = mfda.mfpca._moment_surfaces(rv)
+        assert len(surfaces) == levels
+        for surface in surfaces:
+            assert np.array_equal(surface, surface.T)
+
+    def test_fit_holds_three_surfaces_and_two_copies_of_the_data(self):
+        # tracemalloc counts numpy's allocations exactly: the H surfaces and
+        # one K buffer, the canonical copy of the data and nothing grid-squared
+        # beyond them; the untraced first fit pays the lazy imports
+        m = 401
+        X, _ = generate(n2_spec(5, n=30, J=4, m=m))
+        fit_nested(X)
+        tracemalloc.start()
+        try:
+            fit_nested(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * m * m * 8 + 2 * X.values.nbytes
 
 
 class TestThreeLevelCovariances:
