@@ -216,8 +216,11 @@ def read_long_csv(
             columns = {name: i for i, name in enumerate(header)}
             try:
                 with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
-                    if any(b"\0" in block for block in iter(lambda: raw.read(1 << 20), b"")):
-                        raise ValueError("NUL character")
+                    block = bytearray(1 << 20)  # one buffer for every read, freed before the parse
+                    while k := raw.readinto(block):
+                        if block.find(b"\0", 0, k) >= 0:
+                            raise ValueError("NUL character")
+                    del block
                 runs, run_lengths, tables, t, value = _parsed_rows(fh, columns, channel)
                 subjects, s = _ranked(runs[:, 0], tables[0])
                 measures, m = _ranked(runs[:, 1], tables[1])

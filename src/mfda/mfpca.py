@@ -16,8 +16,9 @@ so H1 is the between-subject surface and H2 the total. The level surfaces
 are K_l = H_l - H_{l-1}, each smoothed in one spline basis and decomposed in
 its coefficient space. Same-row products put the white-noise nugget on the
 diagonal of the deepest K only, so that surface takes its diagonal from its
-own smooth, and the diagonal gap estimates the noise. The eigensystem of
-every K feeds one BLUP solve for all subjects' scores.
+own smooth, and the diagonal gap estimates the noise. The BLUP projects
+each row once onto every level's eigenfunctions and solves its nested
+contrasts, depth by depth, in one small ridge Gram.
 """
 
 from __future__ import annotations
@@ -328,43 +329,32 @@ def three_level_covariances(X: CurveSet, means: CenteringMeans) -> LevelCovarian
 def _blup(
     rv: np.ndarray, level_eig: tuple[EigenSystem, ...], noise_variance: float
 ) -> tuple[np.ndarray, ...]:
-    n, J, K_rep, _ = rv.shape
-    units = (1, J, J * K_rep)[: len(level_eig)]
-    lam = np.concatenate(
-        [np.tile(eig.eigenvalues, u) for u, eig in zip(units, level_eig)]
-    )
-    B = np.hstack(
-        [
-            np.kron(np.eye(u), np.tile(eig.functions, (J * K_rep // u, 1)))
-            for u, eig in zip(units, level_eig)
-        ]
-    )
-    positive = lam > 0
-    sqrt_lam = np.sqrt(lam[positive])
-    A = B[:, positive] * sqrt_lam
+    """blup_scores of a centred (n, J, K_rep, m) tensor, one depth at a time."""
+    n, J, K_rep, m = rv.shape
+    rows_per_unit = (J * K_rep, K_rep, 1)[: len(level_eig)]
+    keep = [eig.eigenvalues > 0 for eig in level_eig]
+    sqrt_lam = [np.sqrt(eig.eigenvalues[k]) for eig, k in zip(level_eig, keep)]
+    A = np.hstack([eig.functions[:, k] * r for eig, k, r in zip(level_eig, keep, sqrt_lam)])
     q = A.shape[1]
-
-    s = np.zeros((n, lam.size))
-    if q:
-        Y = rv.reshape(n, -1).T  # one column per subject
-        if noise_variance > 0:
-            gram = A.T @ A + noise_variance * np.eye(q)
-            coef = np.linalg.solve(gram, A.T @ Y)
-        else:
-            if np.linalg.matrix_rank(A) < q:
-                raise SingularSystemError(
-                    "zero noise variance with a collinear score basis; the "
-                    "design is shared, so every subject's system is singular"
-                )
-            coef = np.linalg.pinv(A) @ Y
-        s[:, positive] = (sqrt_lam[:, None] * coef).T
-
-    out = []
-    start = 0
-    for u, eig in zip(units, level_eig):
-        stop = start + u * eig.n_components
-        out.append(s[:, start:stop].reshape(n * u, eig.n_components))
-        start = stop
+    if noise_variance == 0 and np.linalg.matrix_rank(A) < q:
+        raise SingularSystemError(
+            "zero noise variance with a collinear score basis; the "
+            "design is shared, so every subject's system is singular"
+        )
+    ridge = np.repeat(noise_variance / np.asarray(rows_per_unit), [r.size for r in sqrt_lam])
+    G = A.T @ A + np.diag(ridge)
+    p = (rv.reshape(-1, m) @ A).reshape(n, J, K_rep, q)
+    means = (p.mean(axis=(1, 2), keepdims=True), p.mean(axis=2, keepdims=True), p)
+    out, coef, shallower, start = [], 0, 0, 0
+    for mean, eig, k, r in zip(means, level_eig, keep, sqrt_lam):
+        units = mean[..., 0].size
+        contrast = (mean - shallower)[..., start:]
+        solved = np.linalg.solve(G[start:, start:], contrast.reshape(units, q - start).T)
+        coef = coef + solved.T.reshape(contrast.shape)  # its own depth's and the shallower ones
+        scores = np.zeros((units, eig.n_components))
+        scores[:, k] = coef[..., : r.size].reshape(units, r.size) * r
+        out.append(scores)
+        shallower, start, coef = mean, start + r.size, coef[..., r.size :]  # the deeper levels'
     return tuple(out)
 
 
@@ -376,14 +366,18 @@ def blup_scores(
 ) -> tuple[np.ndarray, ...]:
     """Best linear unbiased predictions of the per-level scores.
 
-    Each subject's centered rows, stacked into one long vector y, are
-    regressed on the joint basis B whose columns hold the level-1
-    eigenfunctions (shared by all of the subject's rows) and the level-2/3
-    eigenfunctions (placed per measure / per row). With score covariance
-    L = diag(eigenvalues), the predictor L B^T (B L B^T + s2 I)^{-1} y is
-    evaluated through its low-dimensional form; s2 = 0 takes the
-    pseudo-inverse limit. The design is shared, so one solve serves every
-    subject, each as one right-hand side.
+    With score covariance diag(eigenvalues), the BLUP is the ridge fit of a
+    subject's centred rows on its joint basis, each unit's eigenfunctions
+    scaled by sqrt(eigenvalue) into A = [Phi_l sqrt(lam_l)] (positive
+    eigenvalues only). Within a subject, the subject means, the (subject,
+    measure) means less their subject mean and the rows less their (subject,
+    measure) mean are orthogonal contrasts; the one at depth d involves only
+    levels >= d, so it is fitted by the trailing block, from level d on, of
+    G = A'A + diag(s2 / rows per level-l unit), with every unit as one
+    right-hand side. A level's coefficients sum its own depth's solutions and
+    the shallower ones. With s2 = 0 the same solve is used once A, and so
+    every subject's joint basis, has full column rank; else it raises
+    SingularSystemError.
     """
     levels = 2 if len(level_eig) == 2 else 3
     return _blup(_centred_design(X, means, levels), level_eig, noise_variance)

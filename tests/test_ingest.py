@@ -204,13 +204,16 @@ class TestReadLongCsv:
             read_long_csv(path, channel="c")
         assert ":3:" in str(err.value)
 
-    def test_nul_in_a_label_cites_its_line(self, tmp_path):
-        # a fixed-width label field would read 'a\0' as 'a'
+    @pytest.mark.parametrize("before", [1, 70_000])
+    def test_nul_in_a_label_cites_its_line(self, tmp_path, before):
+        # a fixed-width label field would read 'a\0' as 'a', a valid point of
+        # curve a; after 70,000 rows the NUL lies past the scan's first 1 MiB read
+        rows = "".join(f"a,m,1,{i}.0,1.0,c\n" for i in range(before))
         path = tmp_path / "nul.csv"
-        path.write_text(HEADER + "a,m,1,0.0,1.0,c\na\0,m,1,1.0,1.0,c\n")
+        path.write_text(HEADER + rows + f"a\0,m,1,{before}.0,1.0,c\n")
         with pytest.raises(ParseError) as err:
             read_long_csv(path, channel="c")
-        assert str(err.value) == f"{path}:3: NUL character"
+        assert str(err.value) == f"{path}:{before + 2}: NUL character"
 
     def test_field_past_the_csv_size_limit(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -493,12 +496,15 @@ class TestLongCsvRoundTrip:
         assert np.array_equal(back.codes, X.sorted().codes)
         assert back.values.tobytes() == X.sorted().values.tobytes()
 
-    def test_reader_holds_at_most_five_values_arrays(self, tmp_path):
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_reader_holds_at_most_five_values_arrays(self, tmp_path, n):
         # tracemalloc counts numpy's allocations exactly. The parse chunk is a
         # fixed cost, made small so that a small file shows the arrays that
         # grow with it: t, the values, the point codes and the row keys. The
+        # NUL scan's one 1 MiB buffer is the other fixed cost; at n=100 the
+        # file is 1.5 MB and two such buffers would break the bound. The
         # untraced first read pays numpy's lazy imports.
-        X, _ = generate(n2_spec(4, n=250, J=4, m=101))
+        X, _ = generate(n2_spec(4, n=n, J=4, m=101))
         path = tmp_path / "data.csv"
         write_long_csv(X, path, channel="sim")
         with mock.patch.object(mfda.ingest, "_CHUNK_ROWS", 500):

@@ -518,6 +518,22 @@ class TestBlupScores:
         with pytest.raises(SingularSystemError):
             blup_scores(X, zero_means(uniform_grid), (eig1, eig2), 0.0)
 
+    def test_holds_at_most_three_copies_of_the_data(self):
+        # tracemalloc counts numpy's allocations exactly: the canonical copy of
+        # the data and the rows' projections onto the components, nothing the
+        # size of the joint basis; the untraced first call pays the lazy imports
+        X, _ = generate(n3_spec(5, n=20, J=2, K_rep=100, m=51))
+        fit = fit_nested(X, FitConfig(levels=3))
+        means = measure_means(X)
+        blup_scores(X, means, fit.level_eig, fit.noise_variance)
+        tracemalloc.start()
+        try:
+            blup_scores(X, means, fit.level_eig, fit.noise_variance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * X.values.nbytes, peak / X.values.nbytes
+
 
 def _fourier_eig(grid: Grid, eigenvalues, first: int = 0) -> EigenSystem:
     lam = np.asarray(eigenvalues, dtype=float)
@@ -525,41 +541,66 @@ def _fourier_eig(grid: Grid, eigenvalues, first: int = 0) -> EigenSystem:
 
 
 class TestBlupMatchesReference:
-    # (levels, eigenvalues per level, noise variance)
+    DESIGNS = {
+        "N2": lambda: n2_spec(71, n=7, J=3, m=21),
+        "N3": lambda: n3_spec(72, n=5, J=2, K_rep=3, m=21),
+        "N3-K6": lambda: n3_spec(74, n=4, J=3, K_rep=6, m=21),
+    }
+    # (design, eigenvalues per level, noise variance, turn): with a turn, each
+    # deeper level's functions are cos(turn) times the level above's plus
+    # sin(turn) times its own Fourier block, so the levels share directions
+    # (turn 0: the level above's functions themselves); without, the blocks
+    # are disjoint
     CASES = {
-        "two-level": (2, [(3.0, 1.5), (2.0, 1.0, 0.5)], 0.5),
-        "two-level-zero-level": (2, [(3.0, 1.5), ()], 0.5),
-        "two-level-zero-eigenvalue": (2, [(3.0, 0.0), (1.0,)], 0.25),
-        "two-level-no-noise": (2, [(3.0, 1.5), (2.0,)], 0.0),
-        "three-level": (3, [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.25),
-        "three-level-zero-level": (3, [(4.0,), (), (1.0, 0.0)], 0.25),
-        "three-level-no-noise": (3, [(4.0,), (2.0,), (1.0, 0.5)], 0.0),
+        "two-level": ("N2", [(3.0, 1.5), (2.0, 1.0, 0.5)], 0.5, None),
+        "two-level-zero-level": ("N2", [(3.0, 1.5), ()], 0.5, None),
+        "two-level-zero-eigenvalue": ("N2", [(3.0, 0.0), (1.0,)], 0.25, None),
+        "two-level-no-noise": ("N2", [(3.0, 1.5), (2.0,)], 0.0, None),
+        "two-level-shared": ("N2", [(3.0, 1.5), (2.0, 1.0)], 0.5, np.pi / 6),
+        "two-level-shared-no-noise": ("N2", [(3.0, 1.5), (2.0, 1.0)], 0.0, np.pi / 4),
+        "two-level-same-functions": ("N2", [(3.0, 1.5), (2.0, 1.0)], 0.5, 0.0),
+        "three-level": ("N3", [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.25, None),
+        "three-level-zero-level": ("N3", [(4.0,), (), (1.0, 0.0)], 0.25, None),
+        "three-level-no-noise": ("N3", [(4.0,), (2.0,), (1.0, 0.5)], 0.0, None),
+        "three-level-shared": ("N3", [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.25, np.pi / 5),
+        "three-level-shared-no-noise": ("N3", [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.0, np.pi / 3),
+        "three-level-J3-K6": ("N3-K6", [(4.0, 2.0), (2.0, 1.0), (1.0, 0.5)], 0.25, None),
+        "three-level-J3-K6-shared": ("N3-K6", [(4.0, 2.0), (2.0, 1.0), (1.0,)], 0.25, np.pi / 4),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_subject_solve(self, case):
-        levels, lams, noise = self.CASES[case]
-        if levels == 2:
-            X, _ = generate(n2_spec(71, n=7, J=3, m=21))
-        else:
-            X, _ = generate(n3_spec(72, n=5, J=2, K_rep=3, m=21))
+        design, lams, noise, turn = self.CASES[case]
+        X, _ = generate(self.DESIGNS[design]())
         means = measure_means(X)
         first = 0
         eigs = []
         for lam in lams:
-            eigs.append(_fourier_eig(X.grid, lam, first))
+            eig = _fourier_eig(X.grid, lam, first)
+            if turn is not None and eigs:
+                above = eigs[-1].functions[:, : len(lam)]
+                functions = np.cos(turn) * above + np.sin(turn) * eig.functions
+                eig = EigenSystem(X.grid, eig.eigenvalues, functions)
+            eigs.append(eig)
             first += len(lam)
         got = blup_scores(X, means, tuple(eigs), noise)
         ref = _reference_blup(X, means, tuple(eigs), noise)
-        assert len(got) == levels
+        assert len(got) == len(lams)
         for g, r in zip(got, ref):
             assert g.shape == r.shape
             np.testing.assert_allclose(g, r, rtol=1e-10)
 
-    def test_singular_system_matches(self, small_grid):
-        basis = fourier_basis(small_grid, 1)[:, 0]
-        collinear = EigenSystem(small_grid, np.array([1.0, 1.0]), np.column_stack([basis, basis]))
-        eigs = (collinear, _fourier_eig(small_grid, (1.0,), first=1))
+    @pytest.mark.parametrize("shared", ["within-level", "across-levels"])
+    def test_singular_system_matches(self, small_grid, shared):
+        # across levels, each level's own block is full rank and only the
+        # joint basis is collinear
+        basis = fourier_basis(small_grid, 2)
+        if shared == "within-level":
+            level1 = EigenSystem(small_grid, np.array([1.0, 1.0]), basis[:, [0, 0]])
+            eigs = (level1, _fourier_eig(small_grid, (1.0,), first=1))
+        else:
+            eigs = (_fourier_eig(small_grid, (2.0, 1.0)),
+                    EigenSystem(small_grid, np.array([1.0]), basis[:, [1]]))
         X, _ = generate(n2_spec(73, n=4, J=2, m=small_grid.size))
         means = measure_means(X)
         with pytest.raises(SingularSystemError):
