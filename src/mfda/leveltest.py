@@ -17,9 +17,10 @@ CvM while N (n_a n_b)^2 < 2^53. Energy distance in one dimension is
 2 * integral (F_a - F_b)^2 dt (Szekely & Rizzo 2013), the squared numerators
 times the spacings of the sorted values over (n_a n_b)^2, so R splits of N
 values cost O(R N) after the sort, with no pairwise distances and no
-cancellation. The unpaired design relabels freely and the paired design
-swaps labels within each pair; the two differ only in how the membership
-rows are drawn.
+cancellation. Each component is sorted once, then the splits are drawn and
+counted in batches of BATCH_CELLS cells, so the working memory does not grow
+with R. The unpaired design relabels freely and the paired design swaps labels
+within each pair; the two differ only in how the membership rows are drawn.
 
 Each test draws its membership matrix once, from one generator seeded by
 SeedSequence(seed), and applies it to every component: a unit's whole score
@@ -48,11 +49,13 @@ METHODS = ("ks", "cvm", "energy")
 
 MIN_PERMUTATIONS = 99
 MIN_GROUP_SIZE = 5
-# Most cells (1 + permutations) x pooled units a test may draw. The draw and
-# the kernel hold about 30 bytes per cell (uniforms 8, their partition 8, the
-# membership matrix and its transpose 1 + 1, the count 4, the buffer 8), so
-# this caps a test at about 1.5 GB.
+# Most cells (1 + permutations) x pooled units a test may draw. It bounds the
+# one byte a cell of the membership matrix (50 MB), the K statistics of each
+# permutation and the time, which grows with the cells.
 MAX_PERMUTATION_CELLS = 5 * 10**7
+# Cells in one batch of splits, about 2 MiB: 16 bytes a cell for its uniforms
+# and their partition, 14 for its transpose, gathered rows, counts and numerators
+BATCH_CELLS = 1 << 17
 # far above the rounding of a sum over N terms (about N * 1e-16 relative) and
 # far below the gap between distinct statistics of different splits
 TIE_RTOL = 1e-12
@@ -115,19 +118,22 @@ def _memberships(
         )
     member = np.zeros((1 + n_draws, N), dtype=bool)
     member[0, :n_a] = True
-    if n_draws:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if n_draws else None
+    # the generator fills row-major: batches draw the uniforms of one call
+    step = max(1, BATCH_CELLS // max(N, 1))
+    for lo in range(1, 1 + n_draws, step):
+        rows = member[lo : lo + step]
+        draw = rng.random((len(rows), n_a if paired else N))
         if paired:
-            swap = rng.random((n_draws, n_a)) < 0.5
-            member[1:, :n_a], member[1:, n_a:] = ~swap, swap
+            swap = draw < 0.5
+            rows[:, :n_a], rows[:, n_a:] = ~swap, swap
         else:
-            u = rng.random((n_draws, N))
-            kth = np.partition(u, n_a - 1, axis=1)[:, n_a - 1 : n_a]
-            np.less_equal(u, kth, out=member[1:])
-            tied = np.flatnonzero(np.count_nonzero(member[1:], axis=1) != n_a)
-            first = np.argpartition(u[tied], n_a - 1, axis=1)[:, :n_a]
-            member[1 + tied] = False
-            member[1 + tied[:, None], first] = True
+            kth = np.partition(draw, n_a - 1, axis=1)[:, n_a - 1 : n_a].copy()
+            np.less_equal(draw, kth, out=rows)
+            tied = np.flatnonzero(np.count_nonzero(rows, axis=1) != n_a)
+            first = np.argpartition(draw[tied], n_a - 1, axis=1)[:, :n_a]
+            rows[tied] = False
+            rows[tied[:, None], first] = True
     return member
 
 
@@ -139,34 +145,41 @@ def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndar
     N = pooled.shape[0]
     n_a = int(member[0].sum())
     n_ab = n_a * (N - n_a)
-    # split-major columns make the sort gather whole rows and the count a
-    # running sum of rows; the buffers serve every component
-    member_t = np.ascontiguousarray(member.T)
-    count = np.empty(member_t.shape, dtype=np.int32)
-    buffer = np.empty(member_t.shape)
-    out = np.empty((pooled.shape[1], member.shape[0]))
-    for k, column in enumerate(pooled.T):
+    # per component: the stable sort, the last position of each distinct value
+    # (None if all are distinct) and its squared numerator's weight: the float
+    # multiplicity for CvM, the spacing to the next value for energy (0 at the end)
+    plans = []
+    for column in pooled.T:
         order = np.argsort(column, kind="mergesort")
         z = column[order]
-        count[...] = member_t[order]
-        np.add.accumulate(count, axis=0, out=count)
         boundary = np.r_[np.diff(z) != 0, True]
-        ranks = np.flatnonzero(boundary) + 1
-        num = buffer[: ranks.size]
-        np.multiply(count if ranks.size == N else count[boundary], float(N), out=num)
-        num -= (n_a * ranks)[:, None]
-        if method == "ks":
-            out[k] = np.maximum(num.max(axis=0), -num.min(axis=0)) / n_ab
-            continue
-        num *= num
-        if method == "cvm":
-            # float multiplicities keep the product in BLAS
-            out[k] = np.diff(ranks, prepend=0).astype(float) @ num / (N**2 * n_ab)
-        else:
-            # 2 E|a-b| - E|a-a'| - E|b-b'| = 2 integral of (F_a - F_b)^2 dt;
-            # the last numerator is 0, so its spacing is set to 0
-            zb = z[boundary]
-            out[k] = 2.0 * (np.diff(zb, append=zb[-1]) @ num) / n_ab**2
+        weight = (np.diff(np.flatnonzero(boundary), prepend=-1).astype(float)
+                  if method == "cvm" else np.diff(z[boundary], append=z[-1]))
+        plans.append((order.astype(np.int32), None if boundary.all() else boundary,
+                      None if method == "ks" else weight))
+    shift = n_a * np.arange(1.0, N + 1)[:, None]
+    scale = N**2 * n_ab if method == "cvm" else n_ab**2 / 2
+    out = np.empty((pooled.shape[1], member.shape[0]))
+    # split-major columns make the sort gather whole rows and the count a
+    # running sum of rows; two buffers of one batch serve every component
+    step = max(1, BATCH_CELLS // max(N, 1))
+    count = np.empty(min(step, len(member)) * N, dtype=np.int32)
+    buffer = np.empty(count.size)
+    for lo in range(0, len(member), step):
+        member_t = np.ascontiguousarray(member[lo : lo + step].T)
+        c = count[: member_t.size].reshape(member_t.shape)
+        full = buffer[: member_t.size].reshape(member_t.shape)
+        for k, (order, boundary, weight) in enumerate(plans):
+            c[...] = member_t[order]
+            np.add.accumulate(c, axis=0, out=c)
+            np.multiply(c, float(N), out=full)
+            full -= shift
+            num = full if boundary is None else full[boundary]
+            if weight is None:
+                out[k, lo : lo + c.shape[1]] = np.maximum(num.max(axis=0), -num.min(axis=0)) / n_ab
+            else:
+                num *= num
+                out[k, lo : lo + c.shape[1]] = weight @ num / scale
     return out.T
 
 

@@ -1,5 +1,7 @@
 """Two-sample score tests, FDR adjustment, permutation engine, correlation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -472,6 +474,80 @@ class TestKernel:
             with pytest.raises(InvalidParameterError, match="100 permutations of 20 units "
                                "need 2020 cells, more than the 2000 a test may hold"):
                 draw()
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("rows", [1, 7, 100, 101, 1000])
+    def test_batches_draw_the_matrix_of_one_call(self, monkeypatch, rows, decimals):
+        # BATCH_CELLS is lowered to whole rows: one, seven, the matrix's 1 + R
+        # = 100 and more, so the draws cross batch boundaries. Uniforms rounded
+        # to one decimal tie in almost every row and take the tie path.
+        n_a, N, R = 20, 50, 99
+        paired = _memberships(n_a, 2 * n_a, R, 5, paired=True)
+        if decimals is not None:
+            default_rng = np.random.default_rng
+
+            class RoundedGenerator:
+                def __init__(self, seed):
+                    self.rng = default_rng(seed)
+
+                def random(self, shape):
+                    return np.round(self.rng.random(shape), decimals)
+
+            monkeypatch.setattr(np.random, "default_rng", RoundedGenerator)
+        expected = put_along_axis_memberships(n_a, N, R, 5)
+        monkeypatch.setattr(leveltest, "BATCH_CELLS", rows * N)
+        np.testing.assert_array_equal(_memberships(n_a, N, R, 5), expected)
+        if decimals is None:
+            monkeypatch.setattr(leveltest, "BATCH_CELLS", rows * 2 * n_a)
+            np.testing.assert_array_equal(_memberships(n_a, 2 * n_a, R, 5, paired=True), paired)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("rows", [1, 7, 100, 101, 1000])
+    def test_batches_give_the_reports_of_one_batch(self, monkeypatch, rows, paired):
+        # 1 + R = 100 rows of 40 or 50 cells are one batch by default; the
+        # second component is tied, the third constant. Every p-value and the
+        # KS and CvM statistics, integer numerators over one divisor, are
+        # equal; BLAS may sum energy's spacings over a one-split batch in
+        # another order, which moves a last digit
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(20, 3))
+        B = rng.normal(0.4, 1.0, size=(20 if paired else 30, 3))
+        A[:, 1], B[:, 1] = np.round(A[:, 1]), np.round(B[:, 1])
+        A[:, 2] = B[:, 2] = 1.5
+        for method in METHODS:
+            expected = two_sample_score_test(A, B, method, 99, seed=6, paired=paired)
+            with monkeypatch.context() as patch:
+                patch.setattr(leveltest, "BATCH_CELLS", rows * (len(A) + len(B)))
+                report = two_sample_score_test(A, B, method, 99, seed=6, paired=paired)
+            assert report.global_p == expected.global_p
+            assert [(r.p_raw, r.p_adjusted, r.degenerate) for r in report.per_score] == [
+                (r.p_raw, r.p_adjusted, r.degenerate) for r in expected.per_score
+            ]
+            statistics = [r.statistic for r in report.per_score]
+            one_batch = [r.statistic for r in expected.per_score]
+            if method == "energy":
+                np.testing.assert_allclose(statistics, one_batch, rtol=1e-12, atol=0.0)
+            else:
+                assert statistics == one_batch
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_working_memory_is_one_batch(self, paired):
+        # tracemalloc counts numpy's allocations exactly. Beside the membership
+        # matrix, one byte a cell, the test holds one batch of splits at a
+        # time: its uniforms and their partition, or its transpose, counts and
+        # numerators, within 24 bytes a cell of BATCH_CELLS
+        rng = np.random.default_rng(1)
+        A, B = rng.normal(size=(400, 2)), rng.normal(0.1, 1.0, size=(400, 2))
+        R = 999
+        two_sample_score_test(A, B, "energy", R, seed=1, paired=paired)
+        tracemalloc.start()
+        try:
+            two_sample_score_test(A, B, "energy", R, seed=1, paired=paired)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = (1 + R) * 800
+        assert peak <= cells + 24 * leveltest.BATCH_CELLS, peak / cells
 
     @pytest.mark.parametrize("method", ["ks", "cvm"])
     def test_integer_numerators_are_exact(self, method):
