@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,6 +28,8 @@ from .errors import (
 from .icc import icc_report
 from .ingest import (
     _fmt,
+    _unkeyed,
+    _write_table,
     read_fit,
     read_long_csv,
     write_fit,
@@ -123,19 +126,9 @@ def cmd_icc(args: argparse.Namespace) -> int:
     fit = read_fit(args.fit_dir)
     report = icc_report(fit)
     out = Path(args.fit_dir)
-    write_json(
-        out / "icc.json",
-        {
-            "global_icc": report.global_icc,
-            "level_variances": list(report.level_variances),
-            "noise_variance": report.noise_variance,
-        },
-    )
-    with open(out / "pointwise_icc.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "icc"])
-        for t, v in zip(fit.grid.points, report.pointwise.values):
-            writer.writerow([_fmt(t), _fmt(v)])
+    write_json(out / "icc.json", {k: v for k, v in vars(report).items() if k != "pointwise"})
+    _write_table(out / "pointwise_icc.csv", *_unkeyed(
+        ["t", "icc"], np.column_stack([fit.grid.points, report.pointwise.values])))
     print(f"{report.global_icc:.2f}")
     return EXIT_OK
 
@@ -165,28 +158,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         n_permutations=args.perms,
         seed=args.seed,
     )
-    write_json(
-        Path(args.fit_dir) / "test_report.json",
-        {
-            "method": report.method,
-            "n_permutations": report.n_permutations,
-            "pvalue_method": "permutation",
-            "seed": report.seed,
-            "group_a": group_a,
-            "group_b": group_b,
-            "global_p": report.global_p,
-            "per_score": [
-                {
-                    "component": r.component,
-                    "statistic": r.statistic,
-                    "p_raw": r.p_raw,
-                    "p_adjusted": r.p_adjusted,
-                    "degenerate": r.degenerate,
-                }
-                for r in report.per_score
-            ],
-        },
-    )
+    write_json(Path(args.fit_dir) / "test_report.json", {
+        **asdict(report), "pvalue_method": "permutation", "group_a": group_a, "group_b": group_b})
     print(f"{report.global_p:.4f}")
     return EXIT_OK
 
@@ -310,24 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        InputError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (InputError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            MemoryError) as exc:  # MemoryError: data or a design too large for this machine
+        error, code = exc, EXIT_INPUT
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        error, code = exc, EXIT_PRECONDITION
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        error, code = exc, EXIT_NUMERICAL
+    print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Union
@@ -154,41 +154,45 @@ def _not_utf8(path: Path) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
-def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
-    """Raise the error of the first data row that breaks a row rule.
-
-    Runs only after the bulk parse has found a fault. It walks the file with
-    csv.reader, so the cited line is the physical one past blank lines and
-    quoted newlines.
-    """
-    seen = set()
+def _records(path: Path):
+    """(line, record) of the header and of each non-blank data record of a CSV text file, line
+    the physical one where it ends; a record csv cannot read is a ParseError citing its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for record in filter(None, reader):
-            line = reader.line_num
-            if any("\0" in cell for cell in record):
-                raise ParseError(f"{path}:{line}: NUL character")
-            row = {c: record[i] if i < len(record) else "" for c, i in columns.items()}
-            if "" in row.values():
-                raise ParseError(f"{path}:{line}: incomplete row")
-            ours = row["channel"] == channel
-            try:
-                replicate = int(row["replicate"]) if ours else None
-                t, value = _to_float(row["t"]), _to_float(row["value"])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line}: {exc}") from None
-            if not ours:
-                continue
-            if not (np.isfinite(t) and np.isfinite(value)):
-                raise ParseError(f"{path}:{line}: non-finite t or value")
-            key = (row["subject"], row["measure"], replicate, t)
-            if key in seen:
-                raise DuplicateKeyError(
-                    f"{path}:{line}: duplicate record for subject="
-                    f"{key[0]!r} measure={key[1]!r} replicate={key[2]} t={t!r}"
-                )
-            seen.add(key)
+        try:
+            for record in chain([next(reader, [])], filter(None, reader)):
+                yield reader.line_num, record
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
+    """Raise the error of the first data row that breaks a row rule, citing its line
+    (`_records`). Runs only after the bulk parse has found a fault."""
+    seen = set()
+    for line, record in islice(_records(path), 1, None):
+        if any("\0" in cell for cell in record):
+            raise ParseError(f"{path}:{line}: NUL character")
+        row = {c: record[i] if i < len(record) else "" for c, i in columns.items()}
+        if "" in row.values():
+            raise ParseError(f"{path}:{line}: incomplete row")
+        ours = row["channel"] == channel
+        try:
+            replicate = int(row["replicate"]) if ours else None
+            t, value = _to_float(row["t"]), _to_float(row["value"])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: {exc}") from None
+        if not ours:
+            continue
+        if not (np.isfinite(t) and np.isfinite(value)):
+            raise ParseError(f"{path}:{line}: non-finite t or value")
+        key = (row["subject"], row["measure"], replicate, t)
+        if key in seen:
+            raise DuplicateKeyError(
+                f"{path}:{line}: duplicate record for subject="
+                f"{key[0]!r} measure={key[1]!r} replicate={key[2]} t={t!r}"
+            )
+        seen.add(key)
 
 
 def read_long_csv(
@@ -234,7 +238,8 @@ def read_long_csv(
                     unit * len(replicates) + r[runs[:, 2]], return_index=True,
                     return_inverse=True)
                 # code t by the first run's points, or by all points if one is missing there
-                points = np.unique(t[: run_lengths[0] if run_lengths.size else 0])
+                # (with an index, as a plain np.unique imports numpy.ma into a fresh process)
+                points = np.unique(t[: run_lengths[:1].sum()], return_index=True)[0]
                 tc = np.searchsorted(points, t)
                 if not (tc < points.size).all() or (points[tc] != t).any():
                     points, tc = np.unique(t, return_inverse=True)
@@ -323,6 +328,13 @@ def _cells(keys: np.ndarray, values: np.ndarray) -> list[list[str]]:
     return [[*key, *map(repr, row)] for key, row in zip(keys.tolist(), values.tolist())]
 
 
+def _write_table(path: Path, header: list[str], keys: np.ndarray, values: np.ndarray) -> None:
+    """Write a table of key cells and float values, as write_fit writes each
+    of its tables."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _csv_writer(fh).writerows([header, *_cells(keys, values)])
+
+
 def write_json(path: Union[str, Path], payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -396,9 +408,8 @@ def write_fit(fit: MultilevelFit, out_dir: Union[str, Path],
     `_documents`, the manifest with the library version and `extra_manifest`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (header, keys, values) in _tables(fit).items():
-        with open(out / name, "w", encoding="utf-8", newline="") as fh:
-            _csv_writer(fh).writerows([header, *_cells(keys, values)])
+    for name, table in _tables(fit).items():
+        _write_table(out / name, *table)
     documents = _documents(fit)
     documents["manifest.json"].update({"library_version": __version__, **(extra_manifest or {})})
     for name, document in documents.items():
@@ -409,19 +420,18 @@ def write_fit(fit: MultilevelFit, out_dir: Union[str, Path],
 def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
     """The error of the first data row of a fit table that has other cells
     than its header or a value cell that does not parse, cited by its
-    physical line; `fault` is what the bulk parse saw, for when no row does.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    physical line (`_records`, which raises that of a row csv cannot read);
+    `fault` is what the bulk parse saw, for when no row does."""
+    records = _records(path)
+    width = len(next(records)[1])
+    for line, record in records:
         try:
-            width = len(next(reader, []))
-            for record in filter(None, reader):
-                if len(record) != width:
-                    raise ValueError(f"{len(record)} cells, the header has {width}")
-                for cell in record[n_keys:]:
-                    _to_float(cell)
-        except (ValueError, csv.Error) as exc:
-            return ParseError(f"{path}:{reader.line_num}: {exc}")
+            if len(record) != width:
+                raise ValueError(f"{len(record)} cells, the header has {width}")
+            for cell in record[n_keys:]:
+                _to_float(cell)
+        except ValueError as exc:
+            return ParseError(f"{path}:{line}: {exc}")
     return ParseError(f"{path}: {fault}")
 
 

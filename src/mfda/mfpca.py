@@ -213,10 +213,10 @@ def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, in
     if not len(X):
         raise EmptyDataError("empty curve set")
     cells, counts = X.cells()
-    if not X.is_balanced():
+    n, J = (np.count_nonzero(np.bincount(c)) for c in cells.T)  # distinct subjects, measures
+    if (counts != counts[0]).any() or len(cells) != n * J:
         raise UnbalancedDesignError("design is not balanced: " + _balance_report(cells, counts))
-    n, J = cells[-1].tolist()  # the largest keys, which a full product of 1..n and 1..J ends at
-    if len(cells) != n * J:
+    if cells[-1].tolist() != [n, J]:  # where a full product of 1..n and 1..J ends
         raise UnbalancedDesignError("subject/measure indices must be contiguous from 1: "
                                     + _balance_report(cells, counts))
     K_rep = int(counts[0])

@@ -2,6 +2,8 @@
 
 import contextlib
 import copy
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -25,11 +27,13 @@ from mfda import errors
 from mfda.cli import main
 from mfda.core import Curve
 from mfda.fpca import EigenSystem
-from mfda.ingest import write_fit
+from mfda.icc import icc_report
+from mfda.ingest import read_fit, write_fit
+from mfda.leveltest import METHODS, two_sample_score_test
 from mfda.mfpca import FitConfig, MultilevelFit
 from mfda.simkl import MAX_VALUES, fourier_basis
 
-from .conftest import json_paths, n2_spec_dict
+from .conftest import json_paths, n2_spec_dict, n3_spec_dict
 
 
 def write_spec(tmp_path: Path, data: dict, name: str = "spec.yaml") -> Path:
@@ -754,6 +758,91 @@ def handmade_fit_dir(tmp_path: Path, levels: int = 2) -> Path:
     return out
 
 
+def hand_rendered_reports(fit_dir: Path, group_a: list, group_b: list, method: str,
+                          perms: int, seed: int) -> dict[str, bytes]:
+    """icc.json, pointwise_icc.csv and test_report.json of `mfda icc` and
+    `mfda test` on a fit directory, with every field written out by hand and
+    the CSV through its own csv.writer: the rendering the CLI used before it
+    wrote the reports from their result records."""
+    fit = read_fit(fit_dir)
+    icc = icc_report(fit)
+    measure = np.tile(fit.measure_labels, len(fit.subject_labels))
+    scores = fit.scores[1]
+    report = two_sample_score_test(
+        scores[np.isin(measure, group_a)], scores[np.isin(measure, group_b)],
+        method=method, n_permutations=perms, seed=seed,
+    )
+    documents = {
+        "icc.json": {
+            "global_icc": icc.global_icc,
+            "level_variances": list(icc.level_variances),
+            "noise_variance": icc.noise_variance,
+        },
+        "test_report.json": {
+            "method": report.method,
+            "n_permutations": report.n_permutations,
+            "pvalue_method": "permutation",
+            "seed": report.seed,
+            "group_a": group_a,
+            "group_b": group_b,
+            "global_p": report.global_p,
+            "per_score": [
+                {
+                    "component": r.component,
+                    "statistic": r.statistic,
+                    "p_raw": r.p_raw,
+                    "p_adjusted": r.p_adjusted,
+                    "degenerate": r.degenerate,
+                }
+                for r in report.per_score
+            ],
+        },
+    }
+    files = {name: (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+             for name, doc in documents.items()}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "icc"])
+    for t, v in zip(fit.grid.points, icc.pointwise.values):
+        writer.writerow([repr(float(t)), repr(float(v))])
+    files["pointwise_icc.csv"] = buf.getvalue().encode()
+    return files
+
+
+class TestReportFiles:
+    """The report files `mfda icc` and `mfda test` render from their result
+    records hold the bytes of the hand-written rendering above."""
+
+    @staticmethod
+    def assert_reports_match(fit_dir: Path, group_a: list, group_b: list, method: str):
+        want = hand_rendered_reports(fit_dir, group_a, group_b, method, 99, 5)
+        assert main(["icc", str(fit_dir)]) == 0
+        assert main(["test", str(fit_dir), "--group-a", *group_a, "--group-b", *group_b,
+                     "--method", method, "--perms", "99", "--seed", "5"]) == 0
+        assert {name: (fit_dir / name).read_bytes() for name in want} == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_level_fit_with_a_constant_score(self, tmp_path, method):
+        fit_dir = handmade_fit_dir(tmp_path)
+        fit = read_fit(fit_dir)
+        scores = fit.scores[1].copy()
+        scores[:, 1] = 0.25
+        write_fit(dataclasses.replace(fit, scores=(fit.scores[0], scores)), fit_dir)
+        want = hand_rendered_reports(fit_dir, ["HIIT1"], ["HIIT2"], method, 99, 5)
+        assert [r["degenerate"] for r in json.loads(want["test_report.json"])["per_score"]] == [
+            False, True]
+        self.assert_reports_match(fit_dir, ["HIIT1"], ["HIIT2"], method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_three_level_fit(self, tmp_path, method):
+        spec_path = write_spec(tmp_path, n3_spec_dict(23, n=6, J=3, K_rep=2, m=21))
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "d")]) == 0
+        fit_dir = tmp_path / "f"
+        assert main(["fit", str(tmp_path / "d" / "data.csv"), "--channel", "sim",
+                     "--levels", "3", "--out", str(fit_dir)]) == 0
+        self.assert_reports_match(fit_dir, ["1", "3"], ["2"], method)
+
+
 class TestIcc:
     def test_plugin_value_printed(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)
@@ -1272,6 +1361,29 @@ class TestImport:
         assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+    def test_fresh_fit_leaves_numpy_ma_unloaded(self, tmp_path):
+        # a plain np.unique imports numpy.ma (numpy 2.4), 10-29 ms of a fresh fit
+        src = str(Path(mfda.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        for levels, spec in ((2, n2_spec_dict(3, n=6, J=2, m=41)),
+                             (3, n3_spec_dict(3, n=4, J=2, K_rep=2, m=21))):
+            data = tmp_path / f"d{levels}"
+            assert main(["simulate", str(write_spec(tmp_path, spec)), "--out", str(data)]) == 0
+            code = (
+                "import sys; from mfda.cli import main; "
+                f"assert main(['fit', {str(data / 'data.csv')!r}, '--channel', 'sim', "
+                f"'--levels', '{levels}', '--out', {str(tmp_path / f'f{levels}')!r}]) == 0; "
+                "print('numpy.ma' in sys.modules)"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestCorrelate:
     def test_basic_run(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)
@@ -1336,3 +1448,23 @@ def test_every_error_exits_with_its_category_code(cls, monkeypatch, capsys):
 )
 def test_empty_data_and_component_mismatch_are_input_errors(cls, monkeypatch):
     assert icc_exit_code(cls, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB for an array"])
+@pytest.mark.parametrize("command, name", [("fit", "read_long_csv"), ("simulate", "generate")])
+def test_memory_error_exits_2(command, name, message, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError(*[message][: bool(message)])
+
+    monkeypatch.setattr(mfda.cli, name, fail)
+    data = tmp_path / "data.csv"
+    data.write_text("")
+    argv = {
+        "fit": ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "f")],
+        "simulate": ["simulate", str(write_spec(tmp_path, n2_spec_dict(1, n=6, J=2, m=11))),
+                     "--out", str(tmp_path / "d")],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message or 'MemoryError'}\n"

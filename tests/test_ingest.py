@@ -218,8 +218,9 @@ class TestReadLongCsv:
     def test_field_past_the_csv_size_limit(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text(HEADER + "x" * 150_000 + ",m,1,0.0,1.0,c\na,m,1,oops,1.0,c\n")
-        with pytest.raises(ParseError, match="field larger than field limit"):
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
             read_long_csv(path, channel="c")
+        assert str(err.value).startswith(f"{path}:2: ")  # the line csv cannot read
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "head.csv"

@@ -660,6 +660,66 @@ class TestFitNested:
             "subject 1 [measure 1: 1, measure 2: 1]; subject 3 [measure 1: 1, measure 2: 1]"
         )
 
+    def test_missing_cell_rejected_as_unbalanced(self, small_grid):
+        codes = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
+        X = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
+        with pytest.raises(UnbalancedDesignError) as err:
+            canonical_design(X, levels=2)
+        assert str(err.value) == (
+            "design is not balanced: "
+            "subject 1 [measure 1: 1, measure 2: 1]; subject 2 [measure 1: 1]"
+        )
+
+    def test_unequal_replicates_rejected_as_unbalanced(self, small_grid):
+        codes = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
+        X = CurveSet(small_grid, codes, np.zeros((7, small_grid.size)))
+        with pytest.raises(UnbalancedDesignError) as err:
+            canonical_design(X, levels=3)
+        assert str(err.value) == (
+            "design is not balanced: "
+            "subject 1 [measure 1: 2, measure 2: 2]; subject 2 [measure 1: 1, measure 2: 2]"
+        )
+
+    def test_design_checks_match_the_unique_based_rules(self, small_grid):
+        # balance as the count of distinct subjects times distinct measures,
+        # contiguity as the largest keys, each from np.unique, on random designs
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(300):
+            n, J, K = rng.integers(1, 5, size=3)
+            codes = [(i, j, r) for i in range(1, n + 1) for j in range(1, J + 1)
+                     for r in range(1, K + 1) if rng.random() < 0.9]
+            if not codes:
+                continue
+            codes = np.array(codes)
+            codes[:, :2] *= 1 + (rng.random(2) < 0.25)  # gaps in the subject or measure keys
+            X = CurveSet(small_grid, codes, np.zeros((len(codes), small_grid.size)))
+            cells, counts = X.cells()
+            subjects, measures = (np.unique(cells[:, i]).size for i in (0, 1))
+            if np.unique(counts).size != 1 or len(cells) != subjects * measures:
+                want = "design is not balanced: "
+            elif np.prod(cells[-1]) != len(cells):
+                want = "subject/measure indices must be contiguous from 1: "
+            else:
+                want = None
+            try:
+                canonical_design(X, levels=3 if counts[0] > 1 else 2)
+                got = None
+            except (UnbalancedDesignError, InsufficientDataError) as exc:
+                got = str(exc) if str(exc).startswith(("design", "subject")) else None
+            assert (got or "").startswith(want or "") and (got is None) == (want is None)
+            outcomes.add(want)
+        assert len(outcomes) == 3
+
+    def test_design_is_checked_from_one_cells_call(self, monkeypatch):
+        calls = []
+        original = CurveSet.cells
+        monkeypatch.setattr(CurveSet, "cells", lambda self: calls.append(1) or original(self))
+        monkeypatch.setattr(CurveSet, "is_balanced", lambda self: pytest.fail("second walk"))
+        X, _ = generate(n3_spec(85, n=4, J=2, K_rep=3, m=21))
+        assert canonical_design(X, levels=3)[1:] == (4, 2, 3)
+        assert len(calls) == 1
+
     def test_levels_mismatch_rejected(self, small_grid):
         spec = n3_spec(7, n=3, J=2, K_rep=2, m=small_grid.size)
         X, _ = generate(spec)
