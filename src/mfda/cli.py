@@ -190,11 +190,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     covariate = np.repeat([by_subject[s] for s in fit.subject_labels], rows_per_subject)
     results = score_covariate_correlation(scores, covariate)
     out_path = Path(args.fit_dir) / "score_correlation.csv"
-    lines = ["component,spearman_rho,p_value"]
-    lines += [f"{r.component},{_fmt(r.rho)},{_fmt(r.pvalue)}" for r in results]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_table(out_path, ["component", "spearman_rho", "p_value"],
+                 np.array([r.component for r in results])[:, None],
+                 np.array([(r.rho, r.pvalue) for r in results]).reshape(-1, 2))
+    print(out_path.read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 

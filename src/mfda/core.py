@@ -123,7 +123,8 @@ class Curve:
 class CurveSet:
     """A stack of curves on one Grid, one per row of values.
 
-    codes holds each row's (subject, measure, replicate) as 1-based integers.
+    codes holds each row's (subject, measure, replicate) as 1-based integers,
+    and the rows are held in that canonical order whatever order they come in.
     Label tuples map 1-based subject/measure indices back to the external
     string ids they came from (defaults to the index itself).
     """
@@ -135,20 +136,22 @@ class CurveSet:
     measure_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        codes = np.array(self.codes, dtype=np.int64).reshape(-1, 3)
-        codes.setflags(write=False)
-        values = _readonly(self.values)
+        codes = np.asarray(self.codes, dtype=np.int64).reshape(-1, 3)
+        values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape != (len(codes), self.grid.size):
             raise GridMismatchError(
                 f"values must be ({len(codes)}, {self.grid.size}), "
                 f"got {values.shape}"
             )
+        order = np.lexsort(codes.T[::-1])  # the one sort: indexing makes the private copies
+        codes, values = codes[order], values[order]
+        codes.setflags(write=False)
+        values.setflags(write=False)
         if not np.all(np.isfinite(values)):
             raise InvalidGridError("curve values must be finite")
         if (codes < 1).any():
             raise EmptyDataError("subject, measure and replicate indices start at 1")
-        keys = codes[np.lexsort(codes.T[::-1])]
-        if (keys[1:] == keys[:-1]).all(axis=1).any():
+        if (codes[1:] == codes[:-1]).all(axis=1).any():
             raise DuplicateKeyError("nested indices must be unique")
         n_sub, n_meas = codes[:, :2].max(axis=0, initial=0).tolist()
         subject_labels = self.subject_labels or tuple(map(str, range(1, n_sub + 1)))
@@ -166,22 +169,9 @@ class CurveSet:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (subject, measure) pairs in sorted order, and the
         number of rows of each."""
-        pairs = self.codes[np.lexsort(self.codes.T[1::-1]), :2]
+        pairs = self.codes[:, :2]
         first = np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
         return pairs[first], np.diff(first, append=len(pairs))
-
-    def is_balanced(self) -> bool:
-        """Complete rectangular design: every subject has every measure with
-        the same replicate count."""
-        cells, counts = self.cells()
-        n, J = (np.unique(cells[:, i]).size for i in (0, 1))
-        return np.unique(counts).size == 1 and len(cells) == n * J
-
-    def sorted(self) -> "CurveSet":
-        """Rows reordered to canonical (subject, measure, replicate) order."""
-        order = np.lexsort(self.codes.T[::-1])
-        return CurveSet(self.grid, self.codes[order], self.values[order],
-                        self.subject_labels, self.measure_labels)
 
 
 @dataclass(frozen=True)
@@ -195,9 +185,9 @@ class CenteringMeans:
 def center_rows(X: CurveSet, means: CenteringMeans) -> CurveSet:
     """Subtract the global mean and each row's measure effect.
 
-    Row order is preserved. Raises MissingMeanError when a row's measure
-    has no supplied effect curve (an empty mapping means no measure effects
-    at all, which is allowed).
+    The rows keep their canonical order. Raises MissingMeanError when a row's
+    measure has no supplied effect curve (an empty mapping means no measure
+    effects at all, which is allowed).
     """
     if not same_grid(means.global_mean.grid, X.grid):
         raise GridMismatchError("means live on a different grid")

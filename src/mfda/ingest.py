@@ -315,11 +315,10 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
     tail = _csv_fields("", channel).replace("%", "%%") + "\n"
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
-        for row in np.lexsort(X.codes.T[::-1]).tolist():
-            s, m, r = X.codes[row].tolist()
+        for (s, m, r), row in zip(X.codes.tolist(), X.values):
             head = _csv_fields(X.subject_labels[s - 1], X.measure_labels[m - 1], r, "")
             head = head.replace("%", "%%")
-            fh.write((head + (tail + head).join(cells) + tail) % tuple(X.values[row].tolist()))
+            fh.write((head + (tail + head).join(cells) + tail) % tuple(row.tolist()))
 
 
 def _cells(keys: np.ndarray, values: np.ndarray) -> list[list[str]]:

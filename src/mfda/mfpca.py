@@ -202,11 +202,12 @@ def _balance_report(cells: np.ndarray, counts: np.ndarray) -> str:
 
 
 def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, int]:
-    """Validate a balanced nested design and reshape it canonically.
+    """Validate a balanced nested design and view it canonically.
 
-    Returns (values, n, J, K_rep) with values of shape (n, J, K_rep, m) in
-    sorted (subject, measure, replicate) order. levels=2 requires exactly one
-    replicate per (subject, measure); levels=3 requires K_rep >= 2.
+    Returns (values, n, J, K_rep) with values a read-only (n, J, K_rep, m)
+    view of X.values, whose rows the CurveSet holds in canonical (subject,
+    measure, replicate) order. levels=2 requires exactly one replicate per
+    (subject, measure); levels=3 requires K_rep >= 2.
     """
     if levels not in (2, 3):
         raise InsufficientDataError("nested fits support levels 2 or 3")
@@ -231,16 +232,15 @@ def canonical_design(X: CurveSet, levels: int) -> tuple[np.ndarray, int, int, in
         raise InsufficientDataError(
             "three-level fit needs at least two replicates per measure"
         )
-    values = X.values[np.lexsort(X.codes.T[::-1])]
-    return values.reshape(n, J, K_rep, X.grid.size), n, J, K_rep
+    return X.values.reshape(n, J, K_rep, X.grid.size), n, J, K_rep
 
 
 def _centre(rv: np.ndarray, grid: Grid, means: CenteringMeans) -> np.ndarray:
-    """Subtract the global mean, then each measure's effect, in place."""
+    """Subtract the global mean out of place, then each measure's effect in place."""
     curves = [means.global_mean, *means.measure_effects.values()]
     if not all(same_grid(c.grid, grid) for c in curves):
         raise GridMismatchError("means live on a different grid")
-    rv -= means.global_mean.values
+    rv = rv - means.global_mean.values
     if means.measure_effects:
         J = rv.shape[1]
         missing = set(range(1, J + 1)) - set(means.measure_effects)

@@ -2,7 +2,7 @@
 
 Builds curves as mean + measure effect + per-level component expansions plus
 iid grid-point noise, and returns the hidden truth (scores, level curves,
-noise realization, analytic ICC) next to the observable data so estimators
+noiseless curves, analytic ICC) next to the observable data so estimators
 can be checked against a known generative model.
 
 Per-subject draws come from spawned substreams of one seed, so output is
@@ -387,14 +387,13 @@ class GroundTruth:
     scores and level_curves are ordered like the observable rows' units:
     level 1 by subject, level 2 by (subject, measure), level 3 by row.
     noiseless is mean + measure mean + the level curves, summed in that
-    order, and observed - noiseless reproduces noise bitwise.
+    order; the noise is the observed values - noiseless, bit for bit.
     """
 
     spec: GeneratorSpec
     scores: tuple[np.ndarray, ...]
     level_curves: tuple[np.ndarray, ...]
     noiseless: np.ndarray
-    noise: np.ndarray
     analytic_icc: Optional[float]
 
 
@@ -439,7 +438,6 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
         scores=tuple(scores),
         level_curves=level_curves,
         noiseless=noiseless,
-        noise=values - noiseless,
         analytic_icc=spec.analytic_icc(),
     )
     return CurveSet(spec.grid, codes, values), truth

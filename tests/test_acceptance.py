@@ -178,7 +178,7 @@ def test_c06_estimator_oracle_equivalence(capsys):
     spec2 = n2_spec(555, n=5, J=3, m=21)
     X2, _ = generate(spec2)
     means2 = measure_means(X2)
-    centered2 = center_rows(X2, means2).sorted()
+    centered2 = center_rows(X2, means2)
     err_t = np.max(
         np.abs(sigma_T_hat(X2, means2) - brute_sigma_T(centered2.values))
     )

@@ -112,10 +112,30 @@ class TestCurveSet:
 
     def test_balance_detection(self, small_grid):
         X = two_level_set(np.zeros((4, small_grid.size)), small_grid, J=2)
-        assert X.is_balanced()
-        codes = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
-        Y = CurveSet(small_grid, codes, np.zeros((3, small_grid.size)))
-        assert not Y.is_balanced()
+        cells, counts = X.cells()
+        assert cells.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]] and counts.tolist() == [1] * 4
+        codes = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 2, 2)]
+        Y = CurveSet(small_grid, codes, np.zeros((4, small_grid.size)))
+        cells, counts = Y.cells()
+        assert cells.tolist() == [[1, 1], [1, 2], [2, 1]] and counts.tolist() == [1, 2, 1]
+
+
+    def test_rows_held_in_canonical_order(self, small_grid):
+        rng = np.random.default_rng(11)
+        codes = np.array([(i, j, k) for i in (1, 2, 3) for j in (1, 2) for k in (1, 2)])
+        values = rng.normal(size=(len(codes), small_grid.size))
+        canonical = CurveSet(small_grid, codes, values)
+        order = rng.permutation(len(codes))
+        shuffled_codes, shuffled_values = codes[order], values[order]
+        X = CurveSet(small_grid, shuffled_codes, shuffled_values)
+        assert np.array_equal(X.codes, codes)
+        assert X.values.tobytes() == canonical.values.tobytes()
+        assert X.values.tobytes() == values.tobytes()
+        shuffled_codes[:] = 1
+        shuffled_values[:] = 0.0
+        assert np.array_equal(X.codes, codes)
+        assert X.values.tobytes() == values.tobytes()
+        assert not (X.codes.flags.writeable or X.values.flags.writeable)
 
 
 class TestCenterRows:
@@ -169,4 +189,4 @@ class TestCenterRows:
         codes = [(2, 1, 1), (1, 2, 1), (1, 1, 1), (2, 2, 1)]
         X = CurveSet(small_grid, codes, values)
         centered = center_rows(X, measure_means(X))
-        assert centered.codes.tolist() == [list(c) for c in codes]
+        assert centered.codes.tolist() == [list(c) for c in sorted(codes)]

@@ -37,7 +37,7 @@ from mfda.ingest import (
     write_fit,
     write_long_csv,
 )
-from mfda.mfpca import FitConfig, fit_nested
+from mfda.mfpca import FitConfig, canonical_design, fit_nested
 from mfda.simkl import generate
 
 from .conftest import json_paths, n2_spec, n3_spec
@@ -403,14 +403,13 @@ class TestReaderMatchesReference:
 
 def _reference_write_long_csv(X, path, channel):
     """The row-at-a-time writer, kept as the byte oracle of write_long_csv."""
-    ordered = X.sorted()
-    points = [repr(float(t)) for t in ordered.grid.points]
+    points = [repr(float(t)) for t in X.grid.points]
     tail = mfda.ingest._csv_fields("", channel) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(mfda.ingest._csv_fields(*LONG_COLUMNS) + "\n")
-        for (s, m, r), row in zip(ordered.codes.tolist(), ordered.values):
+        for (s, m, r), row in zip(X.codes.tolist(), X.values):
             head = mfda.ingest._csv_fields(
-                ordered.subject_labels[s - 1], ordered.measure_labels[m - 1], r, ""
+                X.subject_labels[s - 1], X.measure_labels[m - 1], r, ""
             )
             fh.write("".join(
                 f"{head}{t},{v!r}{tail}" for t, v in zip(points, row.tolist())
@@ -441,7 +440,7 @@ class TestLongCsvRoundTrip:
         assert np.array_equal(back.codes, X.codes)
         assert np.max(np.abs(back.values - X.values)) < 1e-12
         assert np.max(np.abs(back.grid.points - X.grid.points)) < 1e-12
-        assert back.is_balanced()
+        assert canonical_design(back, levels=2)[1:] == (4, 2, 1)
 
     def test_three_level_round_trip(self, tmp_path):
         X, _ = generate(n3_spec(8, n=3, J=2, K_rep=3, m=11))
@@ -485,8 +484,7 @@ class TestLongCsvRoundTrip:
         with open(expected, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(LONG_COLUMNS)
-            ordered = X.sorted()
-            for (s, m, r), row in zip(ordered.codes.tolist(), ordered.values):
+            for (s, m, r), row in zip(X.codes.tolist(), X.values):
                 for t, v in zip(X.grid.points, row):
                     writer.writerow([
                         X.subject_labels[s - 1], X.measure_labels[m - 1],
@@ -494,8 +492,8 @@ class TestLongCsvRoundTrip:
                     ])
         assert path.read_bytes() == expected.read_bytes()
         back, _ = read_long_csv(path, channel=channel)
-        assert np.array_equal(back.codes, X.sorted().codes)
-        assert back.values.tobytes() == X.sorted().values.tobytes()
+        assert np.array_equal(back.codes, X.codes)
+        assert back.values.tobytes() == X.values.tobytes()
 
     @pytest.mark.parametrize("n", [100, 250])
     def test_reader_holds_at_most_five_values_arrays(self, tmp_path, n):
@@ -516,7 +514,7 @@ class TestLongCsvRoundTrip:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert back.values.tobytes() == X.sorted().values.tobytes()
+        assert back.values.tobytes() == X.values.tobytes()
         assert peak <= 5 * back.values.nbytes, peak / back.values.nbytes
 
     def test_deterministic_bytes(self, tmp_path):

@@ -8,14 +8,17 @@ import pytest
 
 from mfda.core import CenteringMeans, Curve, CurveSet, Grid
 from mfda.errors import (
+    GridMismatchError,
     InsufficientDataError,
     InvalidParameterError,
+    MissingMeanError,
     SingularSystemError,
     UnbalancedDesignError,
 )
 import mfda.mfpca
 from mfda.core import center_rows
 from mfda.fpca import EigenSystem, SplineBasis
+from mfda.ingest import write_fit
 from mfda.mfpca import (
     FitConfig,
     blup_scores,
@@ -213,9 +216,21 @@ class TestSigmaEstimators:
         S = sigma_T_hat(X, means)
         from mfda.core import center_rows
 
-        centered = center_rows(X, means).sorted()
+        centered = center_rows(X, means)
         oracle = brute_sigma_T(centered.values)
         assert np.max(np.abs(S - oracle)) < 1e-12
+
+    def test_means_on_another_grid_rejected(self, small_grid):
+        X, _ = generate(n2_spec(608, n=4, J=2, m=small_grid.size))
+        other = Grid.uniform(small_grid.size + 1)
+        with pytest.raises(GridMismatchError):
+            sigma_T_hat(X, zero_means(other))
+
+    def test_missing_measure_effect_rejected(self, small_grid):
+        X, _ = generate(n2_spec(609, n=4, J=2, m=small_grid.size))
+        zero = Curve(small_grid, np.zeros(small_grid.size))
+        with pytest.raises(MissingMeanError, match="measure 2"):
+            sigma_T_hat(X, CenteringMeans(zero, {1: zero}))
 
     def test_sigma_B_equals_sigma_T_when_no_within_variation(self, small_grid):
         # identical rows within subject, dyadic values so sums are exact
@@ -235,7 +250,7 @@ class TestSigmaEstimators:
         S = sigma_B_hat(X, means)
         from mfda.core import center_rows
 
-        centered = center_rows(X, means).sorted()
+        centered = center_rows(X, means)
         oracle = brute_sigma_B(centered.values, n=5, J=3)
         assert np.max(np.abs(S - oracle)) < 1e-12
 
@@ -715,10 +730,33 @@ class TestFitNested:
         calls = []
         original = CurveSet.cells
         monkeypatch.setattr(CurveSet, "cells", lambda self: calls.append(1) or original(self))
-        monkeypatch.setattr(CurveSet, "is_balanced", lambda self: pytest.fail("second walk"))
         X, _ = generate(n3_spec(85, n=4, J=2, K_rep=3, m=21))
         assert canonical_design(X, levels=3)[1:] == (4, 2, 3)
         assert len(calls) == 1
+
+    def test_canonical_design_is_a_read_only_view(self):
+        X, _ = generate(n3_spec(86, n=4, J=2, K_rep=3, m=21))
+        before = X.values.copy()
+        rv, *_ = canonical_design(X, levels=3)
+        assert np.shares_memory(rv, X.values) and not rv.flags.writeable
+        fit_nested(X, FitConfig(levels=3))
+        assert X.values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_fit_does_not_depend_on_row_order(self, tmp_path, levels):
+        if levels == 2:
+            X, _ = generate(n2_spec(87, n=40, J=4, m=51))
+        else:
+            X, _ = generate(n3_spec(88, n=20, J=2, K_rep=4, m=51))
+        order = np.random.default_rng(levels).permutation(len(X))
+        shuffled = CurveSet(X.grid, X.codes[order], X.values[order])
+        config = FitConfig(levels=levels)
+        canonical = write_fit(fit_nested(X, config), tmp_path / "canonical")
+        permuted = write_fit(fit_nested(shuffled, config), tmp_path / "shuffled")
+        names = sorted(p.name for p in canonical.iterdir())
+        assert names == sorted(p.name for p in permuted.iterdir())
+        for name in names:
+            assert (canonical / name).read_bytes() == (permuted / name).read_bytes(), name
 
     def test_levels_mismatch_rejected(self, small_grid):
         spec = n3_spec(7, n=3, J=2, K_rep=2, m=small_grid.size)
