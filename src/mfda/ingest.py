@@ -12,6 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
+import shutil
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -22,12 +26,13 @@ from typing import Union
 
 import numpy as np
 
-from . import FORMAT_VERSION, __version__
+from . import FORMAT_VERSION, __version__, simkl
 from .core import Curve, CurveSet, Grid
 from .errors import (
     DuplicateKeyError,
     EmptyDataError,
     IncompleteCurveError,
+    InputError,
     InvalidParameterError,
     ParseError,
 )
@@ -87,12 +92,13 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
     a label that fills its field is read again at twice the width in half the
     rows, so no label is cut and a parse holds about the same number of
     characters; the width halves after a chunk whose labels fit in half.
+    Past `simkl.MAX_VALUES` rows of the channel it stops with an InputError.
     """
     names = sorted(columns, key=columns.get)
     usecols = sorted(columns.values())
     width = _NARROWEST
     tables: list[dict[str, int]] = [{}, {}, {}]
-    runs, run_lengths, ts, values = [], [], [], []
+    runs, run_lengths, ts, values, n_rows = [], [], [], [], 0
     while True:
         size = max(1, _CHUNK_ROWS * _NARROWEST // width)
         dtype = [(c, f"U{width}" if c in _LABEL_COLUMNS else "f8") for c in names]
@@ -111,6 +117,10 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
             raise ValueError("incomplete row")
         mask = rows["channel"] == channel
         ours = rows if mask.all() else rows[mask]
+        n_rows += len(ours)
+        if n_rows > simkl.MAX_VALUES:
+            raise InputError(f"{fh.name}: channel {channel!r} has more than the "
+                             f"{simkl.MAX_VALUES} values a data set may hold")
         ts.append(ours["t"].copy())  # copies, so that no chunk's labels stay alive
         values.append(ours["value"].copy())
         labels = [ours[c] for c in _LABEL_COLUMNS[:3]]
@@ -305,20 +315,75 @@ def _csv_fields(*fields) -> str:
     return buf.getvalue()[:-1]
 
 
+def _cpu_count() -> int:
+    """The CPUs of this process's affinity mask; 1 where it cannot fork or read the mask."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
     """Write a CurveSet as long-format CSV, curves in canonical order.
 
     Each curve's rows come from one `%` template of its label cells and the
-    grid's t cells, filled with the reprs of its values.
+    grid's t cells, filled with the reprs of its values. The curves are split
+    into contiguous ranges, one per CPU of the process's affinity mask and at
+    most one per curve. This process writes the first range while a forked
+    child formats each other range into an unlinked temporary file, whose
+    bytes are then copied in order through a fixed buffer; a child's exception
+    is raised here. The bytes do not depend on the number of ranges, and
+    where `os.fork` is missing the writer runs in one process.
     """
     cells = [f"{_fmt(t)},%r" for t in X.grid.points]
     tail = _csv_fields("", channel).replace("%", "%%") + "\n"
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
-        for (s, m, r), row in zip(X.codes.tolist(), X.values):
+
+    def texts(lo: int, hi: int):
+        for (s, m, r), row in zip(X.codes[lo:hi].tolist(), X.values[lo:hi]):
             head = _csv_fields(X.subject_labels[s - 1], X.measure_labels[m - 1], r, "")
             head = head.replace("%", "%%")
-            fh.write((head + (tail + head).join(cells) + tail) % tuple(row.tolist()))
+            yield (head + (tail + head).join(cells) + tail) % tuple(row.tolist())
+
+    parts = max(1, min(_cpu_count(), len(X)))
+    bounds = [len(X) * i // parts for i in range(parts + 1)]
+    children = []  # (pid, temporary file) of each range after the first, in file order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            tmp = tempfile.TemporaryFile()
+            with warnings.catch_warnings():
+                # Python 3.12 warns on a fork while other threads run, as numpy's BLAS
+                # pool does; the child runs no BLAS and no thread, only the formatting
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit: no buffer or exit handler runs
+                code = 1
+                try:
+                    out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
+                    out.writelines(texts(lo, hi))
+                    out.flush()
+                    code = 0
+                except BaseException as exc:  # for the parent to raise; its load stops at its end
+                    os.pwrite(tmp.fileno(), pickle.dumps(exc), 0)
+                    code = 2
+                finally:
+                    os._exit(code)
+            children.append((pid, tmp))
+        with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+            fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
+            fh.writelines(texts(0, bounds[1]))
+            fh.flush()
+            while children:
+                code = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
+                with children.pop(0)[1] as tmp:
+                    tmp.seek(0)
+                    if code == 2:
+                        raise pickle.load(tmp)
+                    if code:
+                        raise ChildProcessError(f"{path}: a writer process ended with status {code}")
+                    shutil.copyfileobj(tmp, fh.buffer)
+    finally:
+        for pid, tmp in children:  # after a failure, each child still running is waited for
+            os.waitpid(pid, 0)
+            tmp.close()
 
 
 def _cells(keys: np.ndarray, values: np.ndarray) -> list[list[str]]:

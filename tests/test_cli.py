@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import mfda
 import mfda.cli
+import mfda.ingest
 import mfda.leveltest
+import mfda.simkl
 from mfda import errors
 from mfda.cli import main
 from mfda.core import Curve
@@ -585,6 +587,23 @@ class TestFit:
         assert float(lines["variance_share_noise"]) == pytest.approx(
             noise / total, abs=1e-12
         )
+
+    def test_data_past_the_value_cap_exits_2(self, sim_dir, tmp_path, capsys, monkeypatch):
+        # 1008 rows of the channel, read in chunks of 16 against a cap of 50: the
+        # fourth chunk passes the cap, and the reader stops before a fifth
+        data = sim_dir / "data.csv"
+        chunks = []
+        load = mfda.ingest._load_columns
+        monkeypatch.setattr(mfda.simkl, "MAX_VALUES", 50)
+        monkeypatch.setattr(mfda.ingest, "_CHUNK_ROWS", 16)
+        monkeypatch.setattr(mfda.ingest, "_load_columns",
+                            lambda *a, **k: chunks.append(k) or load(*a, **k))
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", str(data), "--channel", "sim", "--out", str(fit_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: channel 'sim' has more than the 50 values a data set may hold\n")
+        assert len(chunks) == 4
+        assert not fit_dir.exists()
 
     def test_constant_data_exits_4_before_writing(self, tmp_path, capsys):
         # 5 subjects, 2 measures, 9 grid points, every value 1.5: no variance at all

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -417,20 +418,58 @@ def _reference_write_long_csv(X, path, channel):
 
 
 class TestLongCsvRoundTrip:
-    @pytest.mark.parametrize("replicates", [None, (3, 1)])
-    def test_bytes_match_the_row_writer(self, tmp_path, replicates):
-        # labels with %, a comma, a quote and a newline; rows out of order
+    @pytest.mark.parametrize("parts", [1, 2, 3, 100])
+    @pytest.mark.parametrize("replicates", [None, (3, 1), "generated"])
+    def test_bytes_match_the_row_writer(self, tmp_path, monkeypatch, replicates, parts):
+        # labels with %, a comma, a quote and a newline; rows out of order; or a
+        # generated three-level set. The writer formats the curves in 1, 2 or 3
+        # ranges, or one range per curve where there are fewer curves than parts
         rng = np.random.default_rng(5)
-        codes = [(i, j, k) for i in (2, 1, 3) for j in (2, 1) for k in (replicates or (1,))]
-        X = CurveSet(
-            Grid.uniform(5), codes, rng.normal(size=(len(codes), 5)),
-            ("a%s", 'b,"%d"', "c\n%%"), ("m%r", 'n,"1"\n'),
-        )
+        if replicates == "generated":
+            X, _ = generate(n3_spec(8, n=3, J=2, K_rep=3, m=11))
+        else:
+            codes = [(i, j, k) for i in (2, 1, 3) for j in (2, 1) for k in (replicates or (1,))]
+            X = CurveSet(
+                Grid.uniform(5), codes, rng.normal(size=(len(codes), 5)),
+                ("a%s", 'b,"%d"', "c\n%%"), ("m%r", 'n,"1"\n'),
+            )
+        monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: parts)
         for channel in ("sim", 'k%,"x"'):
             got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
             write_long_csv(X, got, channel=channel)
             _reference_write_long_csv(X, expected, channel=channel)
             assert got.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first_range", "last_range"])
+    def test_a_failing_range_raises_as_one_part_does(self, tmp_path, monkeypatch, at):
+        # a label UTF-8 cannot encode, on the first subject's curves (formatted by
+        # the writing process) or the last subject's (formatted by a child)
+        X, _ = generate(n2_spec(3, n=4, J=2, m=11))
+        labels = list(X.subject_labels)
+        labels[at] = "\ud800"
+        X = CurveSet(X.grid, X.codes, X.values, tuple(labels), X.measure_labels)
+        errors = []
+        for parts in (1, 3):
+            monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: parts)
+            with pytest.raises(UnicodeEncodeError) as info:
+                write_long_csv(X, tmp_path / "data.csv", channel="sim")
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_cannot_send_its_error(self, tmp_path, monkeypatch):
+        # the child's exception fails to pickle, so its temporary file holds no
+        # pickle: the writer names the failed process and unpickles nothing
+        X, _ = generate(n2_spec(3, n=4, J=2, m=11))
+        X = CurveSet(X.grid, X.codes, X.values, X.subject_labels[:-1] + ("\ud800",),
+                     X.measure_labels)
+        monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(mfda.ingest.pickle, "dumps", mock.Mock(side_effect=TypeError))
+        with pytest.raises(ChildProcessError, match="a writer process ended with status 1"):
+            write_long_csv(X, tmp_path / "data.csv", channel="sim")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_two_level_values_and_index(self, tmp_path):
         X, _ = generate(n2_spec(7, n=4, J=2, m=21))
