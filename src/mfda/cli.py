@@ -9,7 +9,6 @@ precondition violated, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,6 +27,8 @@ from .errors import (
 from .icc import icc_report
 from .ingest import (
     _fmt,
+    _not_utf8,
+    _records,
     _unkeyed,
     _write_table,
     read_fit,
@@ -170,18 +171,19 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if not cov_path.exists():
         raise FileNotFoundError(f"covariate file not found: {cov_path}")
     by_subject: dict[str, float] = {}
-    with open(cov_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {
-            "subject",
-            "value",
-        }:
+    try:
+        records = _records(cov_path)
+        header = next(records)[1]
+        if set(header) != {"subject", "value"}:
             raise ParseError(f"{cov_path}: header must be subject,value")
-        for record in reader:
+        for line, record in records:
+            row = dict(zip(header, record))  # a cell the record lacks reads as None
             try:
-                by_subject[record["subject"]] = float(record["value"])
+                by_subject[row.get("subject")] = float(row.get("value"))
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"{cov_path}:{reader.line_num}: {exc}") from None
+                raise ParseError(f"{cov_path}:{line}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(cov_path) from None
     missing = [s for s in fit.subject_labels if s not in by_subject]
     if missing:
         raise ParseError(f"covariate file lacks subjects: {missing}")
@@ -257,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="score-distribution test between groups")
     p.add_argument("fit_dir", help="fit directory from `mfda fit`")
-    p.add_argument("--level", type=int, choices=(2,), default=2)
     p.add_argument(
         "--group-a", nargs="+", required=True, metavar="MEASURE"
     )

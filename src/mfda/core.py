@@ -52,44 +52,27 @@ def trapezoid_weights(points: Sequence[float] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Common evaluation grid on [0, 1] with quadrature weights."""
+    """Common evaluation grid on [0, 1]. Its quadrature weights are the
+    trapezoid weights of its points, derived once here: a grid is its points."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         points = _readonly(self.points)
-        weights = _readonly(self.weights)
-        if points.ndim != 1 or points.size < 2:
-            raise InvalidGridError("grid needs at least two points")
-        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
-            raise InvalidGridError("grid points and weights must be finite")
-        if np.any(np.diff(points) <= 0):
-            raise InvalidGridError("grid points must be strictly increasing")
+        weights = trapezoid_weights(points)  # refuses too few, non-finite or unordered points
+        weights.setflags(write=False)
         if points[0] < -_DOMAIN_EPS or points[-1] > 1.0 + _DOMAIN_EPS:
             raise InvalidGridError("grid points must lie in [0, 1]")
-        if weights.shape != points.shape:
-            raise InvalidGridError("weights must have one entry per point")
-        if np.any(weights < 0):
-            raise InvalidGridError("quadrature weights must be nonnegative")
-        span = float(points[-1] - points[0])
-        total = float(weights.sum())
-        if abs(total - span) > 1e-12 * max(span, 1.0):
-            raise InvalidGridError(f"weights sum {total!r} != grid range {span!r}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_points(cls, points: Sequence[float] | np.ndarray) -> "Grid":
-        """Grid with trapezoid weights on the given points."""
-        return cls(np.asarray(points, dtype=float), trapezoid_weights(points))
 
     @classmethod
     def uniform(cls, m: int) -> "Grid":
         """Uniform grid of m points covering [0, 1]."""
         if m < 2:
             raise InvalidGridError("grid needs at least two points")
-        return cls.from_points(np.linspace(0.0, 1.0, m))
+        return cls(np.linspace(0.0, 1.0, m))
 
     @property
     def size(self) -> int:
@@ -97,10 +80,8 @@ class Grid:
 
 
 def same_grid(a: Grid, b: Grid) -> bool:
-    """Exact point-and-weight equality; shared references trivially match."""
-    if a is b:
-        return True
-    return np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+    """Exact equality of the points, which fix the weights; shared references trivially match."""
+    return a is b or np.array_equal(a.points, b.points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-import pickle
 import shutil
 import tempfile
 import warnings
@@ -292,7 +291,7 @@ def read_long_csv(
     if grid_policy == "intersect" and keep.sum() < 2:
         raise IncompleteCurveError("grid intersection across curves has fewer than two points")
 
-    grid = Grid.from_points(points[keep])
+    grid = Grid(points[keep])
     if not keep.all():
         value = value[keep[key % n_points]]
     values = value.reshape(n_curves, grid.size)
@@ -330,9 +329,10 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
     into contiguous ranges, one per CPU of the process's affinity mask and at
     most one per curve. This process writes the first range while a forked
     child formats each other range into an unlinked temporary file, whose
-    bytes are then copied in order through a fixed buffer; a child's exception
-    is raised here. The bytes do not depend on the number of ranges, and
-    where `os.fork` is missing the writer runs in one process.
+    bytes are then copied in order through a fixed buffer. This process formats
+    the range of a child that failed, so a data fault raises as in one process;
+    a failed write removes the file. The bytes do not depend on the number of
+    ranges, and where `os.fork` is missing the writer runs in one process.
     """
     cells = [f"{_fmt(t)},%r" for t in X.grid.points]
     tail = _csv_fields("", channel).replace("%", "%%") + "\n"
@@ -345,7 +345,7 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
 
     parts = max(1, min(_cpu_count(), len(X)))
     bounds = [len(X) * i // parts for i in range(parts + 1)]
-    children = []  # (pid, temporary file) of each range after the first, in file order
+    children = []  # (pid, temporary file, lo, hi) of each range after the first, in file order
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             tmp = tempfile.TemporaryFile()
@@ -355,33 +355,34 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:  # the child leaves through os._exit: no buffer or exit handler runs
-                code = 1
                 try:
                     out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
                     out.writelines(texts(lo, hi))
                     out.flush()
-                    code = 0
-                except BaseException as exc:  # for the parent to raise; its load stops at its end
-                    os.pwrite(tmp.fileno(), pickle.dumps(exc), 0)
-                    code = 2
+                    os._exit(0)
                 finally:
-                    os._exit(code)
-            children.append((pid, tmp))
-        with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
-            fh.writelines(texts(0, bounds[1]))
-            fh.flush()
-            while children:
-                code = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
-                with children.pop(0)[1] as tmp:
-                    tmp.seek(0)
-                    if code == 2:
-                        raise pickle.load(tmp)
-                    if code:
-                        raise ChildProcessError(f"{path}: a writer process ended with status {code}")
-                    shutil.copyfileobj(tmp, fh.buffer)
+                    os._exit(1)  # on any failure
+            children.append((pid, tmp, lo, hi))
+        fh = open(Path(path), "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
+                fh.writelines(texts(0, bounds[1]))
+                while children:
+                    status = os.waitpid(children[0][0], 0)[1]
+                    _, tmp, lo, hi = children.pop(0)
+                    with tmp:
+                        if status:  # the child failed in some way: its range is formatted here
+                            fh.writelines(texts(lo, hi))
+                        else:
+                            fh.flush()  # before the copy to the byte buffer
+                            tmp.seek(0)
+                            shutil.copyfileobj(tmp, fh.buffer)
+        except BaseException:
+            os.unlink(path)  # no partial file is left
+            raise
     finally:
-        for pid, tmp in children:  # after a failure, each child still running is waited for
+        for pid, tmp, *_ in children:  # after a failure, each child still running is waited for
             os.waitpid(pid, 0)
             tmp.close()
 
@@ -587,8 +588,8 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     penalties = _lenient(lambda: tuple(
         float(manifest["diagnostics"]["levels"][i]["lambda"]) for i in range(levels)), ())
     with _naming(d, "mean.csv"):
-        points, mean_values, weights = tables["mean.csv"][2].T
-        grid = Grid(points, weights)
+        points, mean_values = tables["mean.csv"][2].T[:2]  # w is checked with every value
+        grid = Grid(points)
         global_mean = Curve(grid, mean_values)
     # each level takes the next eigenvalues, one per eigenfunction column; a missing or
     # extra eigenvalue column passes the slice and is refused by the count or the header

@@ -140,8 +140,6 @@ def _memberships(
 def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndarray:
     """(R, K) statistics of the K columns of pooled (N, K), one row for each
     row of the (R, N) boolean matrix marking group A."""
-    if method not in METHODS:
-        raise InvalidParameterError(f"unknown method {method!r}")
     N = pooled.shape[0]
     n_a = int(member[0].sum())
     n_ab = n_a * (N - n_a)

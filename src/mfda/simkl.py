@@ -281,7 +281,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
             raise ParseError(f"generator spec{where} has unknown key {unknown[0]!r}; "
                              f"known keys: {', '.join(known)}")
     if "points" in grid_cfg:
-        grid = Grid.from_points(_floats(grid_cfg["points"], "'grid' key 'points'", 1))
+        grid = Grid(_floats(grid_cfg["points"], "'grid' key 'points'", 1))
     elif "m" in grid_cfg:
         m = _integer(grid_cfg["m"], "'grid' key 'm'")
         if m > MAX_VALUES:
@@ -321,7 +321,9 @@ def spec_from_dict(data: Mapping[str, Any]) -> GeneratorSpec:
         if isinstance(basis_cfg, str):
             if basis_cfg != "fourier":
                 raise ParseError(f"unknown basis family {basis_cfg!r}")
-            funcs = fourier_basis(grid, offset + evals.size)[:, offset:]
+            # one function at least, so that a level 1 without eigenvalues meets the spec's check
+            ladder = fourier_basis(grid, max(offset + evals.size, 1))
+            funcs = ladder[:, offset : offset + evals.size]
             offset += evals.size
         else:
             funcs = _floats(basis_cfg, f"{where} 'basis'", 2).T  # rows -> columns

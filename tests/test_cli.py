@@ -75,6 +75,7 @@ _FUZZ_PATHS = [
     ("seed",),
 ]
 _DELETE = object()
+_LEVEL = {"eigenvalues": [1.0], "basis": "fourier"}  # one level of a spec
 _ODD_EXPRESSIONS = [
     "9**9**9", "t**1e308", "(" * 300 + "t" + ")" * 300, "-" * 100000 + "1",
     "+".join(["t"] * 20000), "().__class__.__base__.__subclasses__()",
@@ -505,10 +506,37 @@ class TestSimulate:
             "error: generator spec section 'grid' must be a mapping, got int\n"
         )
 
-    def test_negative_spec_seed_exits_2(self, tmp_path, capsys):
-        spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), "seed": -1})
+    @pytest.mark.parametrize("change, message", [
+        ({"levels": []}, "between one and three levels supported"),
+        ({"levels": [_LEVEL] * 4}, "between one and three levels supported"),
+        ({"design": {"subjects": 4, "measures": 1}}, "two-level specs need measures >= 2"),
+        ({"levels": [_LEVEL] * 3}, "three-level specs need replicates >= 2"),
+        ({"design": {"subjects": 4, "measures": 2, "replicates": 2}},
+         "replicates > 1 requires three levels"),
+        ({"noise_variance": -1.0}, "noise variance must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"score_distribution": {"kind": "student_t", "df": 2}}, "score t distribution needs df > 2"),
+        ({"levels": [{"eigenvalues": [1.0, -0.5]}, _LEVEL]}, "level 1 needs eigenvalues, all >= 0"),
+        ({"levels": [{"eigenvalues": []}, _LEVEL]}, "level 1 needs eigenvalues, all >= 0"),
+        ({"levels": [{"eigenvalues": [1.0], "basis": [[0.0] * 5]}, _LEVEL]},
+         "level 1 basis must be 1 rows of 11 values"),
+        ({"levels": [{"eigenvalues": [1.0], "basis": "bspline"}, _LEVEL]},
+         "unknown basis family 'bspline'"),
+        ({"levels": [_LEVEL], "level2_shift": {"1": [1.0]}},
+         "level2_shift needs a two- or three-level spec"),
+        ({"level2_shift": {"3": [1.0, 0.0]}}, "level2_shift measure '3' outside 1..2"),
+        ({"level2_shift": {"1": [1.0]}}, "level2_shift rows must have 2 entries"),
+        ({"measure_means": ["t"]}, "measure means must be one curve per measure on the grid"),
+    ], ids=["no_levels", "four_levels", "one_measure", "three_levels_one_replicate",
+            "replicates_on_two_levels", "negative_noise", "negative_seed", "t_df_2",
+            "negative_eigenvalue", "no_level1_eigenvalues", "basis_shape", "bspline_basis",
+            "shift_on_one_level", "shift_measure_out_of_range", "shift_row_length",
+            "measure_means_count"])
+    def test_spec_rule_exits_2_with_its_message(self, tmp_path, capsys, change, message):
+        spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), **change})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "grid,design,needle",
@@ -1035,12 +1063,12 @@ class TestIcc:
              "mean.csv: grid points must lie in [0, 1]"),
             ("mean.csv",
              lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",0.07"),
-             "mean.csv: weights sum 1.02 != grid range 1.0"),
+             "mean.csv: row 3 has w 0.07, where the fit has 0.05000000000000001\n"),
             ("mean.csv", lambda text: edit_line(text, 4, lambda row: "nan" + row[3:]),
-             "mean.csv: grid points and weights must be finite"),
+             "mean.csv: grid points must be finite"),
             ("mean.csv",
              lambda text: edit_line(text, 4, lambda row: row.rsplit(",", 1)[0] + ",nan"),
-             "mean.csv: grid points and weights must be finite"),
+             "mean.csv: row 3 has w nan, where the fit has 0.05000000000000001\n"),
         ],
     )
     def test_hand_edited_fit_file_exits_2(self, tmp_path, capsys, name, edit, needle):
@@ -1421,15 +1449,23 @@ class TestCorrelate:
         assert float(out[1].split(",")[1]) == pytest.approx(1.0)
         assert (fit_dir / "score_correlation.csv").exists()
 
-    def test_missing_subject_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, fault", [
+        (b"subject,value\n1,2.0\n", "covariate file lacks subjects: ['2', '3', '4', '5', '6']"),
+        (None, "covariate file not found: {cov}"),
+        (b"subject,score\n1,2.0\n", "{cov}: header must be subject,value"),
+        (b"subject,value\n1,2.0\n2,abc\n", "{cov}:3: could not convert string to float: 'abc'"),
+        (b"subject,value\n1,2.0\n2,\xe9\n", "{cov}:3: not UTF-8 text (invalid continuation byte)"),
+        (b"subject,value\n1," + b"9" * 200_000 + b"\n",
+         "{cov}:2: field larger than field limit (131072)"),
+    ], ids=["missing_subjects", "missing_file", "header", "not_a_number", "not_utf8",
+            "field_too_large"])
+    def test_covariate_file_fault_exits_2(self, tmp_path, capsys, content, fault):
         fit_dir = handmade_fit_dir(tmp_path)
         cov = tmp_path / "cov.csv"
-        cov.write_text("subject,value\n1,2.0\n")
-        code = main(
-            ["correlate", str(fit_dir), "--covariate", str(cov)]
-        )
-        assert code == 2
-        assert "lacks subjects" in capsys.readouterr().err
+        if content is not None:
+            cov.write_bytes(content)
+        assert main(["correlate", str(fit_dir), "--covariate", str(cov)]) == 2
+        assert capsys.readouterr().err == f"error: {fault.format(cov=cov)}\n"
 
 
 ERROR_CATEGORIES = {

@@ -114,8 +114,8 @@ def grids():
     out = [Grid.uniform(m) for m in (2, 3, 4, 5, 6, 7, 8, 11, 12, 21, 50, 101, 401)]
     rng = np.random.default_rng(3)
     for m in (5, 17, 59, 200):
-        out.append(Grid.from_points(np.sort(rng.uniform(0.0, 1.0, m))))
-    out.append(Grid.from_points(np.r_[np.linspace(0.0, 0.05, 40), 0.5, 1.0]))
+        out.append(Grid(np.sort(rng.uniform(0.0, 1.0, m))))
+    out.append(Grid(np.r_[np.linspace(0.0, 0.05, 40), 0.5, 1.0]))
     return out
 
 

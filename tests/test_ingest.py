@@ -109,7 +109,7 @@ def _reference_read_long_csv(path, channel, grid_policy="strict"):
         shared = tuple(sorted(common))
         dropped = tuple(sorted(union - common))
 
-    grid = Grid.from_points(np.asarray(shared))
+    grid = Grid(np.asarray(shared))
     subjects = sorted({k[0] for k in groups}, key=_label_key)
     measures = sorted({k[1] for k in groups}, key=_label_key)
     subject_of = {s: i + 1 for i, s in enumerate(subjects)}
@@ -443,7 +443,8 @@ class TestLongCsvRoundTrip:
     @pytest.mark.parametrize("at", [0, -1], ids=["first_range", "last_range"])
     def test_a_failing_range_raises_as_one_part_does(self, tmp_path, monkeypatch, at):
         # a label UTF-8 cannot encode, on the first subject's curves (formatted by
-        # the writing process) or the last subject's (formatted by a child)
+        # the writing process) or the last subject's (formatted by a child, which
+        # fails, and then by the writing process); no partial file is left
         X, _ = generate(n2_spec(3, n=4, J=2, m=11))
         labels = list(X.subject_labels)
         labels[at] = "\ud800"
@@ -454,20 +455,20 @@ class TestLongCsvRoundTrip:
             with pytest.raises(UnicodeEncodeError) as info:
                 write_long_csv(X, tmp_path / "data.csv", channel="sim")
             errors.append((type(info.value), str(info.value)))
+            assert not (tmp_path / "data.csv").exists()
         assert errors[0] == errors[1]
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_child_that_cannot_send_its_error(self, tmp_path, monkeypatch):
-        # the child's exception fails to pickle, so its temporary file holds no
-        # pickle: the writer names the failed process and unpickles nothing
+    def test_a_child_that_cannot_write_its_range(self, tmp_path, monkeypatch):
+        # each child's temporary file is read-only, so every child fails: the
+        # writing process formats their ranges itself, and the bytes are the same
         X, _ = generate(n2_spec(3, n=4, J=2, m=11))
-        X = CurveSet(X.grid, X.codes, X.values, X.subject_labels[:-1] + ("\ud800",),
-                     X.measure_labels)
-        monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(mfda.ingest.pickle, "dumps", mock.Mock(side_effect=TypeError))
-        with pytest.raises(ChildProcessError, match="a writer process ended with status 1"):
-            write_long_csv(X, tmp_path / "data.csv", channel="sim")
+        monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(mfda.ingest.tempfile, "TemporaryFile", lambda: open(os.devnull, "rb"))
+        write_long_csv(X, tmp_path / "data.csv", channel="sim")
+        _reference_write_long_csv(X, tmp_path / "expected.csv", channel="sim")
+        assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -848,7 +848,7 @@ class TestFitNested:
         rng = np.random.default_rng(321)
         points = np.sort(rng.uniform(0.0, 1.0, 59))
         points[0], points[-1] = 0.0, 1.0
-        grid = Grid.from_points(points)
+        grid = Grid(points)
         raw = np.column_stack(
             [np.sin(2 * np.pi * points), np.cos(2 * np.pi * points), points]
         )
