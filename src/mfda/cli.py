@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,8 +28,7 @@ from .errors import (
 from .icc import icc_report
 from .ingest import (
     _fmt,
-    _not_utf8,
-    _records,
+    _read_numeric,
     _unkeyed,
     _write_table,
     read_fit,
@@ -166,24 +166,20 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    """Spearman correlation of a level's scores with a per-subject covariate, whose
+    file is read as a fit table is: a subject,value header, and each subject once."""
     fit = read_fit(args.fit_dir)
     cov_path = Path(args.covariate)
     if not cov_path.exists():
         raise FileNotFoundError(f"covariate file not found: {cov_path}")
-    by_subject: dict[str, float] = {}
-    try:
-        records = _records(cov_path)
-        header = next(records)[1]
-        if set(header) != {"subject", "value"}:
-            raise ParseError(f"{cov_path}: header must be subject,value")
-        for line, record in records:
-            row = dict(zip(header, record))  # a cell the record lacks reads as None
-            try:
-                by_subject[row.get("subject")] = float(row.get("value"))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{cov_path}:{line}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(cov_path) from None
+    header, keys, values = _read_numeric(cov_path, 1)
+    if header != ["subject", "value"]:
+        raise ParseError(f"{cov_path}: header must be subject,value")
+    subjects = keys[:, 0].tolist()
+    by_subject = dict(zip(subjects, values[:, 0].tolist()))
+    if len(by_subject) < len(subjects):
+        twice = next(s for s, count in Counter(subjects).items() if count > 1)
+        raise ParseError(f"{cov_path}: subject {twice!r} is listed twice")
     missing = [s for s in fit.subject_labels if s not in by_subject]
     if missing:
         raise ParseError(f"covariate file lacks subjects: {missing}")

@@ -193,6 +193,8 @@ def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
             raise ParseError(f"{path}:{line}: {exc}") from None
         if not ours:
             continue
+        if replicate < 1:
+            raise ParseError(f"{path}:{line}: replicate {replicate} is below 1")
         if not (np.isfinite(t) and np.isfinite(value)):
             raise ParseError(f"{path}:{line}: non-finite t or value")
         key = (row["subject"], row["measure"], replicate, t)
@@ -238,6 +240,8 @@ def read_long_csv(
                 subjects, s = _ranked(runs[:, 0], tables[0])
                 measures, m = _ranked(runs[:, 1], tables[1])
                 rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
+                if (rep_ints < 1).any():
+                    raise ValueError("replicate below 1")
                 replicates, r = np.unique(rep_ints, return_inverse=True)
                 if not (np.isfinite(t).all() and np.isfinite(value).all()):
                     raise ValueError("non-finite t or value")
@@ -501,9 +505,9 @@ def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
 
 
 def _read_numeric(path: Path, n_keys: int = 0) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """A fit table's header, its first n_keys columns as a (rows, n_keys)
-    object array of label cells, and its other columns as one float matrix,
-    all parsed in one pass.
+    """A table's header, its first n_keys columns as a (rows, n_keys) object
+    array of label cells, and its other columns as one float matrix, all
+    parsed in one pass: each fit table, and the covariate file of correlate.
 
     A missing or empty file, a row with more or fewer cells than the header,
     and a value cell that does not parse are each a ParseError naming the

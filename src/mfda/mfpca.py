@@ -387,7 +387,9 @@ def blup_scores(
 def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
     """Full nested fit: means, level surfaces, eigensystems, noise, scores.
     Data whose moment products overflow raise FloatingPointError."""
-    rv = canonical_design(X, levels=config.levels)[0]
+    rv, n = canonical_design(X, levels=config.levels)[:2]
+    if n < 2:  # one subject's level cannot be told from the global mean
+        raise InsufficientDataError("a nested fit needs at least two subjects")
     means = measure_means(X, center_measures=config.center_measures)
     rv = _centre(rv, X.grid, means)
 

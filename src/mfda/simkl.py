@@ -174,8 +174,6 @@ class GeneratorSpec:
         if self.score_df is not None and self.score_df <= 2:
             raise InvalidParameterError("score t distribution needs df > 2")
         m = self.grid.size
-        if self.mean.shape != (m,):
-            raise InvalidParameterError("mean must be tabulated on the grid")
         if self.measure_means is not None and self.measure_means.shape != (self.n_measures, m):
             raise InvalidParameterError("measure means must be one curve per measure on the grid")
         for lvl, spec in enumerate(self.levels, start=1):
@@ -186,12 +184,6 @@ class GeneratorSpec:
                     f"level {lvl} basis must be {spec.n_components} rows of {m} values"
                 )
             _check_orthonormal(spec.functions, self.grid, f"level {lvl}")
-        if self.level2_shift is not None:
-            if len(self.levels) < 2:
-                raise InvalidParameterError("level2_shift needs a second level")
-            expected = (self.n_measures, self.levels[1].n_components)
-            if self.level2_shift.shape != expected:
-                raise InvalidParameterError(f"level2_shift must have shape {expected}")
 
     @property
     def n_levels(self) -> int:
@@ -219,8 +211,6 @@ def _bad_value(where: str, kind: str, value: Any) -> ParseError:
 
 
 def _integer(value: Any, where: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise _bad_value(where, "an integer", value)
     return value

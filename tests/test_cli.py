@@ -27,13 +27,13 @@ import mfda.leveltest
 import mfda.simkl
 from mfda import errors
 from mfda.cli import main
-from mfda.core import Curve
+from mfda.core import Curve, Grid
 from mfda.fpca import EigenSystem
 from mfda.icc import icc_report
 from mfda.ingest import read_fit, write_fit
 from mfda.leveltest import METHODS, two_sample_score_test
 from mfda.mfpca import FitConfig, MultilevelFit
-from mfda.simkl import MAX_VALUES, fourier_basis
+from mfda.simkl import MAX_VALUES, evaluate_expression, fourier_basis
 
 from .conftest import json_paths, n2_spec_dict, n3_spec_dict
 
@@ -527,16 +527,31 @@ class TestSimulate:
         ({"level2_shift": {"3": [1.0, 0.0]}}, "level2_shift measure '3' outside 1..2"),
         ({"level2_shift": {"1": [1.0]}}, "level2_shift rows must have 2 entries"),
         ({"measure_means": ["t"]}, "measure means must be one curve per measure on the grid"),
+        ({"mean": [0.0] * 10}, "'mean' must have one value per grid point"),
+        ({"grid": {"m": 21.0}},
+         "generator spec section 'grid' key 'm' must be an integer, got 21.0"),
     ], ids=["no_levels", "four_levels", "one_measure", "three_levels_one_replicate",
             "replicates_on_two_levels", "negative_noise", "negative_seed", "t_df_2",
             "negative_eigenvalue", "no_level1_eigenvalues", "basis_shape", "bspline_basis",
             "shift_on_one_level", "shift_measure_out_of_range", "shift_row_length",
-            "measure_means_count"])
+            "measure_means_count", "mean_length", "float_grid_size"])
     def test_spec_rule_exits_2_with_its_message(self, tmp_path, capsys, change, message):
         spec_path = write_spec(tmp_path, {**n2_spec_dict(5, n=4, J=2, m=11), **change})
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_listed_curves_simulate_as_their_expressions(self, tmp_path):
+        t = Grid.uniform(11).points
+        expressions = {**n2_spec_dict(5, n=4, J=2, m=11), "measure_means": ["t", "-0.5*t"]}
+        listed = {**expressions, "mean": evaluate_expression(expressions["mean"], t).tolist(),
+                  "measure_means": [t.tolist(), (-0.5 * t).tolist()]}
+        for name, spec in (("expressions", expressions), ("listed", listed)):
+            spec_path = write_spec(tmp_path, spec, f"{name}.yaml")
+            assert main(["simulate", str(spec_path), "--out", str(tmp_path / name)]) == 0
+        for name in ("data.csv", "truth.json"):
+            assert (tmp_path / "listed" / name).read_bytes() == (
+                tmp_path / "expressions" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "grid,design,needle",
@@ -631,6 +646,31 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: {data}: channel 'sim' has more than the 50 values a data set may hold\n")
         assert len(chunks) == 4
+        assert not fit_dir.exists()
+
+    def test_intersect_fits_the_points_every_curve_has(self, sim_dir, tmp_path, capsys):
+        header, *rows = (sim_dir / "data.csv").read_text().splitlines()
+        lacking = rows[5].split(",")[3]  # the first curve's sixth point
+        (tmp_path / "one.csv").write_text("\n".join([header, *rows[:5], *rows[6:]]) + "\n")
+        (tmp_path / "all.csv").write_text("\n".join(
+            [header, *(r for r in rows if r.split(",")[3] != lacking)]) + "\n")
+        for name, policy in (("one", "intersect"), ("all", "strict")):
+            assert main(["fit", str(tmp_path / f"{name}.csv"), "--channel", "sim",
+                         "--grid-policy", policy, "--out", str(tmp_path / f"f_{name}")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "grid_points: 20" in out and out.count("dropped_grid_points: 1") == 1
+        one, every = ({k: v for k, v in dir_bytes(tmp_path / f"f_{name}").items()
+                       if k != "manifest.json"} for name in ("one", "all"))
+        assert one == every  # the manifests differ in their data path and policy
+
+    @pytest.mark.parametrize("flags", [[], ["--no-measure-means"]])
+    def test_one_subject_exits_3(self, tmp_path, capsys, flags):
+        spec_path = write_spec(tmp_path, n2_spec_dict(3, n=1, J=2, m=11))
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "d")]) == 0
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", str(tmp_path / "d" / "data.csv"), "--channel", "sim",
+                     "--out", str(fit_dir), *flags]) == 3
+        assert capsys.readouterr().err == "error: a nested fit needs at least two subjects\n"
         assert not fit_dir.exists()
 
     def test_constant_data_exits_4_before_writing(self, tmp_path, capsys):
@@ -774,8 +814,6 @@ def edit_line(text: str, line: int, edit) -> str:
 def handmade_fit_dir(tmp_path: Path, levels: int = 2) -> Path:
     """A written fit of 6 subjects, measures HIIT1 and HIIT2, and, for three
     levels, 2 replicates; every level keeps two components."""
-    from mfda.core import Grid
-
     grid = Grid.uniform(21)
     basis = fourier_basis(grid, 2)
 
@@ -1431,6 +1469,10 @@ class TestImport:
             assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+# a covariate row for each subject of handmade_fit_dir, values 1..6
+_COV_ROWS = b"".join(b"%d,%d\n" % (i, i) for i in range(1, 7))
+
+
 class TestCorrelate:
     def test_basic_run(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)
@@ -1455,10 +1497,15 @@ class TestCorrelate:
         (b"subject,score\n1,2.0\n", "{cov}: header must be subject,value"),
         (b"subject,value\n1,2.0\n2,abc\n", "{cov}:3: could not convert string to float: 'abc'"),
         (b"subject,value\n1,2.0\n2,\xe9\n", "{cov}:3: not UTF-8 text (invalid continuation byte)"),
-        (b"subject,value\n1," + b"9" * 200_000 + b"\n",
-         "{cov}:2: field larger than field limit (131072)"),
+        (b"subject,value\n1," + b"9" * 200_000 + b"\n" + _COV_ROWS[1:],
+         "scores and covariate must be finite"),
+        (b"subject,value\n" + _COV_ROWS + b"1,100\n", "{cov}: subject '1' is listed twice"),
+        (b"subject,value\n" + _COV_ROWS.replace(b"\n", b",junk\n"),
+         "{cov}:2: 3 cells, the header has 2"),
+        (b"subject,value\n" + _COV_ROWS[:-3] + b"\n", "{cov}:7: 1 cells, the header has 2"),
+        (b"value,subject\n" + _COV_ROWS, "{cov}: header must be subject,value"),
     ], ids=["missing_subjects", "missing_file", "header", "not_a_number", "not_utf8",
-            "field_too_large"])
+            "field_too_large", "subject_twice", "extra_cell", "short_row", "columns_swapped"])
     def test_covariate_file_fault_exits_2(self, tmp_path, capsys, content, fault):
         fit_dir = handmade_fit_dir(tmp_path)
         cov = tmp_path / "cov.csv"

@@ -71,6 +71,8 @@ def _reference_read_long_csv(path, channel, grid_policy="strict"):
                 value = float(record["value"])
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: {exc}") from None
+            if replicate < 1:
+                raise ParseError(f"{path}:{line}: replicate {replicate} is below 1")
             if not (np.isfinite(t) and np.isfinite(value)):
                 raise ParseError(f"{path}:{line}: non-finite t or value")
             key = (record["subject"], record["measure"], replicate)
@@ -273,6 +275,7 @@ ROW_FAULTS = [
     ("bad_float", "a,m,1,oops,1.0,c\n", "c", ParseError, 7),
     ("non_finite", "a,m,1,0.0,inf,c\n", "c", ParseError, 7),
     ("bad_replicate", "a,m,x,0.0,1.0,c\n", "c", ParseError, 7),
+    ("replicate_below_1", "a,m,00,0.0,1.0,c\n", "c", ParseError, 7),
     # a record spanning lines 7-8 is cited by the line it ends on
     ("duplicate", '"two\nlines",m,01,0.0,2.0,c\n', "c", DuplicateKeyError, 8),
     ("grid_mismatch", "a,m,1,0.0,1.0,c\n", "c", IncompleteCurveError, None),
