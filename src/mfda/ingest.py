@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import os
+import pickle
 import shutil
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain, islice, zip_longest
 from pathlib import Path
@@ -66,6 +67,7 @@ class IngestReport:
 
 
 _CHUNK_ROWS = 10_000  # data rows parsed at once at the narrowest label width
+_MIN_RANGE_BYTES = 2 << 20  # bytes of a parse range: at 1.5 MB a fork costs what it saves
 _NARROWEST = 8  # characters in every label field, until a label fills them
 _LABEL_COLUMNS = ("subject", "measure", "replicate", "channel")
 
@@ -91,7 +93,8 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
     a label that fills its field is read again at twice the width in half the
     rows, so no label is cut and a parse holds about the same number of
     characters; the width halves after a chunk whose labels fit in half.
-    Past `simkl.MAX_VALUES` rows of the channel it stops with an InputError.
+    It stops past `simkl.MAX_VALUES` rows of the channel. t and value are
+    returned as their chunks, for the caller to join.
     """
     names = sorted(columns, key=columns.get)
     usecols = sorted(columns.values())
@@ -117,9 +120,6 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
         mask = rows["channel"] == channel
         ours = rows if mask.all() else rows[mask]
         n_rows += len(ours)
-        if n_rows > simkl.MAX_VALUES:
-            raise InputError(f"{fh.name}: channel {channel!r} has more than the "
-                             f"{simkl.MAX_VALUES} values a data set may hold")
         ts.append(ours["t"].copy())  # copies, so that no chunk's labels stay alive
         values.append(ours["value"].copy())
         labels = [ours[c] for c in _LABEL_COLUMNS[:3]]
@@ -130,18 +130,27 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
                  for table, col in zip(tables, labels)]
         runs.append(np.array(coded, dtype=np.int64).T)
         run_lengths.append(np.diff(np.flatnonzero(head), append=len(head)))
-        if len(rows) < size:
-            ts = np.concatenate(ts)  # frees the t chunks before the values are joined
-            return (np.concatenate(runs), np.concatenate(run_lengths), [list(t) for t in tables],
-                    ts, np.concatenate(values))
+        if len(rows) < size or n_rows > simkl.MAX_VALUES:
+            return np.concatenate(runs), np.concatenate(run_lengths), tables, ts, values
+
+
+class _Range(io.FileIO):
+    """A file read up to byte hi: each buffered read goes through readinto, which stops there."""
+
+    def __init__(self, path: Path, hi: int):
+        super().__init__(path, "rb")
+        self.hi = hi
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[: max(0, self.hi - self.tell())])
 
 
 def _ranked(codes: np.ndarray, labels: list[str]) -> tuple[list[str], np.ndarray]:
-    """The labels in `_label_key` order, and the rank of each coded label."""
-    order = sorted(range(len(labels)), key=lambda i: _label_key(labels[i]))
-    rank = np.empty(len(labels), dtype=np.int64)
-    rank[order] = np.arange(len(labels))
-    return [labels[i] for i in order], rank[codes]
+    """The distinct labels in `_label_key` order, labels of one key in the order
+    they first appear, and the rank of each coded label."""
+    distinct = sorted(dict.fromkeys(labels), key=_label_key)
+    rank = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.array([rank[x] for x in labels], dtype=np.int64)[codes]
 
 
 def _to_float(text: str) -> float:
@@ -215,61 +224,92 @@ def read_long_csv(
     'strict' rejects any grid mismatch between curves; 'intersect' restricts
     every curve to the common grid and reports the dropped points. Every data
     row must be complete and have a numeric t and value, whatever its channel.
+
+    The rows are parsed in byte ranges cut past a newline, one per CPU of the
+    affinity mask and each of at least `_MIN_RANGE_BYTES`; forked children parse
+    all but the first (`_forked`). A file holding '"' is one range, as a quoted
+    label may hold a newline. The result does not depend on the number of ranges.
     """
     if grid_policy not in GRID_POLICIES:
         raise InvalidParameterError(f"grid_policy must be one of {GRID_POLICIES}")
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            # readline, unlike iterating fh, leaves fh.tell() usable for _parsed_rows
-            header = next(csv.reader(iter(fh.readline, "")), None)
-            if header is None or set(header) != set(LONG_COLUMNS):
-                raise ParseError(
-                    f"{path}: header must contain exactly the columns "
-                    f"{', '.join(LONG_COLUMNS)}"
-                )
-            columns = {name: i for i, name in enumerate(header)}
-            try:
-                with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
-                    block = bytearray(1 << 20)  # one buffer for every read, freed before the parse
-                    while k := raw.readinto(block):
-                        if block.find(b"\0", 0, k) >= 0:
-                            raise ValueError("NUL character")
-                    del block
-                runs, run_lengths, tables, t, value = _parsed_rows(fh, columns, channel)
-                subjects, s = _ranked(runs[:, 0], tables[0])
-                measures, m = _ranked(runs[:, 1], tables[1])
-                rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
-                if (rep_ints < 1).any():
-                    raise ValueError("replicate below 1")
-                replicates, r = np.unique(rep_ints, return_inverse=True)
-                if not (np.isfinite(t).all() and np.isfinite(value).all()):
-                    raise ValueError("non-finite t or value")
-                # each run's (subject, measure) unit and curve, numbered in canonical order
-                units, unit = np.unique(s * len(measures) + m, return_inverse=True)
-                keys, curve_first, curve = np.unique(
-                    unit * len(replicates) + r[runs[:, 2]], return_index=True,
-                    return_inverse=True)
-                # code t by the first run's points, or by all points if one is missing there
-                # (with an index, as a plain np.unique imports numpy.ma into a fresh process)
-                points = np.unique(t[: run_lengths[:1].sum()], return_index=True)[0]
-                tc = np.searchsorted(points, t)
-                if not (tc < points.size).all() or (points[tc] != t).any():
-                    points, tc = np.unique(t, return_inverse=True)
-                del t
-                # each row's curve-major (curve, point) key, built in the point codes and
-                # sorted with the values unless it increases, as write_long_csv writes it
-                key = tc
-                key += np.repeat(curve * points.size, run_lengths)
-                if not (key[1:] > key[:-1]).all():
-                    order = np.argsort(key, kind="stable")
-                    key = key[order]
-                    value = value[order]
-                    if (key[1:] == key[:-1]).any():
-                        raise ValueError("duplicate record")
-            except (ValueError, OverflowError) as exc:
-                _raise_row_error(path, columns, channel)
-                raise ParseError(f"{path}: {exc}") from None
+            header = next(csv.reader(fh), None)
+            size = os.fstat(fh.fileno()).st_size
+        if header is None or set(header) != set(LONG_COLUMNS):
+            raise ParseError(f"{path}: header must contain exactly the columns "
+                             f"{', '.join(LONG_COLUMNS)}")
+        columns = {name: i for i, name in enumerate(header)}
+
+        def parse(lo, hi):
+            raw = _Range(path, hi) if hi < size else io.FileIO(path)  # a subclass slows readline
+            raw.seek(lo)
+            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as text:
+                if not lo:  # the header; readline, unlike iterating, leaves text.tell() usable
+                    next(csv.reader(iter(text.readline, "")))
+                return _parsed_rows(text, columns, channel)
+
+        try:
+            with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
+                block = bytearray(min(1 << 20, size) or 1 << 20)  # freed before the parse
+                quoted = False
+                while k := raw.readinto(block):
+                    if block.find(b"\0", 0, k) >= 0:
+                        raise ValueError("NUL character")
+                    quoted = quoted or block.find(b'"', 0, k) >= 0
+                del block
+                parts = 1 if quoted else min(_cpu_count(), size // _MIN_RANGE_BYTES)
+                # each cut just past the first newline from its share of the bytes on
+                cuts = [0] + [raw.seek(size * i // parts) + len(raw.readline())
+                              for i in range(1, parts)] + [size]
+            child = lambda job, tmp: pickle.dump(parse(*job), tmp, protocol=5)  # noqa: E731
+            with closing(_forked(list(zip(cuts, cuts[1:])), child)) as ranges:
+                runs, run_lengths, tables, ts, values = zip(
+                    *(pickle.load(tmp) if tmp else parse(*job) for job, tmp in ranges))
+            # each range's label codes follow those of the ranges before it
+            sizes = np.array([[len(table) for table in range_tables] for range_tables in tables])
+            runs = np.concatenate([coded + at for coded, at in zip(runs, sizes.cumsum(0) - sizes)])
+            run_lengths, values = np.concatenate(run_lengths), [*chain(*values)]
+            tables = [[*chain(*col)] for col in zip(*tables)]  # a label may appear more than once
+            if sum(map(len, values)) > simkl.MAX_VALUES:
+                raise InputError(f"{path}: channel {channel!r} has more than the "
+                                 f"{simkl.MAX_VALUES} values a data set may hold")
+            t, ts = np.concatenate([*chain(*ts)]), None  # the t chunks go before the values join
+            value, values = np.concatenate(values), None
+            subjects, s = _ranked(runs[:, 0], tables[0])
+            measures, m = _ranked(runs[:, 1], tables[1])
+            rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
+            if (rep_ints < 1).any():
+                raise ValueError("replicate below 1")
+            replicates, r = np.unique(rep_ints, return_inverse=True)
+            if not (np.isfinite(t).all() and np.isfinite(value).all()):
+                raise ValueError("non-finite t or value")
+            # each run's (subject, measure) unit and curve, numbered in canonical order
+            units, unit = np.unique(s * len(measures) + m, return_inverse=True)
+            keys, curve_first, curve = np.unique(
+                unit * len(replicates) + r[runs[:, 2]], return_index=True,
+                return_inverse=True)
+            # code t by the first run's points, or by all points if one is missing there
+            # (with an index, as a plain np.unique imports numpy.ma into a fresh process)
+            points = np.unique(t[: run_lengths[:1].sum()], return_index=True)[0]
+            tc = np.searchsorted(points, t)
+            if not (tc < points.size).all() or (points[tc] != t).any():
+                points, tc = np.unique(t, return_inverse=True)
+            del t
+            # each row's curve-major (curve, point) key, built in the point codes and
+            # sorted with the values unless it increases, as write_long_csv writes it
+            key = tc
+            key += np.repeat(curve * points.size, run_lengths)
+            if not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                value = value[order]
+                if (key[1:] == key[:-1]).any():
+                    raise ValueError("duplicate record")
+        except (ValueError, OverflowError) as exc:
+            _raise_row_error(path, columns, channel)
+            raise ParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except csv.Error as exc:  # a field past csv's size limit, say
@@ -331,12 +371,9 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
     Each curve's rows come from one `%` template of its label cells and the
     grid's t cells, filled with the reprs of its values. The curves are split
     into contiguous ranges, one per CPU of the process's affinity mask and at
-    most one per curve. This process writes the first range while a forked
-    child formats each other range into an unlinked temporary file, whose
-    bytes are then copied in order through a fixed buffer. This process formats
-    the range of a child that failed, so a data fault raises as in one process;
-    a failed write removes the file. The bytes do not depend on the number of
-    ranges, and where `os.fork` is missing the writer runs in one process.
+    most one per curve; forked children format all but the first (`_forked`),
+    whose bytes are copied in order through a fixed buffer. A failed write
+    removes the file. The bytes do not depend on the number of ranges.
     """
     cells = [f"{_fmt(t)},%r" for t in X.grid.points]
     tail = _csv_fields("", channel).replace("%", "%%") + "\n"
@@ -349,44 +386,49 @@ def write_long_csv(X: CurveSet, path: Union[str, Path], channel: str) -> None:
 
     parts = max(1, min(_cpu_count(), len(X)))
     bounds = [len(X) * i // parts for i in range(parts + 1)]
-    children = []  # (pid, temporary file, lo, hi) of each range after the first, in file order
+    write = lambda job, out: out.writelines(text.encode() for text in texts(*job))  # noqa: E731
+    fh = open(Path(path), "wb")
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        with fh, closing(_forked(list(zip(bounds, bounds[1:])), write)) as ranges:
+            fh.write(_csv_fields(*LONG_COLUMNS).encode() + b"\n")
+            for job, tmp in ranges:
+                write(job, fh) if tmp is None else shutil.copyfileobj(tmp, fh)
+    except BaseException:
+        os.unlink(path)  # no partial file is left
+        raise
+
+
+def _forked(jobs: list, child):
+    """(job, file) for each job in order. For each job after the first, a forked
+    child runs child(job, file) into an unlinked temporary file, yielded at its
+    start once the child exits 0. The file is None for the first job and for a
+    failed child's, which the caller then does, so a fault raises as in one
+    process. Closing the generator waits for every child."""
+    children = []  # (pid, temporary file, job) of each job after the first, in order
+    try:
+        for job in jobs[1:]:
             tmp = tempfile.TemporaryFile()
             with warnings.catch_warnings():
-                # Python 3.12 warns on a fork while other threads run, as numpy's BLAS
-                # pool does; the child runs no BLAS and no thread, only the formatting
+                # Python 3.12 warns on a fork while threads run, as numpy's BLAS pool does
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:  # the child leaves through os._exit: no buffer or exit handler runs
                 try:
-                    out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
-                    out.writelines(texts(lo, hi))
-                    out.flush()
+                    child(job, tmp)
+                    tmp.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)  # on any failure
-            children.append((pid, tmp, lo, hi))
-        fh = open(Path(path), "w", encoding="utf-8", newline="")
-        try:
-            with fh:
-                fh.write(_csv_fields(*LONG_COLUMNS) + "\n")
-                fh.writelines(texts(0, bounds[1]))
-                while children:
-                    status = os.waitpid(children[0][0], 0)[1]
-                    _, tmp, lo, hi = children.pop(0)
-                    with tmp:
-                        if status:  # the child failed in some way: its range is formatted here
-                            fh.writelines(texts(lo, hi))
-                        else:
-                            fh.flush()  # before the copy to the byte buffer
-                            tmp.seek(0)
-                            shutil.copyfileobj(tmp, fh.buffer)
-        except BaseException:
-            os.unlink(path)  # no partial file is left
-            raise
+            children.append((pid, tmp, job))
+        yield jobs[0], None
+        while children:
+            status = os.waitpid(children[0][0], 0)[1]
+            _, tmp, job = children.pop(0)
+            with tmp:
+                tmp.seek(0)
+                yield job, None if status else tmp
     finally:
-        for pid, tmp, *_ in children:  # after a failure, each child still running is waited for
+        for pid, tmp, _ in children:  # after a failure, each child still running is waited for
             os.waitpid(pid, 0)
             tmp.close()
 

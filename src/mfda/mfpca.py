@@ -347,7 +347,7 @@ def _blup(
     means = (p.mean(axis=(1, 2), keepdims=True), p.mean(axis=2, keepdims=True), p)
     out, coef, shallower, start = [], 0, 0, 0
     for mean, eig, k, r in zip(means, level_eig, keep, sqrt_lam):
-        units = mean[..., 0].size
+        units = int(np.prod(mean.shape[:-1]))  # also with no components (q = 0)
         contrast = (mean - shallower)[..., start:]
         solved = np.linalg.solve(G[start:, start:], contrast.reshape(units, q - start).T)
         coef = coef + solved.T.reshape(contrast.shape)  # its own depth's and the shallower ones

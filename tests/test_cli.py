@@ -673,6 +673,34 @@ class TestFit:
         assert capsys.readouterr().err == "error: a nested fit needs at least two subjects\n"
         assert not fit_dir.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--no-measure-means"]])
+    def test_fit_that_keeps_no_component(self, tmp_path, capsys, flags):
+        # iid N(0, 1) values, n=19, J=2, m=14, whose levels each hold at most
+        # DEGENERATE_LEVEL_FRACTION of the variance: every score table has key
+        # columns alone, the fit reads back, its ICC is 0 and there is nothing to test
+        seed = 142 if flags else 43
+        values = np.random.default_rng(seed).normal(size=(38, 14))
+        data = tmp_path / "noise.csv"
+        data.write_text("subject,measure,replicate,t,value,channel\n" + "".join(
+            f"{i // 2 + 1},{i % 2 + 1},1,{t / 13!r},{v!r},sim\n"
+            for i, row in enumerate(values) for t, v in enumerate(row.tolist())))
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", str(data), "--channel", "sim", "--out", str(fit_dir), *flags]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "retained_level1: 0" in out and "retained_level2: 0" in out
+        lines = (fit_dir / "scores_level2.csv").read_text().splitlines()
+        assert lines[0] == "subject,measure" and len(lines) == 39
+        fit = read_fit(fit_dir)
+        assert fit.retained == (0, 0) and [s.shape for s in fit.scores] == [(19, 0), (38, 0)]
+        write_fit(fit, tmp_path / "again", extra_manifest=json.loads(
+            (fit_dir / "manifest.json").read_text()))
+        assert dir_bytes(tmp_path / "again") == dir_bytes(fit_dir)
+        assert main(["icc", str(fit_dir)]) == 0
+        assert capsys.readouterr().out == "0.00\n"
+        assert json.loads((fit_dir / "icc.json").read_text())["global_icc"] == 0.0
+        assert main(["test", str(fit_dir), "--group-a", "1", "--group-b", "2"]) == 3
+        assert capsys.readouterr().err == "error: no retained score components to test\n"
+
     def test_constant_data_exits_4_before_writing(self, tmp_path, capsys):
         # 5 subjects, 2 measures, 9 grid points, every value 1.5: no variance at all
         data = tmp_path / "constant.csv"

@@ -405,6 +405,125 @@ class TestReaderMatchesReference:
             assert_reads_like_reference(path, channel, grid_policy)
 
 
+def _ranged_rows(order, rng):
+    """Rows of channels c and d, labels without a quote: a long one, a non-ASCII
+    one and numeric ones, two replicates and eleven points; in canonical order,
+    shuffled, or one curve of 401 points alone, so that every cut falls inside it."""
+    points = [repr(t / 10) for t in range(11)]
+    if order == "one_curve":
+        return [["s", "m", "1", repr(t / 400), repr(float(v)), "c"]
+                for t, v in enumerate(rng.normal(size=401))]
+    rows = [[s, m, r, t, repr(float(rng.normal())), ch]
+            for ch in ("c", "d") for s in ("1", "2", "10", LONG_LABEL, "é中")
+            for m in ("pre", "post") for r in ("1", "2") for t in points]
+    return [rows[i] for i in rng.permutation(len(rows))] if order == "shuffled" else rows
+
+
+def _write_rows(path, rows, newline="\n"):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator=newline).writerows([LONG_COLUMNS, *rows])
+
+
+def _read_at(parts, monkeypatch, *args):
+    """read_long_csv in up to `parts` ranges of any size, and the forks it made."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(mfda.ingest, "_cpu_count", lambda: parts)
+    monkeypatch.setattr(mfda.ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    try:
+        X, report = read_long_csv(*args)
+        return (X.values.tobytes(), X.codes.tobytes(), X.subject_labels, X.measure_labels,
+                X.grid.points.tobytes(), report), len(forks)
+    finally:
+        monkeypatch.setattr(os, "fork", fork)
+
+
+class TestReadRanges:
+    @pytest.mark.parametrize("chunk_rows", [3, 10_000])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("order", ["canonical", "shuffled", "one_curve"])
+    def test_every_part_count_reads_the_same(self, tmp_path, monkeypatch, order, newline,
+                                             chunk_rows):
+        # a cut past any newline falls inside a curve, and the ranges hold labels
+        # and channels the others lack; 1-4 ranges give the same CurveSet and report
+        path = tmp_path / "data.csv"
+        _write_rows(path, _ranged_rows(order, np.random.default_rng(11)), newline)
+        monkeypatch.setattr(mfda.ingest, "_CHUNK_ROWS", chunk_rows)
+        got = [_read_at(parts, monkeypatch, path, "c") for parts in (1, 2, 3, 4)]
+        assert [forks for _, forks in got] == [0, 1, 2, 3]
+        assert all(read == got[0][0] for read, _ in got)
+        assert_reads_like_reference(path, "c", "strict")
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_labels_of_one_key_keep_their_file_order(self, tmp_path, monkeypatch):
+        # "001", "1", "0001" and "01" all sort as 1: they keep the order in which
+        # they first appear in the file, also when they first appear in other ranges
+        labels = ("001", "1", "0001", "01")
+        path = tmp_path / "data.csv"
+        _write_rows(path, [[s, "m", "1", repr(t / 10), "1.0", "c"]
+                           for s in labels for t in range(11)])
+        for parts in (1, 2, 3, 4):
+            assert _read_at(parts, monkeypatch, path, "c")[0][2] == labels
+
+    @pytest.mark.parametrize("before", [1, 70_000])
+    def test_a_quoted_label_keeps_one_range(self, tmp_path, monkeypatch, before):
+        # a quoted field may hold a newline, so a file holding '"' is not cut; after
+        # 70,000 rows the quote lies past the scan's first 1 MiB read
+        rows = [["a", "m", "1", repr(i / before), "1.0", "c"] for i in range(before + 1)]
+        rows += [["two\nlines", "m", "1", "0.0", "1.0", "d"]]
+        path = tmp_path / "quoted.csv"
+        _write_rows(path, rows)
+        assert b'"two\nlines"' in path.read_bytes()
+        read, forks = _read_at(4, monkeypatch, path, "c")
+        assert forks == 0
+        assert read == _read_at(1, monkeypatch, path, "c")[0]
+
+    @pytest.mark.parametrize("fault", ["bad_float", "not_utf8", "incomplete", "max_values",
+                                       "max_values_in_sum"])
+    def test_a_fault_in_a_child_range_raises_as_one_range(self, tmp_path, monkeypatch, fault):
+        # the fault lies in the last of three ranges. A child that fails has its
+        # range parsed again here, so the error is that of one range; past the
+        # cap a range stops, and at "max_values_in_sum" no range alone passes it
+        rows = _ranged_rows("canonical", np.random.default_rng(12))
+        if fault == "bad_float":
+            rows[-1][4] = "oops"
+        elif fault == "incomplete":
+            rows[-1][3] = ""
+        elif fault.startswith("max_values"):
+            ours = sum(row[5] == "c" for row in rows)
+            monkeypatch.setattr(mfda.simkl, "MAX_VALUES", ours - 1 if "sum" in fault else 5)
+            rows = rows[::-1]  # the channel's rows last
+        path = tmp_path / "bad.csv"
+        _write_rows(path, rows)
+        if fault == "not_utf8":
+            path.write_bytes(path.read_bytes()[:-3] + b"\xff\n")
+        errors = []
+        for parts in (1, 3):
+            with pytest.raises(MfdaError) as info:
+                _read_at(parts, monkeypatch, path, "c")
+            errors.append((type(info.value), str(info.value)))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith({
+            "bad_float": f"{path}:{len(rows) + 1}: could not convert string to float: 'oops'",
+            "not_utf8": f"{path}:{len(rows) + 1}: not UTF-8 text",
+            "incomplete": f"{path}:{len(rows) + 1}: incomplete row",
+        }.get(fault, f"{path}: channel 'c' has more than the {mfda.simkl.MAX_VALUES} values"))
+
+    def test_a_child_that_cannot_return_its_range(self, tmp_path, monkeypatch):
+        # each child's temporary file is read-only, so every child fails: this
+        # process parses their ranges itself, and reads the same
+        path = tmp_path / "data.csv"
+        _write_rows(path, _ranged_rows("shuffled", np.random.default_rng(13)))
+        expected = _read_at(1, monkeypatch, path, "c")[0]
+        monkeypatch.setattr(mfda.ingest.tempfile, "TemporaryFile", lambda: open(os.devnull, "rb"))
+        assert _read_at(3, monkeypatch, path, "c") == (expected, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def _reference_write_long_csv(X, path, channel):
     """The row-at-a-time writer, kept as the byte oracle of write_long_csv."""
     points = [repr(float(t)) for t in X.grid.points]
@@ -538,14 +657,15 @@ class TestLongCsvRoundTrip:
         assert np.array_equal(back.codes, X.codes)
         assert back.values.tobytes() == X.values.tobytes()
 
-    @pytest.mark.parametrize("n", [100, 250])
+    @pytest.mark.parametrize("n", [40, 60, 100, 250])
     def test_reader_holds_at_most_five_values_arrays(self, tmp_path, n):
         # tracemalloc counts numpy's allocations exactly. The parse chunk is a
         # fixed cost, made small so that a small file shows the arrays that
         # grow with it: t, the values, the point codes and the row keys. The
-        # NUL scan's one 1 MiB buffer is the other fixed cost; at n=100 the
-        # file is 1.5 MB and two such buffers would break the bound. The
-        # untraced first read pays numpy's lazy imports.
+        # NUL scan's one buffer, of the file's size up to 1 MiB, is the other
+        # fixed cost: at n=40 and 60 the file is 0.58 and 0.87 MB, and a 1 MiB
+        # buffer would break the bound; at n=100 it is 1.5 MB and two 1 MiB
+        # buffers would. The untraced first read pays numpy's lazy imports.
         X, _ = generate(n2_spec(4, n=n, J=4, m=101))
         path = tmp_path / "data.csv"
         write_long_csv(X, path, channel="sim")
