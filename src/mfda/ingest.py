@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import shutil
@@ -19,7 +20,9 @@ import tempfile
 import warnings
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, zip_longest
+from functools import partial
+from itertools import chain, count, zip_longest
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Union
@@ -93,8 +96,9 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
     a label that fills its field is read again at twice the width in half the
     rows, so no label is cut and a parse holds about the same number of
     characters; the width halves after a chunk whose labels fit in half.
-    It stops past `simkl.MAX_VALUES` rows of the channel. t and value are
-    returned as their chunks, for the caller to join.
+    It stops past `simkl.MAX_VALUES` rows of the channel; a fault is a bare
+    ValueError, cited by the caller's walk. t and value are returned as their
+    chunks, for the caller to join.
     """
     names = sorted(columns, key=columns.get)
     usecols = sorted(columns.values())
@@ -160,59 +164,65 @@ def _to_float(text: str) -> float:
     return float(text)
 
 
-def _not_utf8(path: Path) -> ParseError:
-    """The error of a text file that is not UTF-8, citing its first line
-    that does not decode."""
-    with open(path, "rb") as fh:
-        for line, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})")
-    return ParseError(f"{path}: not UTF-8 text")
-
-
 def _records(path: Path):
     """(line, record) of the header and of each non-blank data record of a CSV text file, line
-    the physical one where it ends; a record csv cannot read is a ParseError citing its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    the physical one where it ends; a record csv cannot read or that holds bytes that are
+    not UTF-8 (read as U+DC80-U+DCFF, so that lines still count) is a ParseError citing it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for record in chain([next(reader, [])], filter(None, reader)):
+                # the cells' bytes, each followed by an ASCII byte as in the file
+                ",".join([*record, ""]).encode("utf-8", "surrogateescape").decode("utf-8")
                 yield reader.line_num, record
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{reader.line_num}: not UTF-8 text ({exc.reason})") from None
 
 
-def _raise_row_error(path: Path, columns: dict[str, int], channel: str) -> None:
-    """Raise the error of the first data row that breaks a row rule, citing its line
-    (`_records`). Runs only after the bulk parse has found a fault."""
-    seen = set()
-    for line, record in islice(_records(path), 1, None):
-        if any("\0" in cell for cell in record):
-            raise ParseError(f"{path}:{line}: NUL character")
-        row = {c: record[i] if i < len(record) else "" for c, i in columns.items()}
-        if "" in row.values():
-            raise ParseError(f"{path}:{line}: incomplete row")
-        ours = row["channel"] == channel
+def _walk(path: Path, check) -> None:
+    """Raise the first fault of a CSV text file in file order, citing the line of
+    its record: a fault of `_records`, or what check(header, record) raises for a
+    data record, a ValueError as a ParseError and an InputError as its own type.
+    The readers call it once a bulk parse has found a fault, and raise that fault
+    themselves when no record has one."""
+    records = _records(path)
+    header = next(records)[1]
+    for line, record in records:
         try:
-            replicate = int(row["replicate"]) if ours else None
-            t, value = _to_float(row["t"]), _to_float(row["value"])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: {exc}") from None
-        if not ours:
-            continue
-        if replicate < 1:
-            raise ParseError(f"{path}:{line}: replicate {replicate} is below 1")
-        if not (np.isfinite(t) and np.isfinite(value)):
-            raise ParseError(f"{path}:{line}: non-finite t or value")
-        key = (row["subject"], row["measure"], replicate, t)
-        if key in seen:
-            raise DuplicateKeyError(
-                f"{path}:{line}: duplicate record for subject="
-                f"{key[0]!r} measure={key[1]!r} replicate={key[2]} t={t!r}"
-            )
-        seen.add(key)
+            check(header, record)
+        except (ValueError, InputError) as exc:
+            error = type(exc) if isinstance(exc, InputError) else ParseError
+            raise error(f"{path}:{line}: {exc}") from None
+
+
+def _long_csv_row(cells, channel: str, duplicate, ours, header, record) -> None:
+    """`_walk`'s check of a long-CSV data row, its rules in order: a complete row, no
+    NUL, numbers, and on the channel a replicate from 1, a finite t and value, a
+    row number within `simkl.MAX_VALUES`, and a key no earlier row has. `cells`
+    picks a row's cells in `LONG_COLUMNS` order; `ours` numbers the channel's rows
+    from 0, and row `duplicate` of them is the first whose key an earlier row has."""
+    subject, measure, replicate, t, value, row_channel = cells(record + [""] * len(header))
+    if "" in (subject, measure, replicate, t, value, row_channel):
+        raise ValueError("incomplete row")
+    if "\0" in ",".join(record):
+        raise ValueError("NUL character")
+    t, value = _to_float(t), _to_float(value)
+    if row_channel != channel:
+        return
+    replicate = int(replicate)
+    if replicate < 1:
+        raise ValueError(f"replicate {replicate} is below 1")
+    if not (math.isfinite(t) and math.isfinite(value)):
+        raise ValueError("non-finite t or value")
+    n = next(ours)
+    if n >= simkl.MAX_VALUES:
+        raise InputError(f"channel {channel!r} has more than the {simkl.MAX_VALUES} "
+                         "values a data set may hold")
+    if n == duplicate:
+        raise DuplicateKeyError(f"duplicate record for subject={subject!r} "
+                                f"measure={measure!r} replicate={replicate} t={t!r}")
 
 
 def read_long_csv(
@@ -228,91 +238,90 @@ def read_long_csv(
     The rows are parsed in byte ranges cut past a newline, one per CPU of the
     affinity mask and each of at least `_MIN_RANGE_BYTES`; forked children parse
     all but the first (`_forked`). A file holding '"' is one range, as a quoted
-    label may hold a newline. The result does not depend on the number of ranges.
+    label may hold a newline. The parse only detects a fault, the value cap's
+    included; `_walk` then raises the first row fault in file order
+    (`_long_csv_row`), else the first duplicate. Grid coverage is checked last.
+    Neither the result nor the error depends on the number of ranges or chunks.
     """
     if grid_policy not in GRID_POLICIES:
         raise InvalidParameterError(f"grid_policy must be one of {GRID_POLICIES}")
     path = Path(path)
+    header = next(_records(path))[1]
+    if set(header) != set(LONG_COLUMNS):
+        raise ParseError(f"{path}: header must contain exactly the columns "
+                         f"{', '.join(LONG_COLUMNS)}")
+    columns = {name: i for i, name in enumerate(header)}
+    size = path.stat().st_size
+
+    def parse(lo, hi):
+        raw = _Range(path, hi) if hi < size else io.FileIO(path)  # a subclass slows readline
+        raw.seek(lo)
+        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as text:
+            if not lo:  # the header, one line as its names hold no newline
+                text.readline()
+            return _parsed_rows(text, columns, channel)
+
+    duplicate = None  # the first channel row, from 0 in file order, whose key an earlier row has
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-            size = os.fstat(fh.fileno()).st_size
-        if header is None or set(header) != set(LONG_COLUMNS):
-            raise ParseError(f"{path}: header must contain exactly the columns "
-                             f"{', '.join(LONG_COLUMNS)}")
-        columns = {name: i for i, name in enumerate(header)}
-
-        def parse(lo, hi):
-            raw = _Range(path, hi) if hi < size else io.FileIO(path)  # a subclass slows readline
-            raw.seek(lo)
-            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="") as text:
-                if not lo:  # the header; readline, unlike iterating, leaves text.tell() usable
-                    next(csv.reader(iter(text.readline, "")))
-                return _parsed_rows(text, columns, channel)
-
-        try:
-            with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
-                block = bytearray(min(1 << 20, size) or 1 << 20)  # freed before the parse
-                quoted = False
-                while k := raw.readinto(block):
-                    if block.find(b"\0", 0, k) >= 0:
-                        raise ValueError("NUL character")
-                    quoted = quoted or block.find(b'"', 0, k) >= 0
-                del block
-                parts = 1 if quoted else min(_cpu_count(), size // _MIN_RANGE_BYTES)
-                # each cut just past the first newline from its share of the bytes on
-                cuts = [0] + [raw.seek(size * i // parts) + len(raw.readline())
-                              for i in range(1, parts)] + [size]
-            child = lambda job, tmp: pickle.dump(parse(*job), tmp, protocol=5)  # noqa: E731
-            with closing(_forked(list(zip(cuts, cuts[1:])), child)) as ranges:
-                runs, run_lengths, tables, ts, values = zip(
-                    *(pickle.load(tmp) if tmp else parse(*job) for job, tmp in ranges))
-            # each range's label codes follow those of the ranges before it
-            sizes = np.array([[len(table) for table in range_tables] for range_tables in tables])
-            runs = np.concatenate([coded + at for coded, at in zip(runs, sizes.cumsum(0) - sizes)])
-            run_lengths, values = np.concatenate(run_lengths), [*chain(*values)]
-            tables = [[*chain(*col)] for col in zip(*tables)]  # a label may appear more than once
-            if sum(map(len, values)) > simkl.MAX_VALUES:
-                raise InputError(f"{path}: channel {channel!r} has more than the "
-                                 f"{simkl.MAX_VALUES} values a data set may hold")
-            t, ts = np.concatenate([*chain(*ts)]), None  # the t chunks go before the values join
-            value, values = np.concatenate(values), None
-            subjects, s = _ranked(runs[:, 0], tables[0])
-            measures, m = _ranked(runs[:, 1], tables[1])
-            rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
-            if (rep_ints < 1).any():
-                raise ValueError("replicate below 1")
-            replicates, r = np.unique(rep_ints, return_inverse=True)
-            if not (np.isfinite(t).all() and np.isfinite(value).all()):
-                raise ValueError("non-finite t or value")
-            # each run's (subject, measure) unit and curve, numbered in canonical order
-            units, unit = np.unique(s * len(measures) + m, return_inverse=True)
-            keys, curve_first, curve = np.unique(
-                unit * len(replicates) + r[runs[:, 2]], return_index=True,
-                return_inverse=True)
-            # code t by the first run's points, or by all points if one is missing there
-            # (with an index, as a plain np.unique imports numpy.ma into a fresh process)
-            points = np.unique(t[: run_lengths[:1].sum()], return_index=True)[0]
-            tc = np.searchsorted(points, t)
-            if not (tc < points.size).all() or (points[tc] != t).any():
-                points, tc = np.unique(t, return_inverse=True)
-            del t
-            # each row's curve-major (curve, point) key, built in the point codes and
-            # sorted with the values unless it increases, as write_long_csv writes it
-            key = tc
-            key += np.repeat(curve * points.size, run_lengths)
-            if not (key[1:] > key[:-1]).all():
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                value = value[order]
-                if (key[1:] == key[:-1]).any():
-                    raise ValueError("duplicate record")
-        except (ValueError, OverflowError) as exc:
-            _raise_row_error(path, columns, channel)
-            raise ParseError(f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except csv.Error as exc:  # a field past csv's size limit, say
+        with open(path, "rb") as raw:  # a fixed-width field drops a trailing NUL
+            block = bytearray(min(1 << 20, size) or 1 << 20)  # freed before the parse
+            quoted = False
+            while k := raw.readinto(block):
+                if block.find(b"\0", 0, k) >= 0:
+                    raise ValueError("NUL character")
+                quoted = quoted or block.find(b'"', 0, k) >= 0
+            del block
+            parts = 1 if quoted else min(_cpu_count(), size // _MIN_RANGE_BYTES)
+            # each cut just past the first newline from its share of the bytes on
+            cuts = [0] + [raw.seek(size * i // parts) + len(raw.readline())
+                          for i in range(1, parts)] + [size]
+        child = lambda job, tmp: pickle.dump(parse(*job), tmp, protocol=5)  # noqa: E731
+        with closing(_forked(list(zip(cuts, cuts[1:])), child)) as ranges:
+            runs, run_lengths, tables, ts, values = zip(
+                *(pickle.load(tmp) if tmp else parse(*job) for job, tmp in ranges))
+        # each range's label codes follow those of the ranges before it
+        sizes = np.array([[len(table) for table in range_tables] for range_tables in tables])
+        runs = np.concatenate([coded + at for coded, at in zip(runs, sizes.cumsum(0) - sizes)])
+        run_lengths, values = np.concatenate(run_lengths), [*chain(*values)]
+        tables = [[*chain(*col)] for col in zip(*tables)]  # a label may appear more than once
+        if sum(map(len, values)) > simkl.MAX_VALUES:
+            raise ValueError(f"more than {simkl.MAX_VALUES} values")
+        t, ts = np.concatenate([*chain(*ts)]), None  # the t chunks go before the values join
+        value, values = np.concatenate(values), None
+        subjects, s = _ranked(runs[:, 0], tables[0])
+        measures, m = _ranked(runs[:, 1], tables[1])
+        rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
+        if (rep_ints < 1).any():
+            raise ValueError("replicate below 1")
+        replicates, r = np.unique(rep_ints, return_inverse=True)
+        if not (np.isfinite(t).all() and np.isfinite(value).all()):
+            raise ValueError("non-finite t or value")
+        # each run's (subject, measure) unit and curve, numbered in canonical order
+        units, unit = np.unique(s * len(measures) + m, return_inverse=True)
+        keys, curve_first, curve = np.unique(
+            unit * len(replicates) + r[runs[:, 2]], return_index=True,
+            return_inverse=True)
+        # code t by the first run's points, or by all points if one is missing there
+        # (with an index, as a plain np.unique imports numpy.ma into a fresh process)
+        points = np.unique(t[: run_lengths[:1].sum()], return_index=True)[0]
+        key = np.searchsorted(points, t)
+        if not (key < points.size).all() or (points[key] != t).any():
+            points, key = np.unique(t, return_inverse=True)
+        del t
+        # each row's curve-major (curve, point) key, built in the point codes and
+        # sorted with the values unless it increases, as write_long_csv writes it
+        key += np.repeat(curve * points.size, run_lengths)
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            value = value[order]
+            repeats = key[1:] == key[:-1]
+            if repeats.any():
+                duplicate = int(order[1:][repeats].min())
+                raise ValueError("duplicate record")
+    except (ValueError, OverflowError) as exc:
+        cells = itemgetter(*(columns[c] for c in LONG_COLUMNS))
+        _walk(path, partial(_long_csv_row, cells, channel, duplicate, count()))
         raise ParseError(f"{path}: {exc}") from None
     if not key.size:
         raise EmptyDataError(f"{path}: no records for channel {channel!r}")
@@ -528,22 +537,13 @@ def write_fit(fit: MultilevelFit, out_dir: Union[str, Path],
     return out
 
 
-def _table_error(path: Path, n_keys: int, fault: str) -> ParseError:
-    """The error of the first data row of a fit table that has other cells
-    than its header or a value cell that does not parse, cited by its
-    physical line (`_records`, which raises that of a row csv cannot read);
-    `fault` is what the bulk parse saw, for when no row does."""
-    records = _records(path)
-    width = len(next(records)[1])
-    for line, record in records:
-        try:
-            if len(record) != width:
-                raise ValueError(f"{len(record)} cells, the header has {width}")
-            for cell in record[n_keys:]:
-                _to_float(cell)
-        except ValueError as exc:
-            return ParseError(f"{path}:{line}: {exc}")
-    return ParseError(f"{path}: {fault}")
+def _table_row(n_keys: int, header, record) -> None:
+    """`_walk`'s check of a data row of a fit table or the covariate file: the
+    header's cells, and value cells that parse."""
+    if len(record) != len(header):
+        raise ValueError(f"{len(record)} cells, the header has {len(header)}")
+    for cell in record[n_keys:]:
+        _to_float(cell)
 
 
 def _read_numeric(path: Path, n_keys: int = 0) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -551,29 +551,25 @@ def _read_numeric(path: Path, n_keys: int = 0) -> tuple[list[str], np.ndarray, n
     array of label cells, and its other columns as one float matrix, all
     parsed in one pass: each fit table, and the covariate file of correlate.
 
-    A missing or empty file, a row with more or fewer cells than the header,
-    and a value cell that does not parse are each a ParseError naming the
-    file, and the line where there is one.
+    A missing or empty file is a ParseError naming the file. The parse only
+    detects any other fault; `_walk` then raises the first in file order,
+    citing its line: bytes that are not UTF-8, a row with more or fewer cells
+    than the header, or a value cell that does not parse (`_table_row`).
     """
     if not path.exists():
         raise ParseError(f"missing fit file: {path}")
     try:
+        skip, header = next(_records(path))  # a quoted label may span lines
+        if not header or len(header) < n_keys:
+            raise ValueError(f"header {header} lacks the {n_keys} key columns"
+                             if header else "empty file")
+        # the fields fix each row's width: the parse refuses more or fewer cells
+        dtype = [("keys", object, (n_keys,)), ("values", float, (len(header) - n_keys,))]
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, [])
-                if not header or len(header) < n_keys:
-                    raise ValueError(f"header {header} lacks the {n_keys} key columns"
-                                     if header else "empty file")
-                skip = reader.line_num  # a quoted label may span lines
-                fh.seek(0)
-                # the fields fix each row's width: the parse refuses more or fewer cells
-                dtype = [("keys", object, (n_keys,)), ("values", float, (len(header) - n_keys,))]
-                rows = _load_columns(fh, None, dtype, skip)[:, 0]
-            except (ValueError, csv.Error) as exc:
-                raise _table_error(path, n_keys, str(exc)) from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+            rows = _load_columns(fh, None, dtype, skip)[:, 0]
+    except ValueError as exc:
+        _walk(path, partial(_table_row, n_keys))
+        raise ParseError(f"{path}: {exc}") from None
     return header, rows["keys"], rows["values"]
 
 

@@ -633,7 +633,8 @@ class TestFit:
 
     def test_data_past_the_value_cap_exits_2(self, sim_dir, tmp_path, capsys, monkeypatch):
         # 1008 rows of the channel, read in chunks of 16 against a cap of 50: the
-        # fourth chunk passes the cap, and the reader stops before a fifth
+        # fourth chunk passes the cap, and the reader stops before a fifth; the
+        # error cites the channel's 51st row
         data = sim_dir / "data.csv"
         chunks = []
         load = mfda.ingest._load_columns
@@ -644,7 +645,7 @@ class TestFit:
         fit_dir = tmp_path / "fit"
         assert main(["fit", str(data), "--channel", "sim", "--out", str(fit_dir)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {data}: channel 'sim' has more than the 50 values a data set may hold\n")
+            f"error: {data}:52: channel 'sim' has more than the 50 values a data set may hold\n")
         assert len(chunks) == 4
         assert not fit_dir.exists()
 
@@ -1598,3 +1599,68 @@ def test_memory_error_exits_2(command, name, message, tmp_path, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message or 'MemoryError'}\n"
+
+
+# The cells the mutation sweep below writes: not finite, out of range, a quote,
+# a NUL, a carriage return, a non-ASCII digit and an empty cell.
+_SWEEP_CELLS = [b"nan", b"1e400", b'"', b"\x00", b"\r", "١".encode(), b""]
+
+
+def _mutated(text: bytes, rng: np.random.Generator) -> bytes:
+    """text after one seeded edit: a line deleted, duplicated or swapped with the
+    next; a cell replaced by one of _SWEEP_CELLS, one of them added, or a cell
+    dropped; the text truncated; or a byte that is not UTF-8 appended."""
+    lines = text.split(b"\n")
+    i = int(rng.integers(len(lines)))
+    cells = lines[i].split(b",")
+    j = int(rng.integers(len(cells)))
+    cell = _SWEEP_CELLS[int(rng.integers(len(_SWEEP_CELLS)))]
+    kind = int(rng.integers(8))
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        lines[i:i + 2] = lines[i:i + 2][::-1]
+    elif kind == 3:
+        cells[j] = cell
+    elif kind == 4:
+        cells.insert(j, cell)
+    elif kind == 5:
+        del cells[j]
+    elif kind == 6:
+        return text[: int(rng.integers(len(text)))]
+    else:
+        return text + b"\xff"
+    if kind in (3, 4, 5):
+        lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path):
+    # 300 seeded edits, a third each of the long CSV (read by fit), of a file of
+    # its fit (read by icc) and of a covariate file (read by correlate): every
+    # one ends in an exit code and at most one error line, never in a traceback
+    spec = write_spec(tmp_path, n2_spec_dict(31, n=6, J=2, m=11))
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "sim")]) == 0
+    data, fit_dir, cov = tmp_path / "sim" / "data.csv", tmp_path / "fit", tmp_path / "cov.csv"
+    assert main(["fit", str(data), "--channel", "sim", "--out", str(fit_dir)]) == 0
+    cov.write_bytes(b"subject,value\n" + _COV_ROWS)
+    fit_files = sorted(fit_dir.iterdir())
+    rng = np.random.default_rng(20)
+    for at in range(300):
+        path, argv = [
+            (data, ["fit", str(data), "--channel", "sim", "--out", str(tmp_path / "refit")]),
+            (fit_files[int(rng.integers(len(fit_files)))], ["icc", str(fit_dir)]),
+            (cov, ["correlate", str(fit_dir), "--covariate", str(cov)]),
+        ][at % 3]
+        original = path.read_bytes()
+        path.write_bytes(_mutated(original, rng))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        mutated = path.read_bytes()
+        path.write_bytes(original)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4), (path.name, mutated)
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines

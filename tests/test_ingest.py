@@ -23,6 +23,7 @@ from mfda.errors import (
     DuplicateKeyError,
     EmptyDataError,
     IncompleteCurveError,
+    InputError,
     InvalidParameterError,
     MfdaError,
     ParseError,
@@ -484,8 +485,10 @@ class TestReadRanges:
     def test_a_fault_in_a_child_range_raises_as_one_range(self, tmp_path, monkeypatch, fault):
         # the fault lies in the last of three ranges. A child that fails has its
         # range parsed again here, so the error is that of one range; past the
-        # cap a range stops, and at "max_values_in_sum" no range alone passes it
+        # cap a range stops, and at "max_values_in_sum" no range alone passes it.
+        # The cap cites the channel's row past it
         rows = _ranged_rows("canonical", np.random.default_rng(12))
+        line = len(rows) + 1
         if fault == "bad_float":
             rows[-1][4] = "oops"
         elif fault == "incomplete":
@@ -494,6 +497,7 @@ class TestReadRanges:
             ours = sum(row[5] == "c" for row in rows)
             monkeypatch.setattr(mfda.simkl, "MAX_VALUES", ours - 1 if "sum" in fault else 5)
             rows = rows[::-1]  # the channel's rows last
+            line += 1 - ours + mfda.simkl.MAX_VALUES
         path = tmp_path / "bad.csv"
         _write_rows(path, rows)
         if fault == "not_utf8":
@@ -506,11 +510,31 @@ class TestReadRanges:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         assert errors[0] == errors[1]
-        assert errors[0][1].startswith({
-            "bad_float": f"{path}:{len(rows) + 1}: could not convert string to float: 'oops'",
-            "not_utf8": f"{path}:{len(rows) + 1}: not UTF-8 text",
-            "incomplete": f"{path}:{len(rows) + 1}: incomplete row",
-        }.get(fault, f"{path}: channel 'c' has more than the {mfda.simkl.MAX_VALUES} values"))
+        assert errors[0][1].startswith(f"{path}:{line}: " + {
+            "bad_float": "could not convert string to float: 'oops'",
+            "not_utf8": "not UTF-8 text",
+            "incomplete": "incomplete row",
+        }.get(fault, f"channel 'c' has more than the {mfda.simkl.MAX_VALUES} values"))
+
+    @pytest.mark.parametrize("chunk_rows", [8, 10_000])
+    def test_the_first_fault_in_file_order_whatever_the_cut(self, tmp_path, monkeypatch,
+                                                           chunk_rows):
+        # the channel's 51st row, on line 52, passes a cap of 50 before the bad float
+        # on line 231. In chunks of 8 rows one range stops at the cap and a cut
+        # before line 231 fails on the float first; every cut cites the cap
+        rows = [[str(s), m, "1", repr(t / 10), "1.0", "c"]
+                for s in range(1, 21) for m in ("pre", "post") for t in range(11)]
+        rows[229][4] = "abc"
+        path = tmp_path / "f.csv"
+        _write_rows(path, rows)
+        monkeypatch.setattr(mfda.simkl, "MAX_VALUES", 50)
+        monkeypatch.setattr(mfda.ingest, "_CHUNK_ROWS", chunk_rows)
+        for parts in (1, 2, 3, 4):
+            with pytest.raises(MfdaError) as info:
+                _read_at(parts, monkeypatch, path, "c")
+            assert type(info.value) is InputError
+            assert str(info.value) == (
+                f"{path}:52: channel 'c' has more than the 50 values a data set may hold")
 
     def test_a_child_that_cannot_return_its_range(self, tmp_path, monkeypatch):
         # each child's temporary file is read-only, so every child fails: this
@@ -679,6 +703,27 @@ class TestLongCsvRoundTrip:
                 tracemalloc.stop()
         assert back.values.tobytes() == X.values.tobytes()
         assert peak <= 5 * back.values.nbytes, peak / back.values.nbytes
+
+    @pytest.mark.parametrize("n", [40, 60, 100])
+    def test_a_fault_on_the_last_line_holds_at_most_five_values_arrays(self, tmp_path, n):
+        # the files above but the largest, whose walk is slow to trace, with their
+        # first data row repeated on the last line: the parse finds the duplicate
+        # in its sorted keys, and the walk that cites its line keeps nothing per row
+        X, _ = generate(n2_spec(4, n=n, J=4, m=101))
+        path = tmp_path / "data.csv"
+        write_long_csv(X, path, channel="sim")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(path.read_text().split("\n")[1] + "\n")
+        with mock.patch.object(mfda.ingest, "_CHUNK_ROWS", 500):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DuplicateKeyError) as err:
+                    read_long_csv(path, channel="sim")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert str(err.value).startswith(f"{path}:{X.values.size + 2}: duplicate record")
+        assert peak <= 5 * X.values.nbytes, peak / X.values.nbytes
 
     def test_deterministic_bytes(self, tmp_path):
         X, _ = generate(n2_spec(10, n=3, J=2, m=7))
