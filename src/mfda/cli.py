@@ -79,7 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "command": "simulate",
             "channel": args.channel,
             "seed": spec.seed,
-            "spec": spec.to_dict(),
+            "spec": dict(spec.raw),
         },
     )
     return EXIT_OK
@@ -150,7 +150,7 @@ def cmd_test(args: argparse.Namespace) -> int:
             f"unknown measure ids {unknown}; known ids: "
             f"{sorted(known, key=str)}"
         )
-    measure = np.tile(fit.measure_labels, len(fit.subject_labels))  # of each level-2 row
+    measure = fit.unit_keys(2)[:, 1]  # of each level-2 row
     scores = fit.scores[1]
     report = two_sample_score_test(
         scores[np.isin(measure, group_a)],
@@ -184,8 +184,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if missing:
         raise ParseError(f"covariate file lacks subjects: {missing}")
     scores = fit.scores[args.level - 1]
-    rows_per_subject = (1, fit.shape[1])[args.level - 1]
-    covariate = np.repeat([by_subject[s] for s in fit.subject_labels], rows_per_subject)
+    covariate = np.array([by_subject[s] for s in fit.unit_keys(args.level)[:, 0]])
     results = score_covariate_correlation(scores, covariate)
     out_path = Path(args.fit_dir) / "score_correlation.csv"
     _write_table(out_path, ["component", "spearman_rho", "p_value"],

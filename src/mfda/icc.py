@@ -43,16 +43,11 @@ def pointwise_icc(fit: MultilevelFit) -> Curve:
 
 
 def global_icc(fit: MultilevelFit) -> float:
-    """Subject-level eigenvalue mass over all variance sources.
-
-    Two-level: S1 / (S1 + S2 + noise); three-level adds S3 to the
-    denominator, where S_l is the retained eigenvalue sum of level l.
-    """
-    sums = fit.level_variance_sums()
-    denom = sum(sums) + fit.noise_variance
-    if denom <= 0.0:
-        raise UndefinedIccError("total variance is zero; ICC undefined")
-    return sums[0] / denom
+    """Subject-level eigenvalue mass over all variance sources, the level1
+    entry of `MultilevelFit.variance_shares`: S1 / (S1 + S2 [+ S3] + noise),
+    S_l the retained eigenvalue sum of level l. A zero total raises
+    UndefinedIccError."""
+    return fit.variance_shares()["level1"]
 
 
 def icc_report(fit: MultilevelFit) -> IccReport:

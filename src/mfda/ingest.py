@@ -466,6 +466,8 @@ def read_json(path: Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
@@ -478,19 +480,15 @@ def _unkeyed(header: list[str], values: np.ndarray) -> tuple[list[str], np.ndarr
 def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.ndarray]]:
     """The fit directory's CSV tables by file name: each one's header, (rows,
     keys) object array of key cells (no columns for a table without keys) and
-    value matrix. A level's score keys are its units of the full design in
-    canonical order; the score tables come first, as read_fit takes the
-    design's labels from them."""
+    value matrix. A level's score keys are `MultilevelFit.unit_keys`; the score
+    tables come first, as read_fit takes the design's labels from them."""
     grid, measures, t = fit.grid, fit.measure_labels, fit.grid.points[:, None]
-    labels = [np.array(fit.subject_labels, dtype=object), np.array(measures, dtype=object),
-              np.array([str(r) for r in range(1, fit.shape[2] + 1)], dtype=object)]
     tables, eigenvalue_keys = {}, []
     for level, (mat, eig) in enumerate(zip(fit.scores, fit.level_eig), start=1):
         components = [str(a) for a in range(1, eig.n_components + 1)]
         tables[f"scores_level{level}.csv"] = (
             ["subject", "measure", "replicate"][:level] + [f"score_{a}" for a in components],
-            np.stack(np.meshgrid(*labels[:level], indexing="ij"), axis=-1).reshape(-1, level),
-            mat)
+            fit.unit_keys(level), mat)
         tables[f"eigenfunctions_level{level}.csv"] = _unkeyed(
             ["t"] + [f"ef_{a}" for a in components],
             np.hstack([t, eig.functions]) if components else np.zeros((0, 1)))
@@ -600,9 +598,13 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     Every file is parsed in full, the JSON values as the types write_fit
     writes, and the fit is built through its containers. A fault in a file, a
     manifest whose levels is not 2 or 3, and a table or JSON value other than
-    write_fit writes for the fit read are each a ParseError naming the file.
+    write_fit writes for the fit read are each a ParseError naming the file; a
+    score table's subject or measure cell that differs from the fit's labels
+    names the table they are read from, scores_level1.csv or scores_level2.csv.
+    Of the config only pve is read: the levels and center_measures the fit
+    derives are checked against the manifest's with every other JSON value.
     Manifest and config keys that write_fit does not write are ignored; a
-    config key or the diagnostics it lacks read as the default and no penalties."""
+    config key or the diagnostics it lacks read as the fit's and no penalties."""
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
     manifest = read_json(manifest_path)
@@ -624,9 +626,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     noise = _lenient(lambda: float(documents["noise.json"]["noise_variance"]), None)
     if noise is None:
         raise ParseError(f"{d / 'noise.json'}: no numeric 'noise_variance'")
-    config = manifest.get("config", {})
-    defaults = asdict(FitConfig(levels=levels))
-    typed = {key: _lenient(lambda: type(v)(config[key]), v) for key, v in defaults.items()}
+    pve = _lenient(lambda: float(manifest["config"]["pve"]), FitConfig.pve)
     penalties = _lenient(lambda: tuple(
         float(manifest["diagnostics"]["levels"][i]["lambda"]) for i in range(levels)), ())
     with _naming(d, "mean.csv"):
@@ -655,7 +655,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
             noise_variance=noise,
             subject_labels=tuple(dict.fromkeys(tables["scores_level1.csv"][1][:, 0].tolist())),
             measure_labels=tuple(dict.fromkeys(tables["scores_level2.csv"][1][:, 1].tolist())),
-            config=FitConfig(**typed),
+            pve=pve,
             penalties=penalties,
         )
     for name, (header, keys, values) in _tables(fit).items():
@@ -669,8 +669,13 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         cells = zip_longest(chain(*_cells(got_keys, got_values)), chain(*_cells(keys, values)),
                             fillvalue="nothing")
         at, (a, b) = next((at, pair) for at, pair in enumerate(cells) if pair[0] != pair[1])
-        raise ParseError(f"{d / name}: row {at // len(header) + 1} has "
-                         f"{header[at % len(header)]} {a}, where the fit has {b}")
+        row, column = at // len(header) + 1, header[at % len(header)]
+        a, b = (x if x.isprintable() else repr(x)[1:-1] for x in (a, b))
+        # the fit's subject and measure labels are those its first two score tables list
+        source = {"subject": "scores_level1.csv", "measure": "scores_level2.csv"}.get(column, name)
+        if source != name:
+            raise ParseError(f"{d / source}: {column} {b}, where row {row} of {name} has {a}")
+        raise ParseError(f"{d / name}: row {row} has {column} {a}, where the fit has {b}")
     for name, document in _documents(fit).items():
         for key, want in document.items():
             got = documents[name].get(key, want)  # a key the file lacks reads as the fit's

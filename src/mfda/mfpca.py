@@ -24,7 +24,7 @@ contrasts, depth by depth, in one small ridge Gram.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     MissingMeanError,
     SingularSystemError,
     UnbalancedDesignError,
+    UndefinedIccError,
     field_error,
 )
 from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k
@@ -84,10 +85,6 @@ class LevelCovariances:
     penalties: tuple[float, ...]
     noise_variance: float
 
-    h1 = property(lambda self: self.h[0])
-    h2 = property(lambda self: self.h[1])
-    h3 = property(lambda self: self.h[2])
-
 
 @dataclass(frozen=True, eq=False)
 class MultilevelFit:
@@ -95,8 +92,8 @@ class MultilevelFit:
 
     The design is the full product of the n subject labels, the J measure
     labels and K_rep replicates (`shape`). scores[l] has one row per
-    level-(l+1) unit, subject, (subject, measure) or (subject, measure,
-    replicate), in canonical order, and one column per retained component.
+    level-(l+1) unit, in the order of `unit_keys`, and one column per
+    retained component.
     """
 
     grid: Grid
@@ -107,21 +104,21 @@ class MultilevelFit:
     noise_variance: float
     subject_labels: tuple[str, ...]
     measure_labels: tuple[str, ...]
-    config: FitConfig = field(default_factory=FitConfig)
+    pve: float = FitConfig.pve  # the pve threshold select_k applied to every level
     penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
+    config = property(lambda self: FitConfig(self.levels, self.pve, bool(self.measure_effects)))
 
     def __post_init__(self) -> None:
-        """There is one score table per eigensystem and config.levels counts
-        them, each level has one score row per unit of the full design, one
-        score column per component and finite scores, there is one measure
-        effect per measure with config.center_measures and none without, the
-        noise variance (a float) is finite and >= 0, and the penalties (floats)
-        are none or one finite value per level. If not, an InvalidParameterError
-        marked (`field_error`) with the field at fault (the config for a count,
-        flag or penalties that disagree) and, for the scores, the first level."""
-        if not len(self.scores) == self.config.levels == self.levels:
-            raise field_error(f"{self.levels} eigensystems, {len(self.scores)} score tables "
-                              f"and config levels {self.config.levels}", "config")
+        """pve (a float) is in (0, 1] (`FitConfig`), there is one score table per
+        eigensystem, each level has one score row per unit of the full design, one
+        score column per component and finite scores, there is one measure effect
+        per measure or none, the noise variance (a float) is finite and >= 0, and
+        the penalties (floats) are none or one finite value per level. If not, an
+        InvalidParameterError marked (`field_error`) with the field at fault (the
+        config for pve or penalties) and, for the scores, the first level."""
+        object.__setattr__(self, "pve", self.config.pve)
+        if len(self.scores) != self.levels:
+            raise field_error(f"{len(self.scores)} score tables, {self.levels} levels", "scores")
         n, J, K_rep = self.shape
         for level, (mat, eig) in enumerate(zip(self.scores, self.level_eig), start=1):
             units = (n, n * J, n * J * K_rep)[level - 1]
@@ -137,9 +134,6 @@ class MultilevelFit:
         if len(self.measure_effects) not in (0, J):
             raise field_error(f"{len(self.measure_effects)} measure effects for {J} measures; "
                               "need one per measure or none", "measure_effects")
-        if bool(self.measure_effects) != self.config.center_measures:
-            raise field_error(f"config center_measures is {self.config.center_measures} but "
-                              f"the fit has {len(self.measure_effects)} measure effects", "config")
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         object.__setattr__(self, "penalties", tuple(map(float, self.penalties)))
         if not 0 <= self.noise_variance < np.inf:
@@ -167,10 +161,20 @@ class MultilevelFit:
     def level_variance_sums(self) -> tuple[float, ...]:
         return tuple(float(eig.eigenvalues.sum()) for eig in self.level_eig)
 
+    def unit_keys(self, level: int) -> np.ndarray:
+        """Level `level`'s score-row keys in canonical order: a (units, level) object
+        array of each unit's subject, measure and replicate ("1".."K_rep") labels."""
+        reps = [str(r) for r in range(1, self.shape[2] + 1)]
+        index = np.indices(self.shape[:level]).reshape(level, -1)
+        return np.column_stack([np.array(labels, dtype=object)[i] for labels, i
+                                in zip((self.subject_labels, self.measure_labels, reps), index)])
+
     def variance_shares(self) -> dict[str, float]:
-        """Fraction of total fitted variance per level plus the noise share."""
+        """Share of the fitted variance per level and the noise; level1's is the global ICC."""
         sums = self.level_variance_sums()
         total = sum(sums) + self.noise_variance
+        if total <= 0.0:
+            raise UndefinedIccError("total variance is zero; ICC undefined")
         shares = {f"level{l + 1}": s / total for l, s in enumerate(sums)}
         shares["noise"] = self.noise_variance / total
         return shares
@@ -418,6 +422,6 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
         noise_variance=sigma2,
         subject_labels=X.subject_labels,
         measure_labels=X.measure_labels,
-        config=config,
+        pve=config.pve,
         penalties=cov.penalties,
     )

@@ -185,23 +185,15 @@ class GeneratorSpec:
                 )
             _check_orthonormal(spec.functions, self.grid, f"level {lvl}")
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
     def analytic_icc(self) -> Optional[float]:
         """Closed-form global ICC implied by the spec, None for one level."""
-        if self.n_levels < 2:
+        if len(self.levels) < 2:
             return None
         sums = [float(spec.eigenvalues.sum()) for spec in self.levels]
         denom = sum(sums) + self.noise_variance
         if denom <= 0:
             return None
         return sums[0] / denom
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form of the spec: the mapping it was read from."""
-        return dict(self.raw)
 
 
 def _bad_value(where: str, kind: str, value: Any) -> ParseError:
@@ -386,7 +378,8 @@ class GroundTruth:
     scores: tuple[np.ndarray, ...]
     level_curves: tuple[np.ndarray, ...]
     noiseless: np.ndarray
-    analytic_icc: Optional[float]
+
+    analytic_icc = property(lambda self: self.spec.analytic_icc())
 
 
 def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
@@ -397,7 +390,7 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
     scores. The subject's (J * K_rep, m) noise follows.
     """
     n, J, K_rep, m = spec.n_subjects, spec.n_measures, spec.n_replicates, spec.grid.size
-    K1, K2, K3 = [lvl.n_components for lvl in spec.levels] + [0] * (3 - spec.n_levels)
+    K1, K2, K3 = [lvl.n_components for lvl in spec.levels] + [0] * (3 - len(spec.levels))
     df, width = spec.score_df, K1 + J * (K2 + K_rep * K3)
     z = np.empty((n, width))
     eps = np.empty((n, J * K_rep, m)) if spec.noise_variance > 0 else None
@@ -430,6 +423,5 @@ def generate(spec: GeneratorSpec) -> tuple[CurveSet, GroundTruth]:
         scores=tuple(scores),
         level_curves=level_curves,
         noiseless=noiseless,
-        analytic_icc=spec.analytic_icc(),
     )
     return CurveSet(spec.grid, codes, values), truth

@@ -193,9 +193,9 @@ def test_c06_estimator_oracle_equivalence(capsys):
     rv, _, _, _ = canonical_design(center_rows(X3, means3), levels=3)
     h1, h2, h3 = brute_h_surfaces(rv)
     err_h = max(
-        np.max(np.abs(cov.h1 - h1)),
-        np.max(np.abs(cov.h2 - h2)),
-        np.max(np.abs(cov.h3 - h3)),
+        np.max(np.abs(cov.h[0] - h1)),
+        np.max(np.abs(cov.h[1] - h2)),
+        np.max(np.abs(cov.h[2] - h3)),
     )
     worst = max(err_t, err_b, err_h)
     ok = worst < 1e-12

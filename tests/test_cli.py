@@ -32,7 +32,7 @@ from mfda.fpca import EigenSystem
 from mfda.icc import icc_report
 from mfda.ingest import read_fit, write_fit
 from mfda.leveltest import METHODS, two_sample_score_test
-from mfda.mfpca import FitConfig, MultilevelFit
+from mfda.mfpca import MultilevelFit
 from mfda.simkl import MAX_VALUES, evaluate_expression, fourier_basis
 
 from .conftest import json_paths, n2_spec_dict, n3_spec_dict
@@ -216,7 +216,7 @@ def _json_edit_refused(name: str, path: tuple, value) -> bool:
     if not path or name == "noise.json":
         return not (path and type(value) is float and math.isfinite(value) and value >= 0)
     if path[0] == "config":
-        if value is _DELETED or len(path) == 1:  # FitConfig's defaults fill a gap
+        if value is _DELETED or len(path) == 1:  # the fit's values fill a gap
             return not (value is _DELETED or isinstance(value, dict))
         return {"levels": not (type(value) is int and value == 3),
                 "pve": not (type(value) is float and 0 < value <= 1),
@@ -865,7 +865,6 @@ def handmade_fit_dir(tmp_path: Path, levels: int = 2) -> Path:
         noise_variance=1.0,
         subject_labels=tuple(str(i) for i in range(1, n + 1)),
         measure_labels=("HIIT1", "HIIT2"),
-        config=FitConfig(levels=levels),
     )
     out = tmp_path / "handmade_fit"
     write_fit(fit, out)
@@ -972,6 +971,30 @@ class TestIcc:
         values = [float(r.split(",")[1]) for r in rows]
         assert all(0.0 <= v <= 1.0 for v in values)
 
+    @pytest.mark.parametrize("name", ["noise.json", "manifest.json"])
+    def test_json_that_is_not_utf8_exits_2(self, tmp_path, capsys, name):
+        fit_dir = handmade_fit_dir(tmp_path)
+        path = fit_dir / name
+        path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+        assert main(["icc", str(fit_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("name, old, new, text", [
+        ("scores_level1.csv", "\n1,", "\n\0,",
+         "subject \\x00, where row 1 of scores_level2.csv has 1"),
+        ("scores_level2.csv", ",HIIT1,", ",\0,",
+         "measure \\x00, where row 1 of scores_level3.csv has HIIT1"),
+    ])
+    def test_a_label_differing_from_its_table_names_that_table(self, tmp_path, capsys, name,
+                                                               old, new, text):
+        # the fit's subjects and measures are read from the first two score tables,
+        # and a cell that is not printable is shown escaped
+        fit_dir = handmade_fit_dir(tmp_path, levels=3)
+        path = fit_dir / name
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["icc", str(fit_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {text}\n"
+
     def test_missing_eigenvalues_exits_2(self, tmp_path, capsys):
         fit_dir = handmade_fit_dir(tmp_path)
         (fit_dir / "eigenvalues.csv").unlink()
@@ -1011,18 +1034,22 @@ class TestIcc:
              'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": true,\n    "pve"'),
-             "manifest.json: 2 eigensystems, 2 score tables and config levels 1\n"),
+             'manifest.json: config {"center_measures": true, "levels": true, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json", lambda text: text.replace('"pve": 0.99', '"pve": false'),
              "manifest.json: pve threshold must be in (0, 1], got 0.0\n"),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n    "pve"', '"levels": 3,\n    "pve"'),
-             "manifest.json: 2 eigensystems, 2 score tables and config levels 3"),
+             'manifest.json: config {"center_measures": true, "levels": 3, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"center_measures": true', '"center_measures": false'),
-             "manifest.json: config center_measures is False but the fit has 2 measure effects"),
+             'manifest.json: config {"center_measures": false, "levels": 2, "pve": 0.99}, where '
+             'the fit has {"center_measures": true, "levels": 2, "pve": 0.99}\n'),
             ("measure_means.csv",
              lambda text: "\n".join(row.split(",", 1)[0] for row in text.split("\n")),
-             "manifest.json: config center_measures is True but the fit has 0 measure effects"),
+             'manifest.json: config {"center_measures": true, "levels": 2, "pve": 0.99}, where '
+             'the fit has {"center_measures": false, "levels": 2, "pve": 0.99}\n'),
             ("manifest.json",
              lambda text: text.replace('"levels": 2,\n  "lib', '"levels": "2",\n  "lib'),
              "manifest.json: levels must be 2 or 3, got '2'\n"),

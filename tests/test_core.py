@@ -57,7 +57,7 @@ class TestTrapezoidWeights:
             st.floats(0.001, 0.999, allow_nan=False), min_size=2, max_size=30
         )
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_weights_sum_to_range(self, raw):
         points = np.unique(np.asarray(raw))
         if points.size < 2:

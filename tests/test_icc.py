@@ -31,7 +31,6 @@ def handmade_fit(grid: Grid, level_eigs, noise: float) -> MultilevelFit:
         noise_variance=noise,
         subject_labels=("1", "2"),
         measure_labels=("1", "2"),
-        config=FitConfig(levels=levels, center_measures=False),
     )
 
 

@@ -383,8 +383,8 @@ class TestThreeLevelCovariances:
         rows = np.repeat(base, 4, axis=0)  # J=2, K=2 identical rows
         X = three_level_set(rows, small_grid, J=2, K=2)
         cov = three_level_covariances(X, zero_means(small_grid))
-        np.testing.assert_array_equal(cov.h1, cov.h2)
-        np.testing.assert_array_equal(cov.h2, cov.h3)
+        np.testing.assert_array_equal(cov.h[0], cov.h[1])
+        np.testing.assert_array_equal(cov.h[1], cov.h[2])
 
     def test_matches_brute_force(self, small_grid):
         spec = n3_spec(21, n=5, J=2, K_rep=3, m=small_grid.size)
@@ -396,9 +396,9 @@ class TestThreeLevelCovariances:
 
         rv, n, J, K = canonical_design(center_rows(X, means), levels=3)
         h1, h2, h3 = brute_h_surfaces(rv)
-        assert np.max(np.abs(cov.h1 - h1)) < 1e-12
-        assert np.max(np.abs(cov.h2 - h2)) < 1e-12
-        assert np.max(np.abs(cov.h3 - h3)) < 1e-12
+        assert np.max(np.abs(cov.h[0] - h1)) < 1e-12
+        assert np.max(np.abs(cov.h[1] - h2)) < 1e-12
+        assert np.max(np.abs(cov.h[2] - h3)) < 1e-12
 
     def test_k3_null_monte_carlo(self):
         reps = []
@@ -948,12 +948,12 @@ class TestFitNestedStructure:
     def test_noise_is_the_diagonal_gap_of_the_settled_smooth(self):
         X, _ = generate(n3_spec(84, n=30, J=2, K_rep=4, m=41))
         cov = three_level_covariances(X, measure_means(X))
-        raw = np.diag(cov.h3 - cov.h2)
+        raw = np.diag(cov.h[2] - cov.h[1])
         smooth = np.diag(level_surfaces(cov)[2])
         assert cov.noise_variance == pytest.approx(np.mean(raw - smooth), rel=1e-9)
         # the settled diagonal is its own smooth: smoothing the surface with
         # that diagonal at the chosen penalty gives the same coefficients
-        surface = cov.h3 - cov.h2
+        surface = cov.h[2] - cov.h[1]
         np.fill_diagonal(surface, smooth)
         basis = cov.basis
         s = 1.0 / (1.0 + cov.penalties[2] * basis.penalty)

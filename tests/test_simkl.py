@@ -31,7 +31,7 @@ def _reference_generate(spec):
     score draw per unit and one curve product per row, in the documented
     draw order. Returns (codes, scores, level_curves, values)."""
     n, J, K_rep = spec.n_subjects, spec.n_measures, spec.n_replicates
-    m, n_levels = spec.grid.size, spec.n_levels
+    m, n_levels = spec.grid.size, len(spec.levels)
     base = spec.mean if spec.measure_means is None else spec.mean + spec.measure_means
     base = np.broadcast_to(base, (J, m))
     scores = [[] for _ in spec.levels]
@@ -167,7 +167,7 @@ class TestGenerate:
         spec = spec_from_dict(ORACLE_SPECS[name])
         X, truth = generate(spec)
         codes, scores, curves, values = _reference_generate(spec)
-        assert len(truth.scores) == len(scores) == spec.n_levels
+        assert len(truth.scores) == len(scores) == len(spec.levels)
         for got, want in zip(truth.scores, scores):
             assert np.array_equal(got, want)
         for got, want in zip(truth.level_curves, curves):
@@ -286,7 +286,7 @@ class TestSpecFiles:
     def test_yaml_round_trip(self, tmp_path):
         spec = n2_spec(13, n=4, J=2, m=21)
         path = tmp_path / "spec.yaml"
-        path.write_text(yaml.safe_dump(spec.to_dict(), sort_keys=True))
+        path.write_text(yaml.safe_dump(dict(spec.raw), sort_keys=True))
         loaded = load_spec(path)
         assert loaded.seed == spec.seed
         assert loaded.n_subjects == spec.n_subjects
