@@ -281,8 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
-            MemoryError) as exc:  # MemoryError: data or a design too large for this machine
+    except (InputError, OSError, MemoryError) as exc:  # MemoryError: data too large to hold
         error, code = exc, EXIT_INPUT
     except PreconditionError as exc:
         error, code = exc, EXIT_PRECONDITION

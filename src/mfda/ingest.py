@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from . import FORMAT_VERSION, __version__, simkl
+from . import FORMAT_VERSION, __version__, mfpca, simkl
 from .core import Curve, CurveSet, Grid
 from .errors import (
     DuplicateKeyError,
@@ -40,7 +40,6 @@ from .errors import (
     ParseError,
 )
 from .fpca import EigenSystem
-from .mfpca import FitConfig, MultilevelFit
 
 LONG_COLUMNS = ("subject", "measure", "replicate", "t", "value", "channel")
 
@@ -477,7 +476,7 @@ def _unkeyed(header: list[str], values: np.ndarray) -> tuple[list[str], np.ndarr
     return header, np.empty((len(values), 0), dtype=object), values
 
 
-def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.ndarray]]:
+def _tables(fit: mfpca.MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.ndarray]]:
     """The fit directory's CSV tables by file name: each one's header, (rows,
     keys) object array of key cells (no columns for a table without keys) and
     value matrix. A level's score keys are `MultilevelFit.unit_keys`; the score
@@ -505,22 +504,22 @@ def _tables(fit: MultilevelFit) -> dict[str, tuple[list[str], np.ndarray, np.nda
     return tables
 
 
-def _documents(fit: MultilevelFit) -> dict[str, dict]:
-    """The fit directory's JSON by file name: noise.json, and the manifest keys that
-    describe the fit; each level's smoothing penalty lambda is null without penalties."""
-    penalties = fit.penalties or (None,) * fit.levels
+def _documents(fit: mfpca.MultilevelFit) -> dict[str, dict]:
+    """The fit directory's JSON by file name: noise.json, and the manifest keys that describe
+    the fit; each level's entry has every `mfpca.DIAGNOSTICS` name, null where the fit has none."""
+    values = [fit.diagnostics.get(name, (None,) * fit.levels) for name in mfpca.DIAGNOSTICS]
     return {
         "noise.json": {"noise_variance": fit.noise_variance},
         "manifest.json": {
             "format_version": FORMAT_VERSION, "levels": fit.levels, "config": asdict(fit.config),
             "diagnostics": {"levels": [
-                {"level": level, "lambda": lam, "retained": k}
-                for level, (lam, k) in enumerate(zip(penalties, fit.retained), start=1)]},
+                {"level": level, "retained": k, **dict(zip(mfpca.DIAGNOSTICS, row))}
+                for level, (k, *row) in enumerate(zip(fit.retained, *values), start=1)]},
         },
     }
 
 
-def write_fit(fit: MultilevelFit, out_dir: Union[str, Path],
+def write_fit(fit: mfpca.MultilevelFit, out_dir: Union[str, Path],
               extra_manifest: dict | None = None) -> Path:
     """Write a two- or three-level fit: the tables of `_tables` and the JSON of
     `_documents`, the manifest with the library version and `extra_manifest`."""
@@ -592,19 +591,19 @@ def _lenient(read, fallback):
         return fallback
 
 
-def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
+def read_fit(fit_dir: Union[str, Path]) -> mfpca.MultilevelFit:
     """Load a fit directory written by write_fit.
 
     Every file is parsed in full, the JSON values as the types write_fit
     writes, and the fit is built through its containers. A fault in a file, a
     manifest whose levels is not 2 or 3, and a table or JSON value other than
     write_fit writes for the fit read are each a ParseError naming the file; a
-    score table's subject or measure cell that differs from the fit's labels
-    names the table they are read from, scores_level1.csv or scores_level2.csv.
-    Of the config only pve is read: the levels and center_measures the fit
-    derives are checked against the manifest's with every other JSON value.
-    Manifest and config keys that write_fit does not write are ignored; a
-    config key or the diagnostics it lacks read as the fit's and no penalties."""
+    score table's subject or measure cell that differs from the fit's labels names
+    the table they are read from, scores_level1.csv or scores_level2.csv, unless the
+    table's own rows of that label disagree. Of the config only pve is read, and of
+    the diagnostics each `mfpca.DIAGNOSTICS` name, as a number on every level or as
+    none. Manifest and config keys that write_fit does not write are ignored; a
+    config key or the diagnostics it lacks read as the fit's."""
     d = Path(fit_dir)
     manifest_path = d / "manifest.json"
     manifest = read_json(manifest_path)
@@ -626,9 +625,9 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     noise = _lenient(lambda: float(documents["noise.json"]["noise_variance"]), None)
     if noise is None:
         raise ParseError(f"{d / 'noise.json'}: no numeric 'noise_variance'")
-    pve = _lenient(lambda: float(manifest["config"]["pve"]), FitConfig.pve)
-    penalties = _lenient(lambda: tuple(
-        float(manifest["diagnostics"]["levels"][i]["lambda"]) for i in range(levels)), ())
+    pve = _lenient(lambda: float(manifest["config"]["pve"]), mfpca.FitConfig.pve)
+    diagnostics = {name: values for name in mfpca.DIAGNOSTICS if (values := _lenient(lambda: tuple(
+        float(manifest["diagnostics"]["levels"][i][name]) for i in range(levels)), ()))}
     with _naming(d, "mean.csv"):
         points, mean_values = tables["mean.csv"][2].T[:2]  # w is checked with every value
         grid = Grid(points)
@@ -646,7 +645,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
     with _naming(d, "measure_means.csv", scores="scores_level{level}.csv",
                  noise_variance="noise.json", config="manifest.json"):
         effects = tuple(Curve(grid, col) for col in tables["measure_means.csv"][2][:, 1:].T)
-        fit = MultilevelFit(
+        fit = mfpca.MultilevelFit(
             grid=grid,
             global_mean=global_mean,
             measure_effects=effects,
@@ -656,7 +655,7 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
             subject_labels=tuple(dict.fromkeys(tables["scores_level1.csv"][1][:, 0].tolist())),
             measure_labels=tuple(dict.fromkeys(tables["scores_level2.csv"][1][:, 1].tolist())),
             pve=pve,
-            penalties=penalties,
+            diagnostics=diagnostics,
         )
     for name, (header, keys, values) in _tables(fit).items():
         got_header, got_keys, got_values = tables[name]
@@ -669,10 +668,13 @@ def read_fit(fit_dir: Union[str, Path]) -> MultilevelFit:
         cells = zip_longest(chain(*_cells(got_keys, got_values)), chain(*_cells(keys, values)),
                             fillvalue="nothing")
         at, (a, b) = next((at, pair) for at, pair in enumerate(cells) if pair[0] != pair[1])
-        row, column = at // len(header) + 1, header[at % len(header)]
-        a, b = (x if x.isprintable() else repr(x)[1:-1] for x in (a, b))
+        row, c = at // len(header) + 1, at % len(header)
+        column = header[c]
         # the fit's subject and measure labels are those its first two score tables list
         source = {"subject": "scores_level1.csv", "measure": "scores_level2.csv"}.get(column, name)
+        if source != name and len(set(got_keys[keys[:, c] == b, c])) > 1:  # its rows disagree
+            source = name
+        a, b = (x if x.isprintable() else repr(x)[1:-1] for x in (a, b))
         if source != name:
             raise ParseError(f"{d / source}: {column} {b}, where row {row} of {name} has {a}")
         raise ParseError(f"{d / name}: row {row} has {column} {a}, where the fit has {b}")

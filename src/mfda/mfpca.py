@@ -24,7 +24,7 @@ contrasts, depth by depth, in one small ridge Gram.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -46,6 +46,7 @@ from .fpca import EigenSystem, SplineBasis, eigendecompose, select_k
 # A level whose eigenvalue mass is below this fraction of the fit's total
 # variance retains zero components instead of fitting noise dust.
 DEGENERATE_LEVEL_FRACTION = 1e-10
+DIAGNOSTICS = ("lambda",)  # the names of a fit's per-level numbers; lambda: the GCV penalty
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class MultilevelFit:
     The design is the full product of the n subject labels, the J measure
     labels and K_rep replicates (`shape`). scores[l] has one row per
     level-(l+1) unit, in the order of `unit_keys`, and one column per
-    retained component.
+    retained component. Each diagnostic has one finite value per level, or none.
     """
 
     grid: Grid
@@ -105,17 +106,17 @@ class MultilevelFit:
     subject_labels: tuple[str, ...]
     measure_labels: tuple[str, ...]
     pve: float = FitConfig.pve  # the pve threshold select_k applied to every level
-    penalties: tuple[float, ...] = ()  # GCV smoothing penalty per level
+    diagnostics: dict[str, tuple[float, ...]] = field(default_factory=dict)
     config = property(lambda self: FitConfig(self.levels, self.pve, bool(self.measure_effects)))
 
     def __post_init__(self) -> None:
         """pve (a float) is in (0, 1] (`FitConfig`), there is one score table per
         eigensystem, each level has one score row per unit of the full design, one
         score column per component and finite scores, there is one measure effect
-        per measure or none, the noise variance (a float) is finite and >= 0, and
-        the penalties (floats) are none or one finite value per level. If not, an
-        InvalidParameterError marked (`field_error`) with the field at fault (the
-        config for pve or penalties) and, for the scores, the first level."""
+        per measure or none, the noise variance (a float) is finite and >= 0, and each
+        diagnostic is a name of `DIAGNOSTICS` with one finite value (a float) per level.
+        If not, an InvalidParameterError marked (`field_error`) with the field at fault
+        (the config for pve or a diagnostic) and, for the scores, the first level."""
         object.__setattr__(self, "pve", self.config.pve)
         if len(self.scores) != self.levels:
             raise field_error(f"{len(self.scores)} score tables, {self.levels} levels", "scores")
@@ -135,13 +136,15 @@ class MultilevelFit:
             raise field_error(f"{len(self.measure_effects)} measure effects for {J} measures; "
                               "need one per measure or none", "measure_effects")
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        object.__setattr__(self, "penalties", tuple(map(float, self.penalties)))
         if not 0 <= self.noise_variance < np.inf:
             raise field_error("noise variance must be finite and >= 0, got "
                               f"{self.noise_variance!r}", "noise_variance")
-        if len(self.penalties) not in (0, self.levels) or not np.isfinite(self.penalties).all():
-            raise field_error(f"penalties {self.penalties}; need none or one finite "
-                              f"penalty per level ({self.levels})", "config")
+        diagnostics = {k: tuple(map(float, v)) for k, v in self.diagnostics.items()}
+        object.__setattr__(self, "diagnostics", diagnostics)
+        for k, v in diagnostics.items():
+            if k not in DIAGNOSTICS or len(v) != self.levels or not np.isfinite(v).all():
+                raise field_error(f"diagnostic {k} {v}; need one of {DIAGNOSTICS} with one "
+                                  f"finite value per level ({self.levels})", "config")
 
     @property
     def levels(self) -> int:
@@ -423,5 +426,5 @@ def fit_nested(X: CurveSet, config: FitConfig = FitConfig()) -> MultilevelFit:
         subject_labels=X.subject_labels,
         measure_labels=X.measure_labels,
         pve=config.pve,
-        penalties=cov.penalties,
+        diagnostics={"lambda": cov.penalties},
     )

@@ -211,8 +211,7 @@ def _json_edit_refused(name: str, path: tuple, value) -> bool:
     has `value` at `path` (none there if _DELETED): any value other than the
     one write_fit writes for a fit, of another JSON type say. A value the
     reader does not use, such as the library version, need not be refused.
-    The fit keeps two components on every level and has no smoothing
-    penalties."""
+    The fit keeps two components on every level and has no diagnostics."""
     if not path or name == "noise.json":
         return not (path and type(value) is float and math.isfinite(value) and value >= 0)
     if path[0] == "config":
@@ -221,7 +220,7 @@ def _json_edit_refused(name: str, path: tuple, value) -> bool:
         return {"levels": not (type(value) is int and value == 3),
                 "pve": not (type(value) is float and 0 < value <= 1),
                 "center_measures": value is not True}[path[1]]
-    if path[0] == "diagnostics":  # none at all reads as no penalties
+    if path[0] == "diagnostics":  # none at all reads as no diagnostics
         if len(path) < 4:
             return value is not _DELETED or len(path) > 1
         want = {"level": path[2] + 1, "retained": 2, "lambda": None}[path[3]]
@@ -1626,6 +1625,22 @@ def test_memory_error_exits_2(command, name, message, tmp_path, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message or 'MemoryError'}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_an_out_that_is_a_file_exits_2(command, tmp_path, sim_dir, capsys):
+    # an OSError other than a missing file, here FileExistsError, is an input error
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    argv = {
+        "fit": ["fit", str(sim_dir / "data.csv"), "--channel", "sim"],
+        "simulate": ["simulate", str(write_spec(tmp_path, n2_spec_dict(1, n=6, J=2, m=11)))],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
 
 
 # The cells the mutation sweep below writes: not finite, out of range, a quote,

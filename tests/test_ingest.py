@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import mfda
 import mfda.ingest
+import mfda.mfpca
 from mfda.core import CurveSet, Grid
 from mfda.fpca import select_k
 from mfda.errors import (
@@ -865,7 +866,7 @@ class TestFitRoundTrip:
     def test_manifest_with_smooth_and_bandwidth_still_loads(self, tmp_path):
         # fit directories written while --smooth existed store smooth and
         # bandwidth under config, and no diagnostics; read_fit ignores the
-        # keys and reads no penalties
+        # keys and reads no diagnostics
         import json
 
         X, _ = generate(n2_spec(14, n=4, J=2, m=7))
@@ -880,7 +881,7 @@ class TestFitRoundTrip:
         path.write_text(json.dumps(manifest))
         back = read_fit(out)
         assert back.config == fit.config
-        assert back.penalties == ()
+        assert back.diagnostics == {}
         fits_equal(fit, back)
 
     @pytest.mark.parametrize("levels", [2, 3])
@@ -892,15 +893,15 @@ class TestFitRoundTrip:
         else:
             X, _ = generate(n3_spec(17, n=10, J=2, K_rep=3, m=31))
         fit = fit_nested(X, FitConfig(levels=levels))
-        assert len(fit.penalties) == levels
+        assert len(fit.diagnostics["lambda"]) == levels
         out = write_fit(fit, tmp_path / "fit")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["levels"] == [
             {"level": level, "lambda": lam, "retained": k}
-            for level, (lam, k) in enumerate(zip(fit.penalties, fit.retained), 1)
+            for level, (lam, k) in enumerate(zip(fit.diagnostics["lambda"], fit.retained), 1)
         ]
         back = read_fit(out)
-        assert back.penalties == fit.penalties
+        assert back.diagnostics == fit.diagnostics
         assert back.retained == fit.retained
 
     @pytest.mark.parametrize("edit", [
@@ -945,17 +946,49 @@ class TestFitRoundTrip:
         for entry in manifest["diagnostics"]["levels"]:
             entry["lambda"] = None
         path.write_text(json.dumps(manifest))
-        assert read_fit(out).penalties == ()
+        assert read_fit(out).diagnostics == {}
+
+    def test_a_diagnostic_declared_in_mfpca_alone_is_written_and_read(self, tmp_path,
+                                                                      monkeypatch):
+        # ingest names no diagnostic: a name added to mfpca's list reaches the
+        # manifest and comes back, and is read as strictly as lambda
+        monkeypatch.setattr(mfda.mfpca, "DIAGNOSTICS", (*mfda.mfpca.DIAGNOSTICS, "gcv_score"))
+        X, _ = generate(n3_spec(17, n=6, J=2, K_rep=3, m=21))
+        fit = fit_nested(X, FitConfig(levels=3))
+        fit = dataclasses.replace(fit, diagnostics={**fit.diagnostics, "gcv_score": (0.5, 0.25, 2)})
+        out = write_fit(fit, tmp_path / "fit")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["diagnostics"]["levels"] == [
+            {"level": level, "retained": k, "lambda": lam, "gcv_score": score}
+            for level, (k, lam, score) in enumerate(
+                zip(fit.retained, fit.diagnostics["lambda"], (0.5, 0.25, 2.0)), 1)
+        ]
+        back = read_fit(out)
+        assert back.diagnostics == fit.diagnostics == {
+            "lambda": fit.diagnostics["lambda"], "gcv_score": (0.5, 0.25, 2.0)}
+        for edit in (None, True, "2"):  # mixed with numbers, or of another JSON type
+            manifest["diagnostics"]["levels"][1]["gcv_score"] = edit
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ParseError, match=f"^{path}: diagnostics "):
+                read_fit(out)
+        # a fit without it writes null on every level and reads back without it
+        fit = dataclasses.replace(fit, diagnostics={"lambda": fit.diagnostics["lambda"]})
+        out = write_fit(fit, tmp_path / "without")
+        levels = json.loads((out / "manifest.json").read_text())["diagnostics"]["levels"]
+        assert [entry["gcv_score"] for entry in levels] == [None, None, None]
+        assert read_fit(out).diagnostics == fit.diagnostics
 
     @pytest.mark.parametrize("edit, fault", [
         (lambda row: row + ",0.5", "scores_level3.csv:4: {plus} cells, the header has {width}"),
         (lambda row: row.rsplit(",", 1)[0],
          "scores_level3.csv:4: {minus} cells, the header has {width}"),
-        # the fit's subjects and measures are read from the first two score tables
+        # a label that differs from the fit's in one row of a table whose other rows of
+        # that unit agree with the fit is cited in that table
         (lambda row: "9" + row,
-         "scores_level1.csv: subject 1, where row 3 of scores_level3.csv has 91\n"),
+         "scores_level3.csv: row 3 has subject 91, where the fit has 1\n"),
         (lambda row: row.replace(",1,", ",2,", 1),
-         "scores_level2.csv: measure 1, where row 3 of scores_level3.csv has 2\n"),
+         "scores_level3.csv: row 3 has measure 2, where the fit has 1\n"),
         (lambda row: row.replace(",3,", ",03,", 1),
          "scores_level3.csv: row 3 has replicate 03, where the fit has 3\n"),
     ])
@@ -1003,14 +1036,14 @@ class TestFitRoundTrip:
             read_fit(out)
 
 
-def _rendered_fit(levels: int, penalties: bool):
+def _rendered_fit(levels: int, diagnostics: bool):
     if levels == 2:
         X, _ = generate(n2_spec(18, n=4, J=2, m=11))
     else:
         X, _ = generate(n3_spec(12, n=4, J=2, K_rep=3, m=11))
     fit = fit_nested(X, FitConfig(levels=levels))
-    assert len(fit.penalties) == levels
-    return fit if penalties else dataclasses.replace(fit, penalties=())
+    assert len(fit.diagnostics["lambda"]) == levels
+    return fit if diagnostics else dataclasses.replace(fit, diagnostics={})
 
 
 # one value of each JSON type: null, boolean, integer, number, string, array, object
@@ -1021,9 +1054,9 @@ class TestFitDocuments:
     """read_fit reads noise.json and manifest.json as `_documents` renders them."""
 
     @pytest.mark.parametrize("levels", [2, 3])
-    @pytest.mark.parametrize("penalties", [True, False])
-    def test_a_value_of_another_json_type_is_refused(self, tmp_path, levels, penalties):
-        fit = _rendered_fit(levels, penalties)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_a_value_of_another_json_type_is_refused(self, tmp_path, levels, diagnostics):
+        fit = _rendered_fit(levels, diagnostics)
         out = write_fit(fit, tmp_path / "fit")
         for name, document in _documents(fit).items():
             path = out / name
@@ -1049,9 +1082,9 @@ class TestFitDocuments:
         read_fit(out)
 
     @pytest.mark.parametrize("levels", [2, 3])
-    @pytest.mark.parametrize("penalties", [True, False])
-    def test_the_written_json_reads_back_with_extra_keys(self, tmp_path, levels, penalties):
-        fit = _rendered_fit(levels, penalties)
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_the_written_json_reads_back_with_extra_keys(self, tmp_path, levels, diagnostics):
+        fit = _rendered_fit(levels, diagnostics)
         out = write_fit(fit, tmp_path / "fit", extra_manifest={"command": "fit"})
         for name in ("noise.json", "manifest.json"):
             path = out / name
@@ -1064,7 +1097,7 @@ class TestFitDocuments:
         path.write_text(json.dumps(manifest))
         back = read_fit(out)
         fits_equal(fit, back)
-        assert (back.config, back.penalties) == (fit.config, fit.penalties)
+        assert (back.config, back.diagnostics) == (fit.config, fit.diagnostics)
 
     def test_values_round_trip_as_the_types_write_fit_writes(self, tmp_path):
         config = FitConfig(levels=np.int64(2), pve=1, center_measures=1)
@@ -1072,23 +1105,30 @@ class TestFitDocuments:
         with pytest.raises(TypeError):
             FitConfig(levels=2.0)
         fit = dataclasses.replace(_rendered_fit(2, True), pve=1, noise_variance=1,
-                                  penalties=(1, 2))
+                                  diagnostics={"lambda": [1, 2]})
         assert fit.config == config
-        assert (fit.pve, fit.noise_variance, fit.penalties) == (1.0, 1.0, (1.0, 2.0))
-        assert all(type(v) is float for v in (fit.pve, fit.noise_variance, *fit.penalties))
+        assert (fit.pve, fit.noise_variance, fit.diagnostics) == (1.0, 1.0, {"lambda": (1.0, 2.0)})
+        assert all(type(v) is float
+                   for v in (fit.pve, fit.noise_variance, *fit.diagnostics["lambda"]))
         out = write_fit(fit, tmp_path / "fit")
         assert json.loads((out / "noise.json").read_text()) == {"noise_variance": 1.0}
         assert '"pve": 1.0' in (out / "manifest.json").read_text()
         back = read_fit(out)
-        assert (back.config, back.noise_variance, back.penalties) == (
-            fit.config, 1.0, (1.0, 2.0))
+        assert (back.config, back.noise_variance, back.diagnostics) == (
+            fit.config, 1.0, {"lambda": (1.0, 2.0)})
 
     @pytest.mark.parametrize("penalties", [(1.0,), (1.0, 2.0, 3.0), (1.0, math.nan),
                                            (math.inf, 1.0)])
     def test_penalties_other_than_one_finite_per_level_are_refused(self, penalties):
         fit = _rendered_fit(2, True)
-        with pytest.raises(InvalidParameterError, match="penalties") as err:
-            dataclasses.replace(fit, penalties=penalties)
+        with pytest.raises(InvalidParameterError, match="lambda") as err:
+            dataclasses.replace(fit, diagnostics={"lambda": penalties})
+        assert err.value.field == "config"
+
+    def test_an_undeclared_diagnostic_is_refused(self):
+        fit = _rendered_fit(2, True)
+        with pytest.raises(InvalidParameterError, match="gcv_score") as err:
+            dataclasses.replace(fit, diagnostics={**fit.diagnostics, "gcv_score": (1.0, 2.0)})
         assert err.value.field == "config"
 
     @pytest.mark.parametrize("name", ["noise.json", "manifest.json"])

@@ -826,8 +826,8 @@ class TestFitNested:
         fit = fit_nested(X, FitConfig(levels=2))
         assert fit.retained[0] >= 1
         assert fit.noise_variance >= 0.0
-        assert len(fit.penalties) == 2
-        assert all(lam > 0 for lam in fit.penalties)
+        assert len(fit.diagnostics["lambda"]) == 2
+        assert all(lam > 0 for lam in fit.diagnostics["lambda"])
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
     def test_tiny_grids_fit(self, m):
@@ -934,7 +934,7 @@ class TestFitNestedStructure:
         means = measure_means(X)
         rv, *_ = canonical_design(center_rows(X, means), levels=levels)
         cov = mfda.mfpca._level_covariances(rv, X.grid)
-        assert cov.penalties == fit.penalties
+        assert cov.penalties == fit.diagnostics["lambda"]
         assert cov.noise_variance == fit.noise_variance
         for surface, eig in zip(level_surfaces(cov), fit.level_eig):
             dense = eigendecompose_on_grid(surface, X.grid)
@@ -960,3 +960,64 @@ class TestFitNestedStructure:
         Fw = basis.functions * X.grid.weights[:, None]
         again = s[:, None] * (Fw.T @ surface @ Fw) * s
         np.testing.assert_allclose(again, cov.coef[2], atol=1e-9)
+
+
+def _metamorphic_design(levels: int, seed: int) -> CurveSet:
+    if levels == 2:
+        return generate(n2_spec(seed, n=20, J=3, m=31))[0]
+    return generate(n3_spec(seed, n=10, J=2, K_rep=3, m=31))[0]
+
+
+class TestFitNestedMetamorphic:
+    """One input changed in a known way, and the fit's known change."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_scaling_by_a_power_of_two_is_exact(self, levels):
+        # 2^k is exact in binary floating point away from subnormals and overflow,
+        # so every output scales bit for bit and nothing else moves
+        for seed in range(20):
+            X = _metamorphic_design(levels, seed)
+            fit = fit_nested(X, FitConfig(levels=levels))
+            for k in (-60, -7, 5, 60):
+                s = 2.0**k
+                scaled = fit_nested(dataclasses.replace(X, values=X.values * s),
+                                    FitConfig(levels=levels))
+                assert (scaled.retained, scaled.diagnostics) == (fit.retained, fit.diagnostics)
+                assert scaled.noise_variance == fit.noise_variance * s * s
+                assert np.array_equal(scaled.global_mean.values, fit.global_mean.values * s)
+                for a, b in zip(scaled.measure_effects, fit.measure_effects, strict=True):
+                    assert np.array_equal(a.values, b.values * s)
+                for a, b in zip(scaled.level_eig, fit.level_eig, strict=True):
+                    assert np.array_equal(a.eigenvalues, b.eigenvalues * s * s)
+                    assert np.array_equal(a.functions, b.functions)
+                for a, b in zip(scaled.scores, fit.scores, strict=True):
+                    assert np.array_equal(a, b * s)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_reversed_subject_codes_reverse_the_subject_rows(self, levels):
+        for seed in range(20):
+            X = _metamorphic_design(levels, seed)
+            fit = fit_nested(X, FitConfig(levels=levels))
+            codes = X.codes.copy()
+            codes[:, 0] = len(X.subject_labels) + 1 - codes[:, 0]
+            relabelled = fit_nested(dataclasses.replace(X, codes=codes), FitConfig(levels=levels))
+            assert relabelled.retained == fit.retained
+            np.testing.assert_allclose(relabelled.scores[0], fit.scores[0][::-1], rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_a_curve_added_to_every_row_moves_only_the_global_mean(self, levels):
+        for seed in range(20):
+            X = _metamorphic_design(levels, seed)
+            fit = fit_nested(X, FitConfig(levels=levels))
+            curve = 3 * np.cos(2 * np.pi * X.grid.points) + X.grid.points
+            shifted = fit_nested(dataclasses.replace(X, values=X.values + curve),
+                                 FitConfig(levels=levels))
+            assert shifted.retained == fit.retained
+            np.testing.assert_allclose(shifted.global_mean.values, fit.global_mean.values + curve,
+                                       rtol=0, atol=1e-12)
+            for a, b in zip(shifted.level_eig, fit.level_eig, strict=True):
+                np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0, atol=1e-12)
+            for a, b in zip(shifted.scores, fit.scores, strict=True):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert shifted.noise_variance == pytest.approx(fit.noise_variance, rel=0, abs=1e-12)
