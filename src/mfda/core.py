@@ -1,4 +1,4 @@
-"""Grids, curves, coded curve sets, and the quadrature primitives.
+"""Grids, curves, coded curve sets, the quadrature primitives and variance shares.
 
 Everything downstream works on a common evaluation grid over [0, 1] with
 trapezoid quadrature weights, so that L2 inner products reduce to weighted
@@ -9,7 +9,7 @@ is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,6 +82,17 @@ class Grid:
 def same_grid(a: Grid, b: Grid) -> bool:
     """Exact equality of the points, which fix the weights; shared references trivially match."""
     return a is b or np.array_equal(a.points, b.points)
+
+
+def variance_shares(sums: Sequence[float], noise: float) -> Optional[dict[str, float]]:
+    """Each level's variance sum S_l and the noise over their total, keyed level1, ...,
+    noise: level1's is the global ICC. None for a total <= 0, a case each caller rules."""
+    total = sum(sums) + noise
+    if total <= 0.0:
+        return None
+    shares = {f"level{l + 1}": s / total for l, s in enumerate(sums)}
+    shares["noise"] = noise / total
+    return shares
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,8 +87,8 @@ def _load_columns(src, columns: list[int], dtype, skiprows: int, max_rows=None) 
 
 def _parsed_rows(fh, columns: dict[str, int], channel: str):
     """The channel's rows as runs of one (subject, measure, replicate)
-    triple: each run's label codes and length, each label column's labels
-    by code, and the rows' t and value as two contiguous arrays.
+    triple: each run's subject, measure and replicate labels, as three arrays
+    in file order, each run's length, and the rows' t and value.
 
     One np.loadtxt call per chunk of rows parses fixed-width label fields and
     float t and value, and ends the chunk after a whole record. A chunk with
@@ -102,7 +102,6 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
     names = sorted(columns, key=columns.get)
     usecols = sorted(columns.values())
     width = _NARROWEST
-    tables: list[dict[str, int]] = [{}, {}, {}]
     runs, run_lengths, ts, values, n_rows = [], [], [], [], 0
     while True:
         size = max(1, _CHUNK_ROWS * _NARROWEST // width)
@@ -129,12 +128,10 @@ def _parsed_rows(fh, columns: dict[str, int], channel: str):
         head = np.arange(len(labels[0])) == 0
         for col in labels:
             head[1:] |= col[1:] != col[:-1]
-        coded = [[table.setdefault(x, len(table)) for x in col[head].tolist()]
-                 for table, col in zip(tables, labels)]
-        runs.append(np.array(coded, dtype=np.int64).T)
+        runs.append([col[head] for col in labels])
         run_lengths.append(np.diff(np.flatnonzero(head), append=len(head)))
         if len(rows) < size or n_rows > simkl.MAX_VALUES:
-            return np.concatenate(runs), np.concatenate(run_lengths), tables, ts, values
+            return [*map(np.concatenate, zip(*runs))], np.concatenate(run_lengths), ts, values
 
 
 class _Range(io.FileIO):
@@ -148,12 +145,12 @@ class _Range(io.FileIO):
         return super().readinto(memoryview(b)[: max(0, self.hi - self.tell())])
 
 
-def _ranked(codes: np.ndarray, labels: list[str]) -> tuple[list[str], np.ndarray]:
+def _ranked(labels: list[str]) -> tuple[list[str], np.ndarray]:
     """The distinct labels in `_label_key` order, labels of one key in the order
-    they first appear, and the rank of each coded label."""
+    they first appear, and the rank of each label."""
     distinct = sorted(dict.fromkeys(labels), key=_label_key)
     rank = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.array([rank[x] for x in labels], dtype=np.int64)[codes]
+    return distinct, np.fromiter(map(rank.__getitem__, labels), np.int64, len(labels))
 
 
 def _to_float(text: str) -> float:
@@ -276,20 +273,16 @@ def read_long_csv(
                           for i in range(1, parts)] + [size]
         child = lambda job, tmp: pickle.dump(parse(*job), tmp, protocol=5)  # noqa: E731
         with closing(_forked(list(zip(cuts, cuts[1:])), child)) as ranges:
-            runs, run_lengths, tables, ts, values = zip(
+            labels, run_lengths, ts, values = zip(
                 *(pickle.load(tmp) if tmp else parse(*job) for job, tmp in ranges))
-        # each range's label codes follow those of the ranges before it
-        sizes = np.array([[len(table) for table in range_tables] for range_tables in tables])
-        runs = np.concatenate([coded + at for coded, at in zip(runs, sizes.cumsum(0) - sizes)])
         run_lengths, values = np.concatenate(run_lengths), [*chain(*values)]
-        tables = [[*chain(*col)] for col in zip(*tables)]  # a label may appear more than once
         if sum(map(len, values)) > simkl.MAX_VALUES:
             raise ValueError(f"more than {simkl.MAX_VALUES} values")
         t, ts = np.concatenate([*chain(*ts)]), None  # the t chunks go before the values join
         value, values = np.concatenate(values), None
-        subjects, s = _ranked(runs[:, 0], tables[0])
-        measures, m = _ranked(runs[:, 1], tables[1])
-        rep_ints = np.array([int(x) for x in tables[2]], dtype=np.int64)
+        (subjects, s), (measures, m), (rep_labels, rep_rank) = (
+            _ranked(np.concatenate(col).tolist()) for col in zip(*labels))
+        rep_ints = np.array([int(x) for x in rep_labels], dtype=np.int64)  # not once per run
         if (rep_ints < 1).any():
             raise ValueError("replicate below 1")
         replicates, r = np.unique(rep_ints, return_inverse=True)
@@ -298,7 +291,7 @@ def read_long_csv(
         # each run's (subject, measure) unit and curve, numbered in canonical order
         units, unit = np.unique(s * len(measures) + m, return_inverse=True)
         keys, curve_first, curve = np.unique(
-            unit * len(replicates) + r[runs[:, 2]], return_index=True,
+            unit * len(replicates) + r[rep_rank], return_index=True,
             return_inverse=True)
         # code t by the first run's points, or by all points if one is missing there
         # (with an index, as a plain np.unique imports numpy.ma into a fresh process)

@@ -5,8 +5,8 @@ statistic (Kolmogorov-Smirnov, Cramer-von Mises, or energy distance),
 calibrated by permutation; the per-component p-values are FDR-adjusted and
 the minimum adjusted p-value is the global decision value.
 
-One kernel computes every statistic for a batch of group splits, given as a
-0/1 matrix marking group A. Per component it takes one stable sort of the
+One kernel computes every statistic for a batch of group splits, given as
+0/1 rows marking group A. Per component it takes one stable sort of the
 pooled sample and an int32 cumulative count c_j of group-A members along it.
 At the j-th of the r_j sorted values the ECDF gap times n_a n_b is the
 integer num_j = N c_j - n_a r_j = n_a n_b (F_a - F_b), held exactly in
@@ -17,15 +17,16 @@ CvM while N (n_a n_b)^2 < 2^53. Energy distance in one dimension is
 2 * integral (F_a - F_b)^2 dt (Szekely & Rizzo 2013), the squared numerators
 times the spacings of the sorted values over (n_a n_b)^2, so R splits of N
 values cost O(R N) after the sort, with no pairwise distances and no
-cancellation. Each component is sorted once, then the splits are drawn and
-counted in batches of BATCH_CELLS cells, so the working memory does not grow
-with R. The unpaired design relabels freely and the paired design swaps labels
-within each pair; the two differ only in how the membership rows are drawn.
+cancellation. Each component is sorted once, then one loop draws a batch of
+BATCH_CELLS cells of splits and counts it before it draws the next, so the
+working memory is one batch whatever R is. The unpaired design relabels
+freely and the paired design swaps labels within each pair; the two differ
+only in how the membership rows are drawn.
 
-Each test draws its membership matrix once, from one generator seeded by
-SeedSequence(seed), and applies it to every component: a unit's whole score
-vector moves with its label, so the dependence between the components is
-kept (Westfall & Young 1993) and a seed gives the same p-values on every
+Each test draws its membership rows once, from one generator seeded by
+SeedSequence(seed), and applies each batch to every component: a unit's whole
+score vector moves with its label, so the dependence between the components
+is kept (Westfall & Young 1993) and a seed gives the same p-values on every
 call. A permuted statistic counts as reaching the observed one when it is at
 least observed - TIE_RTOL * |observed|, so energy splits that tie
 mathematically count whatever the rounding of their spacing-weighted sums.
@@ -50,11 +51,12 @@ METHODS = ("ks", "cvm", "energy")
 MIN_PERMUTATIONS = 99
 MIN_GROUP_SIZE = 5
 # Most cells (1 + permutations) x pooled units a test may draw. It bounds the
-# one byte a cell of the membership matrix (50 MB), the K statistics of each
-# permutation and the time, which grows with the cells.
+# K statistics of each permutation and the time, which grows with the cells;
+# the cells themselves are drawn one batch at a time.
 MAX_PERMUTATION_CELLS = 5 * 10**7
-# Cells in one batch of splits, about 2 MiB: 16 bytes a cell for its uniforms
-# and their partition, 14 for its transpose, gathered rows, counts and numerators
+# Cells in one batch of splits, a test's working memory of about 2 MiB: 18 bytes
+# a cell while it is drawn (its rows, uniforms and their partition), then 15 while
+# it is counted (its rows, their transpose, gathered rows, counts and numerators)
 BATCH_CELLS = 1 << 17
 # far above the rounding of a sum over N terms (about N * 1e-16 relative) and
 # far below the gap between distinct statistics of different splits
@@ -89,8 +91,7 @@ def energy_statistic(a: np.ndarray, b: np.ndarray) -> float:
 def _observed(method: str, a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    member = _memberships(a.size, a.size + b.size)
-    return float(_batch_stats(method, np.concatenate([a, b])[:, None], member)[0, 0])
+    return float(_batch_stats(method, np.concatenate([a, b])[:, None], a.size)[0, 0])
 
 
 def _memberships(
@@ -99,14 +100,17 @@ def _memberships(
     n_draws: int = 0,
     seed: int | np.random.SeedSequence = 0,
     paired: bool = False,
-) -> np.ndarray:
-    """(1 + n_draws, N) boolean rows marking group A in the pooled sample.
+):
+    """Yield the 1 + n_draws boolean rows marking group A in the pooled sample,
+    as (rows, N) batches of at most BATCH_CELLS cells: rows [0, step), [step,
+    2 step) and so on.
 
     Row 0 is the observed split (the first n_a entries). The drawn rows come
     from one generator seeded by SeedSequence(seed), which only reads a
-    SeedSequence seed. Unpaired rows mark the n_a smallest of N uniforms, the
-    first n_a entries of a random permutation: each row's uniforms up to its
-    n_a-th smallest, or, in a row where that value is tied, the n_a entries
+    SeedSequence seed; it fills row-major, so the rows do not depend on the
+    batch size. Unpaired rows mark the n_a smallest of N uniforms, the first
+    n_a entries of a random permutation: each row's uniforms up to its n_a-th
+    smallest, or, in a row where that value is tied, the n_a entries
     argpartition puts first. Paired rows move pair i from pooled entry i to
     n_a + i when its uniform is below 1/2. More than MAX_PERMUTATION_CELLS
     cells is an InvalidParameterError, raised before anything is allocated.
@@ -116,32 +120,32 @@ def _memberships(
             f"{n_draws} permutations of {N} units need {(1 + n_draws) * N} cells, more than "
             f"the {MAX_PERMUTATION_CELLS} a test may hold"
         )
-    member = np.zeros((1 + n_draws, N), dtype=bool)
-    member[0, :n_a] = True
     rng = np.random.default_rng(seed) if n_draws else None
-    # the generator fills row-major: batches draw the uniforms of one call
     step = max(1, BATCH_CELLS // max(N, 1))
-    for lo in range(1, 1 + n_draws, step):
-        rows = member[lo : lo + step]
-        draw = rng.random((len(rows), n_a if paired else N))
-        if paired:
-            swap = draw < 0.5
-            rows[:, :n_a], rows[:, n_a:] = ~swap, swap
-        else:
-            kth = np.partition(draw, n_a - 1, axis=1)[:, n_a - 1 : n_a].copy()
-            np.less_equal(draw, kth, out=rows)
-            tied = np.flatnonzero(np.count_nonzero(rows, axis=1) != n_a)
-            first = np.argpartition(draw[tied], n_a - 1, axis=1)[:, :n_a]
-            rows[tied] = False
-            rows[tied[:, None], first] = True
-    return member
+    for lo in range(0, 1 + n_draws, step):
+        member = np.zeros((min(step, 1 + n_draws - lo), N), dtype=bool)
+        rows = member[1:] if lo == 0 else member
+        member[0, :n_a] = lo == 0  # row 0 of the first batch is the observed split
+        if len(rows):
+            draw = rng.random((len(rows), n_a if paired else N))
+            if paired:
+                swap = draw < 0.5
+                rows[:, :n_a], rows[:, n_a:] = ~swap, swap
+            else:
+                kth = np.partition(draw, n_a - 1, axis=1)[:, n_a - 1 : n_a].copy()
+                np.less_equal(draw, kth, out=rows)
+                tied = np.flatnonzero(np.count_nonzero(rows, axis=1) != n_a)
+                first = np.argpartition(draw[tied], n_a - 1, axis=1)[:, :n_a]
+                rows[tied] = False
+                rows[tied[:, None], first] = True
+            del draw  # so that the consumer of this batch does not hold its uniforms
+        yield member
 
 
-def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """(R, K) statistics of the K columns of pooled (N, K), one row for each
-    row of the (R, N) boolean matrix marking group A."""
+def _batch_stats(method: str, pooled: np.ndarray, n_a: int, *draws) -> np.ndarray:
+    """(1 + R, K) statistics of the K columns of pooled (N, K), one row for
+    each split of `_memberships(n_a, N, *draws)`, the observed split first."""
     N = pooled.shape[0]
-    n_a = int(member[0].sum())
     n_ab = n_a * (N - n_a)
     # per component: the stable sort, the last position of each distinct value
     # (None if all are distinct) and its squared numerator's weight: the float
@@ -157,16 +161,13 @@ def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndar
                       None if method == "ks" else weight))
     shift = n_a * np.arange(1.0, N + 1)[:, None]
     scale = N**2 * n_ab if method == "cvm" else n_ab**2 / 2
-    out = np.empty((pooled.shape[1], member.shape[0]))
+    out = []
     # split-major columns make the sort gather whole rows and the count a
     # running sum of rows; two buffers of one batch serve every component
-    step = max(1, BATCH_CELLS // max(N, 1))
-    count = np.empty(min(step, len(member)) * N, dtype=np.int32)
-    buffer = np.empty(count.size)
-    for lo in range(0, len(member), step):
-        member_t = np.ascontiguousarray(member[lo : lo + step].T)
-        c = count[: member_t.size].reshape(member_t.shape)
-        full = buffer[: member_t.size].reshape(member_t.shape)
+    for member in _memberships(n_a, N, *draws):
+        member_t = np.ascontiguousarray(member.T)
+        c, full = np.empty(member_t.shape, dtype=np.int32), np.empty(member_t.shape)
+        out.append(np.empty((len(plans), len(member))))
         for k, (order, boundary, weight) in enumerate(plans):
             c[...] = member_t[order]
             np.add.accumulate(c, axis=0, out=c)
@@ -174,11 +175,12 @@ def _batch_stats(method: str, pooled: np.ndarray, member: np.ndarray) -> np.ndar
             full -= shift
             num = full if boundary is None else full[boundary]
             if weight is None:
-                out[k, lo : lo + c.shape[1]] = np.maximum(num.max(axis=0), -num.min(axis=0)) / n_ab
+                out[-1][k] = np.maximum(num.max(axis=0), -num.min(axis=0)) / n_ab
             else:
                 num *= num
-                out[k, lo : lo + c.shape[1]] = weight @ num / scale
-    return out.T
+                out[-1][k] = weight @ num / scale
+        del member_t, c, full, num  # before the next batch is drawn
+    return np.concatenate(out, axis=1).T
 
 
 def _pvalue(permuted: np.ndarray, observed: float) -> float:
@@ -213,12 +215,10 @@ def permutation_pvalue(
     pooled = np.concatenate([a, b])
     if np.ptp(pooled) == 0.0:
         return PermutationResult(1.0, True)
-    observed = statistic_fn(a, b)
-    member = _memberships(a.size, pooled.size, n_permutations, seed)[1:]
-    permuted = np.array(
-        [statistic_fn(pooled[row], pooled[~row]) for row in member]
-    )
-    return PermutationResult(_pvalue(permuted, observed), False)
+    # row 0 of the first batch is the observed split, a against b
+    batches = _memberships(a.size, pooled.size, n_permutations, seed)
+    stats = np.array([statistic_fn(pooled[row], pooled[~row]) for m in batches for row in m])
+    return PermutationResult(_pvalue(stats[1:], stats[0]), False)
 
 
 def bh_adjust(p: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -307,8 +307,7 @@ def two_sample_score_test(
 
     K = A.shape[1]
     pooled = np.vstack([A, B])
-    member = _memberships(A.shape[0], pooled.shape[0], n_permutations, seed, paired)
-    stats = _batch_stats(method, pooled, member)
+    stats = _batch_stats(method, pooled, A.shape[0], n_permutations, seed, paired)
     # a constant component's statistics are all 0; its p-value is 1
     degenerate = np.ptp(pooled, axis=0) == 0.0
     raw = np.array([

@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import CenteringMeans, Curve, CurveSet, Grid, same_grid
+from .core import CenteringMeans, Curve, CurveSet, Grid, same_grid, variance_shares
 from .errors import (
     DegenerateSpectrumError,
     EmptyDataError,
@@ -173,13 +173,11 @@ class MultilevelFit:
                                 in zip((self.subject_labels, self.measure_labels, reps), index)])
 
     def variance_shares(self) -> dict[str, float]:
-        """Share of the fitted variance per level and the noise; level1's is the global ICC."""
-        sums = self.level_variance_sums()
-        total = sum(sums) + self.noise_variance
-        if total <= 0.0:
+        """Share of the fitted variance per level and the noise (`core.variance_shares`);
+        level1's is the global ICC. A zero total raises UndefinedIccError."""
+        shares = variance_shares(self.level_variance_sums(), self.noise_variance)
+        if shares is None:
             raise UndefinedIccError("total variance is zero; ICC undefined")
-        shares = {f"level{l + 1}": s / total for l, s in enumerate(sums)}
-        shares["noise"] = self.noise_variance / total
         return shares
 
 

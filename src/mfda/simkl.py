@@ -19,7 +19,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .core import CurveSet, Grid
+from .core import CurveSet, Grid, variance_shares
 from .errors import InvalidBasisError, InvalidParameterError, ParseError
 
 _EXPR_FUNCTIONS = {
@@ -186,14 +186,11 @@ class GeneratorSpec:
             _check_orthonormal(spec.functions, self.grid, f"level {lvl}")
 
     def analytic_icc(self) -> Optional[float]:
-        """Closed-form global ICC implied by the spec, None for one level."""
-        if len(self.levels) < 2:
-            return None
-        sums = [float(spec.eigenvalues.sum()) for spec in self.levels]
-        denom = sum(sums) + self.noise_variance
-        if denom <= 0:
-            return None
-        return sums[0] / denom
+        """Closed-form global ICC implied by the spec (`core.variance_shares`), None
+        for one level or a zero total, which truth.json writes as null."""
+        shares = variance_shares([float(s.eigenvalues.sum()) for s in self.levels],
+                                 self.noise_variance)
+        return None if shares is None or len(self.levels) < 2 else shares["level1"]
 
 
 def _bad_value(where: str, kind: str, value: Any) -> ParseError:

@@ -1,8 +1,12 @@
 """Pointwise and global intraclass correlation."""
 
+import json
+
 import numpy as np
 import pytest
+import yaml
 
+from mfda.cli import main
 from mfda.core import Curve, CurveSet, Grid
 from mfda.errors import UndefinedIccError
 from mfda.fpca import EigenSystem
@@ -10,7 +14,7 @@ from mfda.icc import global_icc, icc_report, pointwise_icc
 from mfda.mfpca import FitConfig, MultilevelFit, fit_nested
 from mfda.simkl import fourier_basis, generate, spec_from_dict
 
-from .conftest import n2_spec, n3_spec_dict
+from .conftest import n2_spec, n2_spec_dict, n3_spec_dict
 
 
 def eig_of(grid: Grid, lam, funcs) -> EigenSystem:
@@ -115,6 +119,23 @@ class TestGlobal:
         fit = handmade_fit(small_grid, [empty, empty], noise=0.0)
         with pytest.raises(UndefinedIccError):
             global_icc(fit)
+
+    def test_spec_and_fit_share_the_ratio_and_keep_their_zero_rules(self, small_grid, tmp_path):
+        # both go through core.variance_shares: equal sums give the same float,
+        # and a zero total is null in truth.json but an error for a fit
+        spec = n2_spec(1, lam1=(4.0, 2.0), lam2=(2.0, 1.0), noise=1.0)
+        basis = fourier_basis(small_grid, 2)
+        fit = handmade_fit(small_grid, [eig_of(small_grid, [4.0, 2.0], basis),
+                                        eig_of(small_grid, [2.0, 1.0], basis)], noise=1.0)
+        assert spec.analytic_icc() == global_icc(fit) == 6.0 / 10.0
+        zeros = n2_spec_dict(2, n=6, J=2, m=21, lam1=(0.0,), lam2=(0.0,), noise=0.0)
+        assert spec_from_dict(zeros).analytic_icc() is None
+        (tmp_path / "spec.yaml").write_text(yaml.safe_dump(zeros))
+        assert main(["simulate", str(tmp_path / "spec.yaml"), "--out", str(tmp_path / "d")]) == 0
+        assert json.loads((tmp_path / "d" / "truth.json").read_text())["analytic_icc"] is None
+        empty = eig_of(small_grid, np.zeros(0), np.zeros((small_grid.size, 0)))
+        with pytest.raises(UndefinedIccError, match="total variance is zero; ICC undefined"):
+            handmade_fit(small_grid, [empty, empty], noise=0.0).variance_shares()
 
     def test_three_level_pipeline_average(self):
         # lam sums 6 / 3 / 0.75 with noise 0.25 give analytic rho = 0.6

@@ -86,6 +86,11 @@ def reference_pvalue(
     return (1 + exceed) / (n_permutations + 1)
 
 
+def membership_matrix(*args, **kwargs) -> np.ndarray:
+    """The (1 + R, N) rows of `_memberships(*args, **kwargs)`, its batches joined."""
+    return np.concatenate(list(_memberships(*args, **kwargs)))
+
+
 def put_along_axis_memberships(
     n_a: int, N: int, n_draws: int, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
@@ -439,7 +444,7 @@ class TestKernel:
          (200, 400, 199), (3, 50, np.random.SeedSequence(4))],
     )
     def test_memberships_match_put_along_axis(self, n_a, N, seed):
-        member = _memberships(n_a, N, 99, seed)
+        member = membership_matrix(n_a, N, 99, seed)
         np.testing.assert_array_equal(
             member, put_along_axis_memberships(n_a, N, 99, seed)
         )
@@ -459,7 +464,7 @@ class TestKernel:
                 return np.round(self.rng.random(shape), 1)
 
         monkeypatch.setattr(np.random, "default_rng", TiedGenerator)
-        member = _memberships(n_a, N, 99, 3)
+        member = membership_matrix(n_a, N, 99, 3)
         np.testing.assert_array_equal(member, put_along_axis_memberships(n_a, N, 99, 3))
         assert np.all(member.sum(axis=1) == n_a)
 
@@ -482,7 +487,7 @@ class TestKernel:
         # = 100 and more, so the draws cross batch boundaries. Uniforms rounded
         # to one decimal tie in almost every row and take the tie path.
         n_a, N, R = 20, 50, 99
-        paired = _memberships(n_a, 2 * n_a, R, 5, paired=True)
+        paired = membership_matrix(n_a, 2 * n_a, R, 5, paired=True)
         if decimals is not None:
             default_rng = np.random.default_rng
 
@@ -496,10 +501,13 @@ class TestKernel:
             monkeypatch.setattr(np.random, "default_rng", RoundedGenerator)
         expected = put_along_axis_memberships(n_a, N, R, 5)
         monkeypatch.setattr(leveltest, "BATCH_CELLS", rows * N)
-        np.testing.assert_array_equal(_memberships(n_a, N, R, 5), expected)
+        batches = list(_memberships(n_a, N, R, 5))
+        assert [len(batch) for batch in batches[:-1]] == [rows] * (len(batches) - 1)
+        np.testing.assert_array_equal(np.concatenate(batches), expected)
         if decimals is None:
             monkeypatch.setattr(leveltest, "BATCH_CELLS", rows * 2 * n_a)
-            np.testing.assert_array_equal(_memberships(n_a, 2 * n_a, R, 5, paired=True), paired)
+            np.testing.assert_array_equal(membership_matrix(n_a, 2 * n_a, R, 5, paired=True),
+                                          paired)
 
     @pytest.mark.parametrize("paired", [False, True])
     @pytest.mark.parametrize("rows", [1, 7, 100, 101, 1000])
@@ -530,15 +538,15 @@ class TestKernel:
             else:
                 assert statistics == one_batch
 
+    @pytest.mark.parametrize("R", [999, 9_999])
     @pytest.mark.parametrize("paired", [False, True])
-    def test_working_memory_is_one_batch(self, paired):
-        # tracemalloc counts numpy's allocations exactly. Beside the membership
-        # matrix, one byte a cell, the test holds one batch of splits at a
-        # time: its uniforms and their partition, or its transpose, counts and
-        # numerators, within 24 bytes a cell of BATCH_CELLS
+    def test_working_memory_is_one_batch(self, paired, R):
+        # tracemalloc counts numpy's allocations exactly. The test holds one
+        # batch of splits at a time: its uniforms and their partition, or its
+        # transpose, counts and numerators, within 24 bytes a cell of
+        # BATCH_CELLS whatever R is; the (1 + R) x K statistics are small
         rng = np.random.default_rng(1)
         A, B = rng.normal(size=(400, 2)), rng.normal(0.1, 1.0, size=(400, 2))
-        R = 999
         two_sample_score_test(A, B, "energy", R, seed=1, paired=paired)
         tracemalloc.start()
         try:
@@ -546,8 +554,7 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = (1 + R) * 800
-        assert peak <= cells + 24 * leveltest.BATCH_CELLS, peak / cells
+        assert peak <= 24 * leveltest.BATCH_CELLS, peak / leveltest.BATCH_CELLS
 
     @pytest.mark.parametrize("method", ["ks", "cvm"])
     def test_integer_numerators_are_exact(self, method):
@@ -558,8 +565,8 @@ class TestKernel:
         n_a, n_b = 17, 23
         N = n_a + n_b
         pooled = rng.integers(0, 6, N)
-        member = _memberships(n_a, N, 199, seed=5)
-        stats = _batch_stats(method, 0.37 * pooled[:, None], member)[:, 0]
+        member = membership_matrix(n_a, N, 199, seed=5)
+        stats = _batch_stats(method, 0.37 * pooled[:, None], n_a, 199, 5)[:, 0]
         units = np.array(
             [reference_units(method, pooled[row], pooled[~row]) for row in member]
         )
